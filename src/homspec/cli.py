@@ -100,19 +100,14 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     if batch.n_frames == 0:
         # A frame-less file still yields well-formed (all-zero) matrices.
-        zeros = np.zeros((batch.grid_plus.n_bins, batch.grid_minus.n_bins))
-        maps = [(name, zeros) for name in ("raw", "accidental", "covariance")]
+        maps = [np.zeros((batch.grid_plus.n_bins, batch.grid_minus.n_bins))] * 3
     else:
-        maps = [
-            ("raw", detector.raw_coincidences(batch).values),
-            ("accidental", detector.accidental_map(batch).values),
-            ("covariance", detector.covariance_map(batch).values),
-        ]
-    for name, values in maps:
+        maps = [cmap.values for cmap in detector.estimate_maps(batch)]
+    for name, values in zip(("raw", "accidental", "covariance"), maps):
         mapio.write_map_csv(values, batch.grid_plus, batch.grid_minus, out / f"{name}.csv")
         if args.binary:
             mapio.write_map_binary(values, batch.grid_plus, batch.grid_minus, out / f"{name}.bin")
-    total_pairs = float(np.sum(maps[0][1])) * batch.n_frames
+    total_pairs = float(np.sum(maps[0])) * batch.n_frames
     print(f"{batch.n_frames} frames, {total_pairs:.0f} coincidence pairs")
     print(f"wrote {out / 'raw.csv'}, {out / 'accidental.csv'}, {out / 'covariance.csv'}")
     return 0

@@ -49,8 +49,6 @@ class ExperimentConfig:
     t_exp_s: float = 11e-6
     dark_rate: float = 0.0
     seed: int = 12345
-    fit_init_od: float = 100.0
-    fit_init_visibility: float = 0.9
     fit_od_min: float = 0.0
     fit_od_max: float = 1e6
     fit_visibility_min: float = 0.0
@@ -61,6 +59,16 @@ class ExperimentConfig:
     fit_max_iterations: int = 400
     fit_tol: float = 1e-12
     mask_radius: int = 2
+
+    def __post_init__(self):
+        if self.grid_bins < 2:
+            raise ConfigError(f"grid_bins must be >= 2, got {self.grid_bins}")
+        if self.kernel_width < 1 or self.kernel_width % 2 == 0:
+            raise ConfigError(f"kernel_width must be odd and >= 1, got {self.kernel_width}")
+        if not 0.0 <= self.visibility <= 1.0:
+            raise ConfigError(f"visibility must lie in [0, 1], got {self.visibility}")
+        if not -1.0 < self.jsa_correlation < 1.0:
+            raise ConfigError(f"jsa_correlation must lie in (-1, 1), got {self.jsa_correlation}")
 
     def grid(self) -> WavelengthGrid:
         return WavelengthGrid.from_edges(self.grid_start_m, self.grid_stop_m, self.grid_bins)
@@ -100,8 +108,6 @@ class ExperimentConfig:
         return FitConfig(
             tau=doppler_lifetime(self.temperature_k),
             lambda0=RB87.d1_wavelength,
-            init_od=self.fit_init_od,
-            init_visibility=self.fit_init_visibility,
             od_bounds=(self.fit_od_min, self.fit_od_max),
             visibility_bounds=(self.fit_visibility_min, self.fit_visibility_max),
             delay_bounds_fs=(self.fit_delay_min_s / 1e-15, self.fit_delay_max_s / 1e-15),
@@ -186,8 +192,6 @@ _PARSERS = {
     "t_exp": ("t_exp_s", lambda r, w: _parse_unit_value(r, _TIME_UNITS, "a time", w)),
     "dark_rate": ("dark_rate", _parse_float),
     "seed": ("seed", _parse_int),
-    "fit_init_od": ("fit_init_od", _parse_float),
-    "fit_init_visibility": ("fit_init_visibility", _parse_float),
     "fit_od_min": ("fit_od_min", _parse_float),
     "fit_od_max": ("fit_od_max", _parse_float),
     "fit_visibility_min": ("fit_visibility_min", _parse_float),
@@ -201,6 +205,12 @@ _PARSERS = {
 }
 
 _FIELD_TO_KEY = {field: key for key, (field, _) in _PARSERS.items()}
+
+# Keys that older versions wrote; naming them is an error that says why.
+_REMOVED_KEYS = {
+    "fit_init_od": "the fit scans od over its bounds; set fit_od_min and fit_od_max instead",
+    "fit_init_visibility": "the fit solves visibility in closed form",
+}
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None, source: str = "config") -> ExperimentConfig:
@@ -217,6 +227,8 @@ def parse_config(text: str, base: ExperimentConfig | None = None, source: str = 
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in _REMOVED_KEYS:
+            raise ConfigError(f"{where}: key {key!r} was removed ({_REMOVED_KEYS[key]})")
         if key not in _PARSERS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in seen:

@@ -429,7 +429,16 @@ def accidental_map(batch: FrameBatch) -> CoincidenceMap:
     )
 
 
+def estimate_maps(batch: FrameBatch) -> tuple[CoincidenceMap, CoincidenceMap, CoincidenceMap]:
+    """Raw, accidental and covariance maps of one batch, each computed once."""
+    raw = raw_coincidences(batch)
+    accidental = accidental_map(batch)
+    covariance = CoincidenceMap(
+        batch.grid_plus, batch.grid_minus, raw.values - accidental.values, MapKind.COVARIANCE
+    )
+    return raw, accidental, covariance
+
+
 def covariance_map(batch: FrameBatch) -> CoincidenceMap:
     """Photon-number covariance: raw minus accidental, bin pair by bin pair."""
-    values = raw_coincidences(batch).values - accidental_map(batch).values
-    return CoincidenceMap(batch.grid_plus, batch.grid_minus, values, MapKind.COVARIANCE)
+    return estimate_maps(batch)[2]

@@ -10,12 +10,17 @@ intensity, followed by an optional boxcar over bins and normalization to
 unit sum over the unmasked bins.  Normalizing both data and model removes
 the unknown detection prefactor, so only fringe shape is fit.
 
-The cost landscape oscillates in od (fringe aliasing), so the bounded
-trust-region least-squares solve is repeated from a log-spaced ladder of od
-starting points and the best minimum kept.  tau is not fitted; it comes
-from the independently measured cell temperature.  Bins within mask_radius
-of the resonance on either axis are excluded: there the phase varies too
-fast for the bin grid and the boxcar only approximates the averaging.
+The cost oscillates in od and delay (fringe aliasing), so a local solve
+from an arbitrary start lands in the wrong fringe.  For fixed (od, delay)
+the best visibility has a closed form (variable projection; Golub &
+Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so the fit scans this
+profile cost on an (od, delay) grid a quarter fringe apart at the fastest
+unmasked bin, refines the best grid point on the profile, and ends with
+one bounded trust-region solve of the full problem.  tau is not fitted; it
+comes from the independently measured cell temperature.  Bins within
+mask_radius of the resonance on either axis are excluded: there the phase
+varies too fast for the bin grid and the boxcar only approximates the
+averaging.
 """
 
 import math
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import least_squares
 
 from .constants import CODATA, RB87
 from .errors import DegenerateMap
@@ -39,7 +44,8 @@ from .vapor import DispersionModel, spectral_phase
 
 FS = 1e-15
 
-_DEFAULT_LADDER = tuple(float(v) for v in np.logspace(0.0, 5.0, 11))
+_SCAN_OD_RANGE = (1.0, 1e5)  # scanned wherever the od bounds overlap it
+_SCAN_CHUNK = 8  # od rows per batched scan evaluation (about 1 MB per array)
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,6 @@ class FitConfig:
 
     tau: float
     lambda0: float = RB87.d1_wavelength
-    init_od: float = 100.0
-    init_visibility: float = 0.9
     od_bounds: tuple[float, float] = (0.0, 1e6)
     visibility_bounds: tuple[float, float] = (0.0, 1.0)
     delay_bounds_fs: tuple[float, float] = (-100.0, 100.0)
@@ -62,7 +66,6 @@ class FitConfig:
     tol: float = 1e-12
     mask_radius: int = 2
     kernel_width: int = 1
-    od_ladder: tuple[float, ...] = _DEFAULT_LADDER
 
     def __post_init__(self):
         if not self.tau > 0.0:
@@ -163,26 +166,39 @@ def forward_model(
 
 
 class _FringeModel:
-    """Precomputed pieces of the fringe model and its parameter Jacobian."""
+    """Precomputed pieces of the fringe model and its parameter Jacobian.
+
+    Without a boxcar every bin stands alone, so the unit phases and the
+    intensity are stored for the unmasked bins only; with one they stay
+    full matrices and ``smooth`` drops the masked bins after averaging.
+    """
 
     def __init__(self, jsa: JointSpectralAmplitude, config: FitConfig, mask: np.ndarray):
         centers = jsa.grid_s.centers
         g = spectral_phase(
             DispersionModel(od=1.0, tau=config.tau, lambda0=config.lambda0), centers
         )
-        self.phase_unit = g[:, None] - g[None, :]
+        phase_unit = g[:, None] - g[None, :]
         inv = 1.0 / centers
         # Phase per femtosecond of residual delay.
-        self.delay_unit = 2.0 * math.pi * CODATA.c * FS * (inv[:, None] - inv[None, :])
-        self.jsi = np.abs(jsa.amplitude) ** 2
+        delay_unit = 2.0 * math.pi * CODATA.c * FS * (inv[:, None] - inv[None, :])
         self.keep = ~mask
         self.kernel = config.kernel_width
         self.fit_delay = config.fit_delay
+        # Fastest fringe rates over the unmasked bins [rad per od, per fs].
+        self.max_rates = (np.max(np.abs(phase_unit[self.keep])),
+                          np.max(np.abs(delay_unit[self.keep])))
+        arrays = (phase_unit, delay_unit, np.abs(jsa.amplitude) ** 2)
+        if self.kernel == 1:
+            arrays = tuple(a[self.keep] for a in arrays)
+        self.phase_unit, self.delay_unit, self.jsi = arrays
 
-    def _boxcar(self, arr: np.ndarray) -> np.ndarray:
+    def smooth(self, arr: np.ndarray) -> np.ndarray:
+        """Boxcar the trailing two (bin) axes and keep the unmasked bins."""
         if self.kernel == 1:
             return arr
-        return ndimage.uniform_filter(arr, size=self.kernel, mode="reflect")
+        size = (1,) * (arr.ndim - 2) + (self.kernel, self.kernel)
+        return ndimage.uniform_filter(arr, size=size, mode="reflect")[..., self.keep]
 
     def normalized_model_and_jac(self, theta: np.ndarray):
         """Model vector over unmasked bins and its Jacobian columns."""
@@ -191,18 +207,15 @@ class _FringeModel:
         dphi = od * self.phase_unit + delay_fs * self.delay_unit
         cos = np.cos(dphi)
         sin = np.sin(dphi)
-        raw = 0.5 * (1.0 - vis * cos) * self.jsi
-        d_od = 0.5 * vis * sin * self.phase_unit * self.jsi
-        d_vis = -0.5 * cos * self.jsi
-        smooth = self._boxcar(raw)
-        total = float(np.sum(smooth[self.keep]))
+        smooth = self.smooth(0.5 * (1.0 - vis * cos) * self.jsi)
+        total = float(np.sum(smooth))
         if total <= 0.0:
-            n = int(np.count_nonzero(self.keep))
-            return np.zeros(n), np.zeros((n, 3 if self.fit_delay else 2))
-        m = smooth[self.keep] / total
-        cols = [self._boxcar(d_od)[self.keep], self._boxcar(d_vis)[self.keep]]
+            return np.zeros(smooth.size), np.zeros((smooth.size, 3 if self.fit_delay else 2))
+        m = smooth / total
+        cols = [self.smooth(0.5 * vis * sin * self.phase_unit * self.jsi),
+                self.smooth(-0.5 * cos * self.jsi)]
         if self.fit_delay:
-            cols.append(self._boxcar(0.5 * vis * sin * self.delay_unit * self.jsi)[self.keep])
+            cols.append(self.smooth(0.5 * vis * sin * self.delay_unit * self.jsi))
         jac = np.empty((m.size, len(cols)))
         for k, col in enumerate(cols):
             jac[:, k] = (col - m * float(np.sum(col))) / total
@@ -225,13 +238,8 @@ def _estimate_weights(data: np.ndarray, kind: MapKind) -> np.ndarray:
     return 1.0 / (np.clip(data, 0.0, None) + scale)
 
 
-def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig):
-    """Build the weighted least-squares pieces shared by fit and diagnostics.
-
-    Returns (residual_fn, jacobian_fn, cost_fn, gradient_fn, n_params); the
-    parameter vector is [od, visibility, delay_fs] (delay omitted when not
-    fitted).  Raises DegenerateMap when the map carries no usable signal.
-    """
+def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig):
+    """The fringe model, normalized data and square-root weights over the unmasked bins."""
     if cmap.kind not in (MapKind.COVARIANCE, MapKind.PROBABILITY):
         raise ValueError(f"fit expects a covariance or probability map, got {cmap.kind.value}")
     if not (cmap.grid_p.is_close(jsa.grid_s) and cmap.grid_m.is_close(jsa.grid_i)):
@@ -245,8 +253,10 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
         raise DegenerateMap("unmasked bins sum to a non-positive total")
     data = data / total
     sqrt_w = np.sqrt(_estimate_weights(data, cmap.kind))
-    model = _FringeModel(jsa, config, mask)
+    return _FringeModel(jsa, config, mask), data, sqrt_w
 
+
+def _objective_functions(model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray):
     def residuals(theta: np.ndarray) -> np.ndarray:
         m, _ = model.normalized_model_and_jac(theta)
         return sqrt_w * (m - data)
@@ -264,174 +274,158 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
         r = sqrt_w * (m - data)
         return 2.0 * (sqrt_w[:, None] * jac).T @ r
 
-    return residuals, jacobian, cost, gradient, 3 if config.fit_delay else 2
+    return residuals, jacobian, cost, gradient, 3 if model.fit_delay else 2
 
 
-def _interior(value: float, low: float, high: float) -> float:
-    pad = 1e-9 * (high - low)
-    return min(max(value, low + pad), high - pad)
+def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig):
+    """Build the weighted least-squares pieces shared by fit and diagnostics.
 
-
-def _profile_polish(residuals, jacobian, theta_best, lower, upper, config: FitConfig):
-    """Global refinement by profiling the cost over od.
-
-    The masked cost is oscillatory in od and can be nearly degenerate with
-    visibility, so the trust-region runs alone are unreliable: this scans od
-    geometrically over the whole ladder range with the inner (visibility,
-    delay) subproblem re-solved at each point (several delay starts escape
-    the fringe traps of a residual delay), then Brent-refines od between the
-    scan minimum's neighbors.  Returns (theta, cost, nfev, success); the
-    caller keeps the result only if it improves on the incumbent.
+    Returns (residual_fn, jacobian_fn, cost_fn, gradient_fn, n_params); the
+    parameter vector is [od, visibility, delay_fs] (delay omitted when not
+    fitted).  Raises DegenerateMap when the map carries no usable signal.
     """
-    nfev = 0
-    inner_dim = lower.size - 1
-    inner_state = np.array(theta_best[1:], dtype=float)
+    return _objective_functions(*_weighted_problem(cmap, jsa, config))
 
-    def inner_once(od: float, x0: np.ndarray):
-        nonlocal nfev
-        res = least_squares(
-            lambda t: residuals(np.concatenate(([od], t))),
-            np.clip(x0, lower[1:] + 1e-12, upper[1:] - 1e-12),
-            jac=lambda t: jacobian(np.concatenate(([od], t)))[:, 1:],
-            bounds=(lower[1:], upper[1:]),
-            method="trf",
-            ftol=1e-15,
-            xtol=1e-15,
-            gtol=1e-15,
-            max_nfev=60,
-        )
-        nfev += res.nfev
-        return 2.0 * res.cost, res.x
 
-    def inner_starts():
-        starts = [inner_state.copy()]
-        if inner_dim == 2:
-            for delay0 in (0.55 * lower[2], 0.55 * upper[2]):
-                if abs(inner_state[1] - delay0) > 0.05 * (upper[2] - lower[2]):
-                    alt = inner_state.copy()
-                    alt[1] = delay0
-                    starts.append(alt)
-        return starts
+class _Profile:
+    """The objective minimized over visibility in closed form, at fixed phases.
 
-    def profile(od: float, multi_start: bool):
-        nonlocal inner_state
-        best_cost, best_x = math.inf, None
-        for x0 in inner_starts() if multi_start else [inner_state.copy()]:
-            cost, x = inner_once(od, x0)
-            if cost < best_cost:
-                best_cost, best_x = cost, x
-        inner_state = best_x
-        return best_cost, best_x
+    With u = J/sum(J) and v = S/sum(S) (after the boxcar), the weighted
+    residual is a + t*b with a = sqrt_w*(u - data) and b = sqrt_w*(v - u),
+    t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)).  The visibility bounds map
+    to bounds on t, so the best t is a clipped one-dimensional linear
+    least-squares solution.  S = 2*sin^2(phi/2)*J rather than J - J*cos(phi)
+    keeps low-od maps, whose phases are small, free of cancellation.
+    """
 
-    od_best = float(theta_best[0])
-    anchor = max(abs(od_best), 1.0)
-    lo = max(lower[0], min(min(config.od_ladder), anchor / 5.0))
-    hi = min(upper[0], max(max(config.od_ladder), anchor * 5.0))
-    lo = max(lo, hi * 1e-7)
-    if not hi > lo:
-        return np.array(theta_best), math.inf, nfev, False
+    def __init__(self, model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray,
+                 visibility_bounds: tuple[float, float]):
+        self.model = model
+        j = model.smooth(model.jsi)
+        self.j_sum = float(np.sum(j))
+        u = j / self.j_sum
+        a = sqrt_w * (u - data)
+        self.w = sqrt_w**2
+        # b.a, b.b and sum(S) follow from products of S with these columns.
+        self.products = np.stack((np.ones_like(u), sqrt_w * a, self.w * u), axis=1)
+        self.a_u, self.u_w_u, self.a_a = sqrt_w * a @ u, self.w * u @ u, a @ a
+        self.visibility_bounds = visibility_bounds
 
-    scan = np.unique(np.concatenate((np.geomspace(lo, hi, 33), [np.clip(anchor, lo, hi)])))
-    scan_results = [profile(od, multi_start=True) for od in scan]
-    scan_costs = np.array([c for c, _ in scan_results])
-    k = int(np.argmin(scan_costs))
-    inner_state = scan_results[k][1].copy()
-    scalar = minimize_scalar(
-        lambda od: profile(od, multi_start=False)[0],
-        bounds=(scan[max(k - 1, 0)], scan[min(k + 1, scan.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10 * max(scan[k], 1.0), "maxiter": 200},
-    )
-    od_star = float(scalar.x)
-    cost_star, inner = profile(od_star, multi_start=False)
-    if scan_costs[k] < cost_star:
-        od_star = float(scan[k])
-        cost_star, inner = scan_results[k]
-    return np.concatenate(([od_star], inner)), cost_star, nfev, bool(scalar.success)
+    def _best(self, s: np.ndarray):
+        """sum(S), best t and cost for rows of S; the rows are overwritten."""
+        s_sum, s_a, s_u = (s @ self.products).T
+        s_w_s = np.square(s, out=s) @ self.w
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p = s_a / s_sum - self.a_u  # b.a
+            q = s_w_s / s_sum**2 - 2.0 * s_u / s_sum + self.u_w_u  # b.b
+            t_bounds = (v * s_sum / ((1.0 - v) * self.j_sum + v * s_sum)
+                        for v in self.visibility_bounds)
+            t = np.clip(-p / q, *t_bounds)
+            cost = self.a_a + t * (2.0 * p + t * q)
+        return s_sum, t, np.where(s_sum > 0.0, cost, np.inf)
+
+    def costs(self, ods: np.ndarray, delays_fs: np.ndarray) -> np.ndarray:
+        """Profile cost on the grid ods x delays_fs; inf where the phases vanish.
+
+        Splitting the half phase by angle addition leaves sines on the axes.
+        """
+        half_d = 0.5 * np.multiply.outer(delays_fs, self.model.delay_unit)
+        sin_d, cos_d = np.sin(half_d), np.cos(half_d)
+        root_two_j = np.sqrt(2.0 * self.model.jsi)
+        out = np.empty((ods.size, delays_fs.size))
+        for i in range(0, ods.size, _SCAN_CHUNK):
+            half_o = 0.5 * np.multiply.outer(ods[i:i + _SCAN_CHUNK], self.model.phase_unit)
+            sin_o = np.sin(half_o) * root_two_j
+            cos_o = np.cos(half_o) * root_two_j
+            for k in range(delays_fs.size):
+                s = sin_o * cos_d[k]
+                s += cos_o * sin_d[k]
+                out[i:i + _SCAN_CHUNK, k] = self._best(self.model.smooth(np.square(s, out=s)))[2]
+        return out
+
+    def visibility(self, od: float, delay_fs: float = 0.0) -> float:
+        """The visibility that minimizes the objective at one (od, delay)."""
+        half = 0.5 * (od * self.model.phase_unit + delay_fs * self.model.delay_unit)
+        s_sum, t, _ = self._best(self.model.smooth(2.0 * np.sin(half[None]) ** 2 * self.model.jsi))
+        return float(t[0] * self.j_sum / ((1.0 - t[0]) * s_sum[0] + t[0] * self.j_sum))
+
+
+def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """od and delay values of the profile scan.
+
+    od covers the od bounds within _SCAN_OD_RANGE, or all of the bounds
+    where they lie outside it, in steps of 5% of od up to a quarter fringe
+    (0.5*pi rad) of the fastest unmasked bin; delay spans its bounds a
+    quarter fringe apart.
+    """
+    od_step, delay_step = (0.5 * math.pi / rate for rate in model.max_rates)
+    (od_lo, od_hi), (range_lo, range_hi) = config.od_bounds, _SCAN_OD_RANGE
+    lo, hi = max(od_lo, range_lo), min(od_hi, range_hi)
+    if not lo < hi:
+        lo, hi = config.od_bounds
+    ods = [lo]
+    while ods[-1] < hi:
+        ods.append(ods[-1] + min(od_step, 0.05 * max(ods[-1], 1.0)))
+    ods[-1] = hi
+    d_lo, d_hi = config.delay_bounds_fs
+    delays = np.linspace(d_lo, d_hi, math.ceil((d_hi - d_lo) / delay_step) + 1)
+    return np.array(ods, dtype=float), delays if config.fit_delay else np.zeros(1)
 
 
 def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) -> FitResult:
-    """Multi-start bounded least-squares fit of {od, visibility, delay}.
+    """Bounded least-squares fit of {od, visibility, delay}.
 
-    The data map is normalized over unmasked bins (scale invariant), each od
-    in the start ladder seeds a trust-region solve, and a profiled-od polish
-    (inner parameters re-solved along an od scan) guards against the ridges
-    and fringe traps of the oscillatory cost; the lowest-cost minimum wins.
-    A failed convergence is reported through the ``converged`` flag on the
-    best iterate, never as an exception.
+    The visibility-profiled cost is scanned on an (od, delay) grid, its best
+    point refined on the profile, and one trust-region solve of all
+    parameters finishes from there.  ``iterations`` counts the profile
+    evaluations plus the final solve's function evaluations.  A failed
+    convergence is reported through ``converged``, never as an exception.
     """
-    residuals, jacobian, _, _, n_params = prepare_objective(cmap, jsa, config)
+    problem = _weighted_problem(cmap, jsa, config)
+    residuals, jacobian, _, _, n_params = _objective_functions(*problem)
+    profile = _Profile(*problem, config.visibility_bounds)
 
-    lower = [config.od_bounds[0], config.visibility_bounds[0]]
-    upper = [config.od_bounds[1], config.visibility_bounds[1]]
-    if config.fit_delay:
-        lower.append(config.delay_bounds_fs[0])
-        upper.append(config.delay_bounds_fs[1])
-    lower = np.array(lower)
-    upper = np.array(upper)
+    ods, delays = _scan_grid(problem[0], config)
+    costs = profile.costs(ods, delays)
+    i, k = np.unravel_index(np.argmin(costs), costs.shape)
 
-    starts = []
-    for od0 in tuple(config.od_ladder) + (config.init_od,):
-        theta0 = [
-            _interior(od0, *config.od_bounds),
-            _interior(config.init_visibility, *config.visibility_bounds),
-        ]
-        if config.fit_delay:
-            theta0.append(_interior(0.0, *config.delay_bounds_fs))
-        starts.append(np.array(theta0))
+    lower, upper = np.array(
+        [config.od_bounds, config.visibility_bounds, config.delay_bounds_fs][:n_params]).T
+    solver = dict(method="trf", x_scale="jac", ftol=config.tol, xtol=config.tol,
+                  gtol=config.tol, max_nfev=config.max_iterations)
 
-    best = None
-    total_nfev = 0
-    for theta0 in starts:
-        res = least_squares(
-            residuals,
-            theta0,
-            jac=jacobian,
-            bounds=(lower, upper),
-            method="trf",
-            x_scale="jac",
-            ftol=config.tol,
-            xtol=config.tol,
-            gtol=config.tol,
-            max_nfev=config.max_iterations,
-        )
-        total_nfev += res.nfev
-        if best is None or res.cost < best.cost:
-            best = res
+    def full(x):  # theta with the best visibility for x = [od(, delay_fs)]
+        return np.insert(x, 1, profile.visibility(*x))
 
-    # The od direction can be nearly degenerate with visibility when only
-    # small phases survive the resonance mask, leaving a ridge too flat for
-    # the trust region's gradient test.  Polish by profiling the cost over
-    # od, solving the inner (visibility, delay) subproblem exactly.
-    theta, polish_cost, polish_nfev, polish_ok = _profile_polish(
-        residuals, jacobian, best.x, lower, upper, config
+    def reduced_jacobian(x):
+        # Kaufman's variable-projection Jacobian: the od and delay columns less
+        # their part along the visibility column, unless V sits on a bound.
+        theta = full(x)
+        jac = jacobian(theta)
+        rest = np.delete(jac, 1, axis=1)
+        if lower[1] < theta[1] < upper[1]:
+            rest -= np.outer(jac[:, 1], jac[:, 1] @ rest / (jac[:, 1] @ jac[:, 1]))
+        return rest
+
+    refined = least_squares(
+        lambda x: residuals(full(x)),
+        np.array([ods[i], delays[k]][: n_params - 1]),
+        jac=reduced_jacobian,
+        bounds=(np.delete(lower, 1), np.delete(upper, 1)),
+        # Noiseless low-od maps leave a ridge whose gradient falls below any
+        # absolute gtol long before od settles, so only steps stop the refine.
+        **{**solver, "gtol": None},
     )
-    total_nfev += polish_nfev
-    converged = bool(best.status > 0)
-    if polish_cost <= 2.0 * best.cost:
-        cost = polish_cost
-        converged = converged or polish_ok
-        # One joint solve from the polished point ties the profiled od back
-        # to a stationary point of the full parameter set.
-        final = least_squares(
-            residuals,
-            np.clip(theta, lower + 1e-12, upper - 1e-12),
-            jac=jacobian,
-            bounds=(lower, upper),
-            method="trf",
-            x_scale="jac",
-            ftol=config.tol,
-            xtol=config.tol,
-            gtol=config.tol,
-            max_nfev=config.max_iterations,
-        )
-        total_nfev += final.nfev
-        if 2.0 * final.cost <= cost:
-            theta = final.x
-            cost = 2.0 * final.cost
-    else:
-        theta = best.x
-        cost = 2.0 * best.cost  # scipy reports 0.5*sum(r^2)
+    theta0 = full(refined.x)
+    final = least_squares(
+        residuals,
+        np.clip(theta0, lower + 1e-12, upper - 1e-12),
+        jac=jacobian,
+        bounds=(lower, upper),
+        **solver,
+    )
+    theta = final.x
+    cost = 2.0 * final.cost  # scipy reports 0.5*sum(r^2)
     jac = jacobian(theta)
     dof = max(jac.shape[0] - n_params, 1)
     sigma2 = cost / dof
@@ -452,8 +446,8 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         visibility_hat=float(theta[1]),
         delay_fs=float(theta[2]) if config.fit_delay else 0.0,
         cost=float(cost),
-        iterations=int(total_nfev),
-        converged=converged,
+        iterations=int(costs.size + refined.nfev + final.nfev),
+        converged=bool(final.status > 0),
         param_sigma=param_sigma,
         od_visibility_correlation=corr,
         covariance=cov,

@@ -3,8 +3,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from homspec import retrieval
+from homspec import detector, retrieval
 from homspec.cli import main
 from homspec.mapio import read_map_csv
 from homspec.retrieval import FitResult
@@ -90,6 +91,16 @@ class TestEstimate:
         acc, _, _ = read_map_csv(tmp_path / "accidental.csv")
         cov, _, _ = read_map_csv(tmp_path / "covariance.csv")
         assert np.array_equal(cov, raw - acc)
+
+    def test_each_map_computed_once(self, tmp_path, monkeypatch):
+        assert main(["simulate", "--frames", "20000", "--out", str(tmp_path), *FAST]) == 0
+        calls = []
+        for name in ("raw_coincidences", "accidental_map"):
+            original = getattr(detector, name)
+            monkeypatch.setattr(detector, name,
+                                lambda batch, f=original, n=name: calls.append(n) or f(batch))
+        assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == ["accidental_map", "raw_coincidences"]
 
     def test_empty_file_gives_zero_maps(self, tmp_path):
         assert main(["simulate", "--frames", "100", "--out", str(tmp_path), *FAST,
@@ -185,6 +196,15 @@ class TestConfigHandling:
 
     def test_bad_override_exits_2(self, tmp_path):
         assert main(["theory", "--override", "nope = 1", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("override", [
+        "kernel_width = 2", "grid_bins = 1", "visibility = 1.5", "jsa_correlation = 1",
+    ])
+    def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, override):
+        assert main(["theory", "--override", override, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + override.split(" = ")[0])
+        assert err.count("\n") == 1
 
     def test_bundled_configs_parse(self, tmp_path):
         for name in ("t1_188C.cfg", "t2_174C.cfg", "t3_86C.cfg"):

@@ -61,6 +61,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"config:3.*unknown key"):
             parse_config("seed = 1\n\nnot_a_key = 2\n")
 
+    @pytest.mark.parametrize("key", ["fit_init_od", "fit_init_visibility"])
+    def test_removed_key_rejected_with_reason(self, key):
+        with pytest.raises(ConfigError, match=rf"config:2: key '{key}' was removed \(the fit"):
+            parse_config(f"seed = 1\n{key} = 0.5\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("seed = 1\nseed = 2\n")

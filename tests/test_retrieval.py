@@ -14,6 +14,8 @@ from homspec.interference import (
 )
 from homspec.retrieval import (
     FitConfig,
+    _Profile,
+    _weighted_problem,
     fit,
     forward_model,
     phase_difference_map,
@@ -30,6 +32,7 @@ GRID64 = WavelengthGrid.from_edges(790e-9, 803e-9, 64)
 JSA64 = gaussian_jsa(796.7e-9, 10e-9, -0.9, GRID64)
 TAU_86 = doppler_lifetime(359.15)
 TAU_174 = doppler_lifetime(447.15)
+TAU_188 = doppler_lifetime(461.15)
 
 
 class TestForwardModel:
@@ -57,7 +60,9 @@ class TestForwardModel:
 
 
 class TestNoiselessRoundTrip:
-    @pytest.mark.parametrize("od_true,tau", [(5.0, TAU_86), (20.0, TAU_86), (2.6e3, TAU_174)])
+    @pytest.mark.parametrize(
+        "od_true,tau", [(5.0, TAU_86), (20.0, TAU_86), (2.6e3, TAU_174), (4.66e3, TAU_188)]
+    )
     def test_recovers_od_and_visibility(self, od_true, tau):
         data = forward_model(od_true, 0.8, 0.0, JSA, tau=tau)
         result = fit(data, JSA, FitConfig(tau=tau))
@@ -70,6 +75,24 @@ class TestNoiselessRoundTrip:
         data = forward_model(20.0, 0.9, 30e-15, JSA64, tau=TAU_86)
         result = fit(data, JSA64, FitConfig(tau=TAU_86))
         assert result.delay_fs == pytest.approx(30.0, rel=1e-2)
+
+    def test_boxcar_model(self):
+        data = forward_model(300.0, 0.8, 10e-15, JSA64, tau=TAU_86, kernel_width=3)
+        result = fit(data, JSA64, FitConfig(tau=TAU_86, kernel_width=3))
+        assert result.od_hat == pytest.approx(300.0, rel=1e-2)
+        assert result.visibility_hat == pytest.approx(0.8, rel=1e-2)
+        assert result.delay_fs == pytest.approx(10.0, rel=1e-2)
+        assert result.converged
+
+    @pytest.mark.parametrize("od_true,od_bounds", [(2.5e5, (2e5, 1e6)), (0.3, (0.0, 0.5))])
+    def test_od_bounds_outside_default_scan_range(self, od_true, od_bounds):
+        # bounds that miss [1, 1e5] are scanned over their whole width
+        data = forward_model(od_true, 0.8, 10e-15, JSA64, tau=TAU_86)
+        result = fit(data, JSA64, FitConfig(tau=TAU_86, od_bounds=od_bounds))
+        assert result.od_hat == pytest.approx(od_true, rel=1e-2)
+        assert result.visibility_hat == pytest.approx(0.8, rel=1e-2)
+        assert result.delay_fs == pytest.approx(10.0, rel=1e-2)
+        assert result.converged
 
     def test_fixed_delay_variant(self):
         data = forward_model(20.0, 0.8, 0.0, JSA64, tau=TAU_86)
@@ -98,6 +121,26 @@ class TestObjective:
                 numeric[k] = (cost(up) - cost(down)) / (2.0 * h)
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-30)
             assert np.max(rel) < 1e-4
+
+    @pytest.mark.parametrize("kernel_width", [1, 3])
+    def test_profile_matches_objective(self, kernel_width):
+        # The scan's closed-form profile is the objective at the best
+        # visibility: equal to it there and no larger than at any other.
+        data = forward_model(150.0, 0.7, 5e-15, JSA64, tau=TAU_86, kernel_width=kernel_width)
+        noise = 0.05 * data.values.max() * np.random.default_rng(3).standard_normal((64, 64))
+        noisy = CoincidenceMap(GRID64, GRID64, data.values + noise, MapKind.COVARIANCE)
+        config = FitConfig(tau=TAU_86, kernel_width=kernel_width)
+        _, _, cost, _, _ = prepare_objective(noisy, JSA64, config)
+        profile = _Profile(*_weighted_problem(noisy, JSA64, config), config.visibility_bounds)
+        ods, delays = np.array([20.0, 150.0, 900.0]), np.array([-40.0, 5.0])
+        costs = profile.costs(ods, delays)
+        for i, od in enumerate(ods):
+            for k, delay in enumerate(delays):
+                vis = profile.visibility(od, delay)
+                best = cost(np.array([od, vis, delay]))
+                assert costs[i, k] == pytest.approx(best, rel=1e-9)
+                for other in (0.0, 0.5 * vis, min(1.5 * vis, 1.0), 1.0):
+                    assert cost(np.array([od, other, delay])) >= best * (1 - 1e-12)
 
     def test_scale_invariance(self):
         data = forward_model(150.0, 0.8, 0.0, JSA64, tau=TAU_86)
@@ -132,6 +175,23 @@ class TestNoisyFits:
         result = fit(simulated_covariance, JSA64, FitConfig(tau=TAU_174))
         assert result.od_hat == pytest.approx(2.6e3, rel=0.05)
         assert result.converged
+
+    def test_fit_is_stationary_point_of_objective(self, simulated_covariance):
+        config = FitConfig(tau=TAU_174)
+        result = fit(simulated_covariance, JSA64, config)
+        residuals, jacobian, _, gradient, _ = prepare_objective(
+            simulated_covariance, JSA64, config
+        )
+        theta = np.array([result.od_hat, result.visibility_hat, result.delay_fs])
+        grad = gradient(theta)
+        # |dC/dtheta_k| against its Cauchy-Schwarz bound 2*|r|*|J_k|
+        scale = 2.0 * np.linalg.norm(residuals(theta)) * np.linalg.norm(jacobian(theta), axis=0)
+        bounds = np.array([config.od_bounds, config.visibility_bounds, config.delay_bounds_fs])
+        # the solver keeps iterates strictly inside, a hair from an active bound
+        at_upper = bounds[:, 1] - theta <= 1e-8 * (bounds[:, 1] - bounds[:, 0])
+        # a parameter held at its upper bound only needs the cost to fall outward
+        assert np.all(grad[at_upper] <= 0.0)
+        assert np.all(np.abs(grad[~at_upper]) < 1e-8 * scale[~at_upper])
 
     def test_mask_radius_invariance(self, simulated_covariance):
         results = {
