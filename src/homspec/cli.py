@@ -75,6 +75,8 @@ def cmd_theory(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _effective_config(args)
+    if args.frames < 0:
+        raise ConfigError(f"--frames must be non-negative, got {args.frames}")
     out = _out_dir(args)
     params = cfg.detection_params()
     jsa = cfg.jsa()

@@ -69,6 +69,10 @@ class ExperimentConfig:
             raise ConfigError(f"visibility must lie in [0, 1], got {self.visibility}")
         if not -1.0 < self.jsa_correlation < 1.0:
             raise ConfigError(f"jsa_correlation must lie in (-1, 1), got {self.jsa_correlation}")
+        try:
+            self.detection_params()
+        except ValueError as exc:  # its messages start with the config key
+            raise ConfigError(str(exc)) from None
 
     def grid(self) -> WavelengthGrid:
         return WavelengthGrid.from_edges(self.grid_start_m, self.grid_stop_m, self.grid_bins)

@@ -14,9 +14,12 @@ cross-port product <n+(a) n-(b)>, the accidental map the product of means
 repetitions per frame make the accidental term substantial, which is why
 the subtraction is needed at all.
 
-Randomness is drawn from counter-based Philox streams keyed by
-(seed, frame-chunk index), so the output is bit-reproducible for a given
-seed and independent of how chunks would be scheduled.
+Frames are simulated in chunks of FRAME_CHUNK.  Randomness is drawn from
+counter-based Philox streams keyed by (seed, frame-chunk index), and each
+chunk's events are sorted and deduplicated as the chunk is generated, so the
+output is bit-reproducible for a given seed and independent of how chunks
+would be scheduled.  Simulation and estimator memory follow the event count,
+not the frame count.
 """
 
 import warnings
@@ -55,9 +58,9 @@ class DetectionParams:
             raise ValueError(f"chi must lie in [0, 1], got {self.chi}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not self.f_rep > 0.0 or not self.t_exp > 0.0:
-            raise ValueError("f_rep and t_exp must be positive")
-        if self.dark_rate < 0.0:
+        if not (0.0 < self.f_rep < np.inf and 0.0 < self.t_exp < np.inf):
+            raise ValueError("f_rep and t_exp must be positive and finite")
+        if not self.dark_rate >= 0.0:
             raise ValueError(f"dark_rate must be non-negative, got {self.dark_rate}")
         if self.repetitions < 1:
             raise ValueError("f_rep * t_exp must round to at least one repetition")
@@ -75,6 +78,8 @@ class FrameBatch:
     Events are stored as parallel arrays (frame index, region, bin index) in
     canonical order: sorted by frame, then region (0 = plus, 1 = minus),
     then bin, with no duplicates -- a pixel clicks at most once per frame.
+    Construction rejects events out of range or out of that order; the
+    estimators rely on it.
     """
 
     n_frames: int
@@ -97,9 +102,20 @@ class FrameBatch:
                 raise ValueError("event frame index out of range")
             if int(regions.max()) > 1:
                 raise ValueError("region must be 0 (plus) or 1 (minus)")
-            n_bins = np.where(regions == 0, self.grid_plus.n_bins, self.grid_minus.n_bins)
-            if np.any(bins >= n_bins):
-                raise ValueError("event bin index out of range")
+            n_plus, n_minus = self.grid_plus.n_bins, self.grid_minus.n_bins
+            # The per-event limit is needed only when some bin reaches the smaller grid.
+            if int(bins.max()) >= min(n_plus, n_minus):
+                if np.any(bins >= np.where(regions == 0, n_plus, n_minus)):
+                    raise ValueError("event bin index out of range")
+            same_frame = frames[1:] == frames[:-1]
+            same_region = same_frame & (regions[1:] == regions[:-1])
+            increasing = (
+                (frames[1:] > frames[:-1])
+                | same_frame & (regions[1:] > regions[:-1])
+                | same_region & (bins[1:] > bins[:-1])
+            )
+            if not increasing.all():
+                raise ValueError("events must be in strictly increasing (frame, region, bin) order")
         for arr, name in ((frames, "frames"), (regions, "regions"), (bins, "bins")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -108,43 +124,68 @@ class FrameBatch:
     def n_events(self) -> int:
         return int(self.frames.size)
 
-    def occupancy(self, region: int) -> np.ndarray:
-        """Dense (n_frames, n_bins) binary occupancy for one region."""
-        grid = self.grid_plus if region == 0 else self.grid_minus
-        occ = np.zeros((self.n_frames, grid.n_bins), dtype=np.uint8)
-        sel = self.regions == region
-        occ[self.frames[sel], self.bins[sel]] = 1
-        return occ
-
-
-def _canonical_batch(
-    n_frames: int,
-    grid_plus: WavelengthGrid,
-    grid_minus: WavelengthGrid,
-    frames: np.ndarray,
-    regions: np.ndarray,
-    bins: np.ndarray,
-) -> FrameBatch:
-    """Sort, deduplicate (binary-pixel saturation) and freeze events."""
-    code = (
-        frames.astype(np.int64) << 17
-        | regions.astype(np.int64) << 16
-        | bins.astype(np.int64)
-    )
-    code = np.unique(code)
-    return FrameBatch(
-        n_frames=n_frames,
-        grid_plus=grid_plus,
-        grid_minus=grid_minus,
-        frames=(code >> 17).astype(np.uint32),
-        regions=((code >> 16) & 1).astype(np.uint8),
-        bins=(code & 0xFFFF).astype(np.uint16),
-    )
-
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _repeat_frames(start: int, counts: np.ndarray) -> np.ndarray:
+    """Frame index start + i repeated counts[i] times."""
+    return np.repeat(np.arange(start, start + counts.size, dtype=np.uint32), counts)
+
+
+def _event_codes(frames: np.ndarray, region: int, bins: np.ndarray) -> np.ndarray:
+    """Codes frame << 17 | region << 16 | bin, which sort in canonical order."""
+    return frames.astype(np.int64) << 17 | region << 16 | bins
+
+
+def _dark_codes(
+    rng: np.random.Generator, rate: float, start: int, size: int, region: int, n_bins: int
+) -> np.ndarray:
+    """Poisson dark events of one region, uniform over its bins."""
+    counts = rng.poisson(rate, size=size)
+    bins = rng.integers(0, n_bins, size=int(counts.sum()))
+    return _event_codes(_repeat_frames(start, counts), region, bins)
+
+
+def _canonical_chunk(codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort one chunk's event codes, drop repeats and split them into fields.
+
+    Dropping repeats is the binary-pixel saturation: a pixel clicks at most
+    once per frame however many photons reach it.
+    """
+    code = np.concatenate(codes)
+    code.sort()
+    keep = np.ones(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=keep[1:])
+    code = code[keep]
+    return (
+        (code >> 17).astype(np.uint32),
+        (code >> 16 & 1).astype(np.uint8),
+        (code & 0xFFFF).astype(np.uint16),
+    )
+
+
+def _simulate_chunks(
+    n_frames: int, grid_plus: WavelengthGrid, grid_minus: WavelengthGrid, seed: int, chunk_codes
+) -> FrameBatch:
+    """Run ``chunk_codes(rng, start, size)`` over frame chunks into one batch.
+
+    Chunks cover ascending, disjoint frame ranges, so canonicalizing each
+    chunk as it is generated and concatenating the results gives the
+    canonical order of the whole run without a global sort; memory follows
+    the events kept, not the frames or the candidates.  A run of zero frames
+    is one empty chunk.
+    """
+    chunks = [
+        _canonical_chunk(
+            chunk_codes(_chunk_rng(seed, index), start, min(FRAME_CHUNK, n_frames - start))
+        )
+        for index, start in enumerate(range(0, max(n_frames, 1), FRAME_CHUNK))
+    ]
+    frames, regions, bins = (np.concatenate(field) for field in zip(*chunks))
+    return FrameBatch(n_frames, grid_plus, grid_minus, frames, regions, bins)
 
 
 def _validate_marginals(
@@ -226,20 +267,12 @@ def simulate_frames(
     plus_alias = AliasTable(res_plus) if sum_res_plus > 0.0 else None
     minus_alias = AliasTable(res_minus) if sum_res_minus > 0.0 else None
     n_bins_m = pc_map.grid_m.n_bins
+    no_bins = np.zeros(0, dtype=np.int64)
 
-    ev_frames: list[np.ndarray] = []
-    ev_regions: list[np.ndarray] = []
-    ev_bins: list[np.ndarray] = []
-
-    for chunk_index, start in enumerate(range(0, max(n_frames, 1), FRAME_CHUNK)):
-        if start >= n_frames:
-            break
-        size = min(FRAME_CHUNK, n_frames - start)
-        rng = _chunk_rng(params.seed, chunk_index)
-
+    def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
         n_pairs = rng.binomial(reps, params.chi, size=size)
         total = int(n_pairs.sum())
-        pair_frame = np.repeat(np.arange(start, start + size, dtype=np.uint32), n_pairs)
+        pair_frame = _repeat_frames(start, n_pairs)
 
         branch = rng.random(total)
         is_coinc = branch < t_coinc
@@ -254,70 +287,32 @@ def simulate_frames(
 
         n_c = int(is_coinc.sum())
         if coinc_alias is not None:
-            flat = coinc_alias.draw(rng, n_c)
-            bin_a = (flat // n_bins_m).astype(np.uint16)
-            bin_b = (flat % n_bins_m).astype(np.uint16)
+            bin_a, bin_b = np.divmod(coinc_alias.draw(rng, n_c), n_bins_m)
         else:
-            bin_a = np.zeros(0, dtype=np.uint16)
-            bin_b = np.zeros(0, dtype=np.uint16)
-
+            bin_a = bin_b = no_bins
         n_p = int(is_plus.sum())
         n_m = int(is_minus.sum())
-        plus_pair = (
-            plus_alias.draw(rng, 2 * n_p).astype(np.uint16)
-            if plus_alias is not None
-            else np.zeros(0, dtype=np.uint16)
-        )
-        minus_pair = (
-            minus_alias.draw(rng, 2 * n_m).astype(np.uint16)
-            if minus_alias is not None
-            else np.zeros(0, dtype=np.uint16)
-        )
+        plus_pair = plus_alias.draw(rng, 2 * n_p) if plus_alias is not None else no_bins
+        minus_pair = minus_alias.draw(rng, 2 * n_m) if minus_alias is not None else no_bins
 
         detected = rng.random(2 * total) < params.eta
 
-        cand_frames = []
-        cand_regions = []
-        cand_bins = []
         frames_c = pair_frame[is_coinc]
-        cand_frames += [frames_c, frames_c]
-        cand_regions += [np.zeros(n_c, np.uint8), np.ones(n_c, np.uint8)]
-        cand_bins += [bin_a, bin_b]
-        frames_p = np.repeat(pair_frame[is_plus], 2)
-        cand_frames.append(frames_p)
-        cand_regions.append(np.zeros(2 * n_p, np.uint8))
-        cand_bins.append(plus_pair)
-        frames_m = np.repeat(pair_frame[is_minus], 2)
-        cand_frames.append(frames_m)
-        cand_regions.append(np.ones(2 * n_m, np.uint8))
-        cand_bins.append(minus_pair)
-
-        cf = np.concatenate(cand_frames)
-        cr = np.concatenate(cand_regions)
-        cb = np.concatenate(cand_bins)
-        ev_frames.append(cf[detected[: cf.size]])
-        ev_regions.append(cr[detected[: cf.size]])
-        ev_bins.append(cb[detected[: cf.size]])
-
+        candidates = np.concatenate([
+            _event_codes(frames_c, 0, bin_a),
+            _event_codes(frames_c, 1, bin_b),
+            _event_codes(np.repeat(pair_frame[is_plus], 2), 0, plus_pair),
+            _event_codes(np.repeat(pair_frame[is_minus], 2), 1, minus_pair),
+        ])
+        codes = [candidates[detected[: candidates.size]]]
         if params.dark_rate > 0.0:
-            for region, grid in ((0, pc_map.grid_p), (1, pc_map.grid_m)):
-                counts = rng.poisson(params.dark_rate, size=size)
-                n_dark = int(counts.sum())
-                dark_bins = rng.integers(0, grid.n_bins, size=n_dark).astype(np.uint16)
-                ev_frames.append(
-                    np.repeat(np.arange(start, start + size, dtype=np.uint32), counts)
-                )
-                ev_regions.append(np.full(n_dark, region, dtype=np.uint8))
-                ev_bins.append(dark_bins)
+            codes += [
+                _dark_codes(rng, params.dark_rate, start, size, region, grid.n_bins)
+                for region, grid in ((0, pc_map.grid_p), (1, pc_map.grid_m))
+            ]
+        return codes
 
-    return _canonical_batch(
-        n_frames,
-        pc_map.grid_p,
-        pc_map.grid_m,
-        np.concatenate(ev_frames) if ev_frames else np.zeros(0, np.uint32),
-        np.concatenate(ev_regions) if ev_regions else np.zeros(0, np.uint8),
-        np.concatenate(ev_bins) if ev_bins else np.zeros(0, np.uint16),
-    )
+    return _simulate_chunks(n_frames, pc_map.grid_p, pc_map.grid_m, params.seed, chunk_codes)
 
 
 def simulate_uncorrelated_frames(
@@ -341,40 +336,17 @@ def simulate_uncorrelated_frames(
     p_detect = params.chi * params.eta
     aliases = (AliasTable(m_plus), AliasTable(m_minus))
 
-    ev_frames: list[np.ndarray] = []
-    ev_regions: list[np.ndarray] = []
-    ev_bins: list[np.ndarray] = []
-    for chunk_index, start in enumerate(range(0, max(n_frames, 1), FRAME_CHUNK)):
-        if start >= n_frames:
-            break
-        size = min(FRAME_CHUNK, n_frames - start)
-        rng = _chunk_rng(params.seed, chunk_index)
+    def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
+        codes = []
         for region, grid in ((0, grid_plus), (1, grid_minus)):
             counts = rng.binomial(reps, p_detect, size=size)
-            n_ev = int(counts.sum())
-            bins = aliases[region].draw(rng, n_ev).astype(np.uint16)
-            ev_frames.append(
-                np.repeat(np.arange(start, start + size, dtype=np.uint32), counts)
-            )
-            ev_regions.append(np.full(n_ev, region, dtype=np.uint8))
-            ev_bins.append(bins)
+            bins = aliases[region].draw(rng, int(counts.sum()))
+            codes.append(_event_codes(_repeat_frames(start, counts), region, bins))
             if params.dark_rate > 0.0:
-                dcounts = rng.poisson(params.dark_rate, size=size)
-                n_dark = int(dcounts.sum())
-                ev_frames.append(
-                    np.repeat(np.arange(start, start + size, dtype=np.uint32), dcounts)
-                )
-                ev_regions.append(np.full(n_dark, region, dtype=np.uint8))
-                ev_bins.append(rng.integers(0, grid.n_bins, size=n_dark).astype(np.uint16))
+                codes.append(_dark_codes(rng, params.dark_rate, start, size, region, grid.n_bins))
+        return codes
 
-    return _canonical_batch(
-        n_frames,
-        grid_plus,
-        grid_minus,
-        np.concatenate(ev_frames) if ev_frames else np.zeros(0, np.uint32),
-        np.concatenate(ev_regions) if ev_regions else np.zeros(0, np.uint8),
-        np.concatenate(ev_bins) if ev_bins else np.zeros(0, np.uint16),
-    )
+    return _simulate_chunks(n_frames, grid_plus, grid_minus, params.seed, chunk_codes)
 
 
 def _require_frames(batch: FrameBatch):
@@ -388,28 +360,36 @@ def _require_frames(batch: FrameBatch):
         )
 
 
-def raw_coincidences(batch: FrameBatch) -> CoincidenceMap:
-    """Raw coincidence map <n+(a) n-(b)>: per-frame cross-port products."""
-    _require_frames(batch)
-    plus = batch.regions == 0
-    p_frames = batch.frames[plus]
-    p_bins = batch.bins[plus]
-    m_frames = batch.frames[~plus]
-    m_bins = batch.bins[~plus]
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ranges starts[i], ..., starts[i] + lengths[i] - 1."""
+    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(out.size)
+    return out
 
-    values = np.zeros((batch.grid_plus.n_bins, batch.grid_minus.n_bins))
-    if p_frames.size and m_frames.size:
-        minus_per_frame = np.bincount(m_frames, minlength=batch.n_frames)
-        m_start = np.concatenate(([0], np.cumsum(minus_per_frame)))
-        per_plus = minus_per_frame[p_frames]
-        total = int(per_plus.sum())
-        if total:
-            ends = np.cumsum(per_plus)
-            local = np.arange(total) - np.repeat(ends - per_plus, per_plus)
-            a_idx = np.repeat(p_bins, per_plus)
-            b_idx = m_bins[np.repeat(m_start[p_frames], per_plus) + local]
-            np.add.at(values, (a_idx, b_idx), 1.0)
-    values /= batch.n_frames
+
+def raw_coincidences(batch: FrameBatch) -> CoincidenceMap:
+    """Raw coincidence map <n+(a) n-(b)>: per-frame cross-port products.
+
+    In canonical order each frame's events form one run, plus events first,
+    so the products are enumerated run by run: work and memory follow the
+    events and their products, not the frame count.
+    """
+    _require_frames(batch)
+    n_bins_m = batch.grid_minus.n_bins
+    flat = np.zeros(0, dtype=np.intp)
+    if batch.n_events:
+        frames, bins = batch.frames, batch.bins
+        starts = np.flatnonzero(np.concatenate(([True], frames[1:] != frames[:-1])))
+        n_minus = np.add.reduceat(batch.regions, starts, dtype=np.intp)
+        n_plus = np.diff(starts, append=frames.size) - n_minus
+        both = (n_plus > 0) & (n_minus > 0)
+        starts, n_plus, n_minus = starts[both], n_plus[both], n_minus[both]
+        # Each plus event of a run pairs with every minus event of that run.
+        per_plus = np.repeat(n_minus, n_plus)
+        flat = np.repeat(bins[_ranges(starts, n_plus)].astype(np.intp) * n_bins_m, per_plus)
+        flat += bins[_ranges(np.repeat(starts + n_plus, n_plus), per_plus)]
+    counts = np.bincount(flat, minlength=batch.grid_plus.n_bins * n_bins_m)
+    values = counts.reshape(batch.grid_plus.n_bins, n_bins_m) / batch.n_frames
     return CoincidenceMap(batch.grid_plus, batch.grid_minus, values, MapKind.RAW)
 
 

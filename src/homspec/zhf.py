@@ -1,4 +1,4 @@
-"""ZHF1 binary event-list files and a CSV escape hatch for small batches.
+"""ZHF1 binary event-list files.
 
 Layout (all little-endian):
 
@@ -94,11 +94,3 @@ def read_frames(path) -> FrameBatch:
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
-
-def write_frames_csv(batch: FrameBatch, path) -> None:
-    """Plain-text event list (frame, region, bin) for small batches."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n_frames={batch.n_frames}\n")
-        fh.write("frame,region,bin\n")
-        for frame, region, bin_index in zip(batch.frames, batch.regions, batch.bins):
-            fh.write(f"{frame},{region},{bin_index}\n")

@@ -6,7 +6,7 @@ from homspec.errors import DataFormatError
 from homspec.interference import coincidence_probability_cosine, port_spectra
 from homspec.spectra import WavelengthGrid, gaussian_jsa
 from homspec.vapor import DispersionModel, doppler_lifetime
-from homspec.zhf import read_frames, write_frames, write_frames_csv
+from homspec.zhf import read_frames, write_frames
 
 GRID = WavelengthGrid.from_edges(790e-9, 803e-9, 64)
 JSA = gaussian_jsa(796.7e-9, 10e-9, -0.9, GRID)
@@ -120,19 +120,21 @@ def test_out_of_range_event_rejected(tmp_path):
         read_frames(path)
 
 
-def test_csv_export(tmp_path):
+
+def test_out_of_order_events_rejected(tmp_path):
     batch = FrameBatch(
-        n_frames=3,
+        n_frames=5,
         grid_plus=GRID,
         grid_minus=GRID,
-        frames=np.array([0, 2], np.uint32),
-        regions=np.array([0, 1], np.uint8),
-        bins=np.array([5, 7], np.uint16),
+        frames=np.array([1, 3], np.uint32),
+        regions=np.array([0, 0], np.uint8),
+        bins=np.array([2, 2], np.uint16),
     )
-    path = tmp_path / "events.csv"
-    write_frames_csv(batch, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# n_frames=3"
-    assert lines[1] == "frame,region,bin"
-    assert lines[2] == "0,0,5"
-    assert lines[3] == "2,1,7"
+    path = tmp_path / "frames.zhf"
+    write_frames(batch, path)
+    data = bytearray(path.read_bytes())
+    # frame index of the second record, set below the first record's
+    data[58 + 7 : 58 + 11] = (0).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataFormatError, match="order"):
+        read_frames(path)
