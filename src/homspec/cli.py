@@ -54,7 +54,7 @@ def cmd_theory(args) -> int:
     model = cfg.dispersion_model()
     grid = cfg.grid()
     cmap = _theory_map(cfg)
-    dphi = retrieval.phase_difference_map(model.od, model.tau, model.lambda0, grid)
+    dphi = interference.phase_difference(model, grid.centers)
     profile = retrieval.phase_profile_mod_2pi(model.od, model.tau, model.lambda0, grid)
 
     mapio.write_map_csv(cmap.values, grid, grid, out / "pc_map.csv")

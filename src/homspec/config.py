@@ -12,14 +12,18 @@ frame (880 repetitions), and a 140-bin spectrometer axis spanning
 790-803 nm.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .constants import RB87
 from .detector import DetectionParams
-from .errors import ConfigError
+from .errors import ConfigError, GridTooNarrow
 from .retrieval import FitConfig
 from .spectra import JointSpectralAmplitude, WavelengthGrid, gaussian_jsa
-from .vapor import DispersionModel, VaporCell, doppler_lifetime, optical_depth
+from .vapor import (PRESSURE_MODEL_T_MAX, PRESSURE_MODEL_T_MIN, DispersionModel, VaporCell,
+                    doppler_lifetime, optical_depth, spectral_phase)
 
 _LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "µm": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0}
 _TIME_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "us": 1e-6, "µs": 1e-6, "ms": 1e-3, "s": 1.0}
@@ -51,28 +55,57 @@ class ExperimentConfig:
     seed: int = 12345
     fit_od_min: float = 0.0
     fit_od_max: float = 1e6
-    fit_visibility_min: float = 0.0
-    fit_visibility_max: float = 1.0
     fit_delay: bool = True
     fit_delay_min_s: float = -100e-15
     fit_delay_max_s: float = 100e-15
-    fit_max_iterations: int = 400
-    fit_tol: float = 1e-12
     mask_radius: int = 2
 
     def __post_init__(self):
-        if self.grid_bins < 2:
-            raise ConfigError(f"grid_bins must be >= 2, got {self.grid_bins}")
-        if self.kernel_width < 1 or self.kernel_width % 2 == 0:
-            raise ConfigError(f"kernel_width must be odd and >= 1, got {self.kernel_width}")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ConfigError(f"visibility must lie in [0, 1], got {self.visibility}")
-        if not -1.0 < self.jsa_correlation < 1.0:
-            raise ConfigError(f"jsa_correlation must lie in (-1, 1), got {self.jsa_correlation}")
+        """Reject every value the pipeline cannot run with, naming its key.
+
+        The checks take O(1) time.  Whether the bins sample the JSA at all is
+        left to jsa(), which builds the grid_bins**2 amplitude anyway.
+        """
+        _require(0.0 < self.temperature_k < math.inf, "temperature must be finite and > 0",
+                 self.temperature_k)
+        _require(0.0 <= self.cell_length_m < math.inf, "cell_length must be finite and >= 0",
+                 self.cell_length_m)
+        if self.od_override is None:
+            _require(PRESSURE_MODEL_T_MIN <= self.temperature_k <= PRESSURE_MODEL_T_MAX,
+                     "temperature must lie in the vapor-pressure model's range "
+                     f"[{PRESSURE_MODEL_T_MIN:g} K, {PRESSURE_MODEL_T_MAX:g} K] unless od is set",
+                     self.temperature_k)
+        try:
+            model = self.dispersion_model()
+        except ValueError as exc:  # an od that is not finite, set or from cell_length
+            raise ConfigError(str(exc)) from None
+        # ZHF1 stores bin indices as u16.
+        _require(2 <= self.grid_bins <= 0xFFFF, "grid_bins must lie in [2, 65535]", self.grid_bins)
+        _check_range("grid_start", "grid_stop", self.grid_start_m, self.grid_stop_m)
+        _require(self.grid_start_m <= self.filter_center_m <= self.grid_stop_m,
+                 "filter_center must lie on the grid", self.filter_center_m)
+        step = (self.grid_stop_m - self.grid_start_m) / self.grid_bins  # as the grid computes it
+        _require(0.0 < self.jsa_fwhm_m <= step * self.grid_bins,
+                 "jsa_fwhm must be positive and at most the grid span", self.jsa_fwhm_m)
+        # |phase| is largest at the outermost bin centers.
+        outer = np.array([self.grid_start_m + 0.5 * step, self.grid_stop_m - 0.5 * step])
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = spectral_phase(model, outer)
+        _require(np.all(np.isfinite(phase)), "od overflows the spectral phase on this grid",
+                 model.od)
+        _require(-1.0 < self.jsa_correlation < 1.0, "jsa_correlation must lie in (-1, 1)",
+                 self.jsa_correlation)
+        _require(0.0 <= self.visibility <= 1.0, "visibility must lie in [0, 1]", self.visibility)
+        _require(1 <= self.kernel_width <= self.grid_bins and self.kernel_width % 2 == 1,
+                 "kernel_width must be odd and lie in [1, grid_bins]", self.kernel_width)
         try:
             self.detection_params()
         except ValueError as exc:  # its messages start with the config key
             raise ConfigError(str(exc)) from None
+        _check_range("fit_od_min", "fit_od_max", self.fit_od_min, self.fit_od_max)
+        _check_range("fit_delay_min", "fit_delay_max", self.fit_delay_min_s, self.fit_delay_max_s,
+                     nonnegative=False)
+        _require(self.mask_radius >= 0, "mask_radius must be >= 0", self.mask_radius)
 
     def grid(self) -> WavelengthGrid:
         return WavelengthGrid.from_edges(self.grid_start_m, self.grid_stop_m, self.grid_bins)
@@ -91,12 +124,15 @@ class ExperimentConfig:
         )
 
     def jsa(self) -> JointSpectralAmplitude:
-        return gaussian_jsa(
-            center=self.filter_center_m,
-            marginal_fwhm=self.jsa_fwhm_m,
-            correlation=self.jsa_correlation,
-            grid_s=self.grid(),
-        )
+        try:
+            return gaussian_jsa(
+                center=self.filter_center_m,
+                marginal_fwhm=self.jsa_fwhm_m,
+                correlation=self.jsa_correlation,
+                grid_s=self.grid(),
+            )
+        except GridTooNarrow as exc:  # __post_init__ leaves out only the sampling check
+            raise ConfigError(f"jsa_fwhm and jsa_correlation do not fit the grid: {exc}") from None
 
     def detection_params(self) -> DetectionParams:
         return DetectionParams(
@@ -111,16 +147,25 @@ class ExperimentConfig:
     def fit_config(self) -> FitConfig:
         return FitConfig(
             tau=doppler_lifetime(self.temperature_k),
-            lambda0=RB87.d1_wavelength,
             od_bounds=(self.fit_od_min, self.fit_od_max),
-            visibility_bounds=(self.fit_visibility_min, self.fit_visibility_max),
             delay_bounds_fs=(self.fit_delay_min_s / 1e-15, self.fit_delay_max_s / 1e-15),
             fit_delay=self.fit_delay,
-            max_iterations=self.fit_max_iterations,
-            tol=self.fit_tol,
             mask_radius=self.mask_radius,
             kernel_width=self.kernel_width,
         )
+
+
+def _require(ok: bool, message: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{message}, got {value!r}")
+
+
+def _check_range(low_key: str, high_key: str, low: float, high: float, nonnegative: bool = True):
+    """Require finite (by default non-negative) low < high, naming the offending key."""
+    for key, value in ((low_key, low), (high_key, high)):
+        _require(math.isfinite(value) and (value >= 0.0 or not nonnegative),
+                 f"{key} must be finite" + (" and >= 0" if nonnegative else ""), value)
+    _require(low < high, f"{low_key} must lie below {high_key}", (low, high))
 
 
 def _parse_unit_value(raw: str, units: dict[str, float], what: str, where: str) -> float:
@@ -198,13 +243,9 @@ _PARSERS = {
     "seed": ("seed", _parse_int),
     "fit_od_min": ("fit_od_min", _parse_float),
     "fit_od_max": ("fit_od_max", _parse_float),
-    "fit_visibility_min": ("fit_visibility_min", _parse_float),
-    "fit_visibility_max": ("fit_visibility_max", _parse_float),
     "fit_delay": ("fit_delay", _parse_bool),
     "fit_delay_min": ("fit_delay_min_s", lambda r, w: _parse_unit_value(r, _TIME_UNITS, "a time", w)),
     "fit_delay_max": ("fit_delay_max_s", lambda r, w: _parse_unit_value(r, _TIME_UNITS, "a time", w)),
-    "fit_max_iterations": ("fit_max_iterations", _parse_int),
-    "fit_tol": ("fit_tol", _parse_float),
     "mask_radius": ("mask_radius", _parse_int),
 }
 
@@ -214,11 +255,15 @@ _FIELD_TO_KEY = {field: key for key, (field, _) in _PARSERS.items()}
 _REMOVED_KEYS = {
     "fit_init_od": "the fit scans od over its bounds; set fit_od_min and fit_od_max instead",
     "fit_init_visibility": "the fit solves visibility in closed form",
+    "fit_visibility_min": "the fit bounds visibility to its physical range [0, 1]",
+    "fit_visibility_max": "the fit bounds visibility to its physical range [0, 1]",
+    "fit_max_iterations": "the fit caps each solve at 400 function evaluations",
+    "fit_tol": "the fit's solver tolerances are fixed at 1e-12",
 }
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None, source: str = "config") -> ExperimentConfig:
-    """Parse config text on top of ``base`` (or the defaults)."""
+def _parse_updates(text: str, source: str) -> dict:
+    """Field values set by config text, parsed but not yet validated together."""
     updates = {}
     seen = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -240,7 +285,12 @@ def parse_config(text: str, base: ExperimentConfig | None = None, source: str = 
         seen[key] = lineno
         field_name, parser = _PARSERS[key]
         updates[field_name] = parser(raw, where)
-    return replace(base if base is not None else ExperimentConfig(), **updates)
+    return updates
+
+
+def parse_config(text: str, base: ExperimentConfig | None = None, source: str = "config") -> ExperimentConfig:
+    """Parse config text on top of ``base`` (or the defaults)."""
+    return replace(base if base is not None else ExperimentConfig(), **_parse_updates(text, source))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -253,11 +303,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
-    """Apply repeatable --override key=value settings on top of a config."""
-    out = config
+    """Apply repeatable --override key=value settings on top of a config.
+
+    A later override of a key wins, and the result is validated once, so the
+    order of overrides of different keys does not matter.
+    """
+    updates = {}
     for n, item in enumerate(overrides, start=1):
-        out = parse_config(item, base=out, source=f"override {n}")
-    return out
+        updates.update(_parse_updates(item, f"override {n}"))
+    return replace(config, **updates)
 
 
 def format_config(config: ExperimentConfig) -> str:

@@ -60,10 +60,10 @@ class DetectionParams:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         if not (0.0 < self.f_rep < np.inf and 0.0 < self.t_exp < np.inf):
             raise ValueError("f_rep and t_exp must be positive and finite")
-        if not self.dark_rate >= 0.0:
-            raise ValueError(f"dark_rate must be non-negative, got {self.dark_rate}")
-        if self.repetitions < 1:
-            raise ValueError("f_rep * t_exp must round to at least one repetition")
+        if not 0.0 <= self.dark_rate < np.inf:
+            raise ValueError(f"dark_rate must be non-negative and finite, got {self.dark_rate}")
+        if not self.f_rep * self.t_exp < np.inf or self.repetitions < 1:
+            raise ValueError("f_rep * t_exp must be finite and round to at least one repetition")
 
     @property
     def repetitions(self) -> int:

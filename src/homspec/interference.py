@@ -118,6 +118,22 @@ def bunching_probability(jsa: JointSpectralAmplitude) -> CoincidenceMap:
     return CoincidenceMap(jsa.grid_s, jsa.grid_i, values, MapKind.PROBABILITY)
 
 
+def phase_difference(
+    model: DispersionModel, centers: np.ndarray, residual_delay: float = 0.0
+) -> np.ndarray:
+    """Matrix of phi(l+) - phi(l-) over the bin centers [rad].
+
+    A residual idler delay [s] adds the linear phase
+    2*pi*c*delay*(1/l+ - 1/l-).
+    """
+    phi = spectral_phase(model, centers)
+    dphi = phi[:, None] - phi[None, :]
+    if residual_delay != 0.0:
+        inv = 1.0 / centers
+        dphi = dphi + 2.0 * math.pi * CODATA.c * residual_delay * (inv[:, None] - inv[None, :])
+    return dphi
+
+
 def coincidence_probability_cosine(
     jsa: JointSpectralAmplitude,
     model: DispersionModel,
@@ -135,12 +151,7 @@ def coincidence_probability_cosine(
     _require_square(jsa)
     if np.any(jsa.amplitude.imag != 0.0):
         raise NonRealAmplitude("cosine form requires a real (phase-free) amplitude")
-    centers = jsa.grid_s.centers
-    phi = spectral_phase(model, centers)
-    dphi = phi[:, None] - phi[None, :]
-    if residual_delay != 0.0:
-        inv = 1.0 / centers
-        dphi = dphi + 2.0 * math.pi * CODATA.c * residual_delay * (inv[:, None] - inv[None, :])
+    dphi = phase_difference(model, jsa.grid_s.centers, residual_delay)
     values = 0.5 * (1.0 - settings.visibility * np.cos(dphi)) * jsa.amplitude.real**2
     return CoincidenceMap(jsa.grid_s, jsa.grid_i, values, MapKind.PROBABILITY)
 

@@ -76,23 +76,6 @@ def read_map_csv(path) -> tuple[np.ndarray, WavelengthGrid, WavelengthGrid]:
     return values, grid_p, grid_m
 
 
-def write_jsa_csv(jsa, real_path, imag_path) -> None:
-    """Persist a joint spectral amplitude as two matrix files (re, im)."""
-    write_map_csv(jsa.amplitude.real, jsa.grid_s, jsa.grid_i, real_path)
-    write_map_csv(jsa.amplitude.imag, jsa.grid_s, jsa.grid_i, imag_path)
-
-
-def read_jsa_csv(real_path, imag_path):
-    """Rebuild a joint spectral amplitude from its re/im matrix files."""
-    from .spectra import JointSpectralAmplitude
-
-    real, grid_s, grid_i = read_map_csv(real_path)
-    imag, grid_s2, grid_i2 = read_map_csv(imag_path)
-    if not (grid_s.is_close(grid_s2) and grid_i.is_close(grid_i2)):
-        raise DataFormatError("real and imaginary parts carry different grids")
-    return JointSpectralAmplitude(grid_s, grid_i, real + 1j * imag)
-
-
 def write_map_binary(values: np.ndarray, grid_p: WavelengthGrid, grid_m: WavelengthGrid, path) -> None:
     values = np.ascontiguousarray(values, dtype="<f8")
     if values.shape != (grid_p.n_bins, grid_m.n_bins):

@@ -30,15 +30,9 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import least_squares
 
-from .constants import CODATA, RB87
+from .constants import RB87
 from .errors import DegenerateMap
-from .interference import (
-    CoincidenceMap,
-    InterferenceSettings,
-    MapKind,
-    coincidence_probability_cosine,
-    pixel_average,
-)
+from .interference import CoincidenceMap, MapKind, phase_difference
 from .spectra import JointSpectralAmplitude, WavelengthGrid
 from .vapor import DispersionModel, spectral_phase
 
@@ -46,6 +40,9 @@ FS = 1e-15
 
 _SCAN_OD_RANGE = (1.0, 1e5)  # scanned wherever the od bounds overlap it
 _SCAN_CHUNK = 8  # od rows per batched scan evaluation (about 1 MB per array)
+_VISIBILITY_BOUNDS = (0.0, 1.0)
+_TOL = 1e-12  # ftol, xtol and gtol of the trust-region solves
+_MAX_NFEV = 400  # function evaluations per trust-region solve
 
 
 @dataclass(frozen=True)
@@ -53,30 +50,25 @@ class FitConfig:
     """Settings for the coincidence-map fit.
 
     tau is the Doppler-broadened lifetime fixed from the measured cell
-    temperature (vapor.doppler_lifetime); it is not a fit parameter.
+    temperature (vapor.doppler_lifetime); it is not a fit parameter.  The
+    resonance sits at the Rb D1 line and visibility is bounded to [0, 1].
     """
 
     tau: float
-    lambda0: float = RB87.d1_wavelength
     od_bounds: tuple[float, float] = (0.0, 1e6)
-    visibility_bounds: tuple[float, float] = (0.0, 1.0)
     delay_bounds_fs: tuple[float, float] = (-100.0, 100.0)
     fit_delay: bool = True
-    max_iterations: int = 400
-    tol: float = 1e-12
     mask_radius: int = 2
     kernel_width: int = 1
 
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
         if self.mask_radius < 0:
             raise ValueError("mask_radius must be non-negative")
-        for low, high in (self.od_bounds, self.visibility_bounds, self.delay_bounds_fs):
-            if not low < high:
-                raise ValueError("bounds must satisfy low < high")
+        for low, high in (self.od_bounds, self.delay_bounds_fs):
+            if not -math.inf < low < high < math.inf:
+                raise ValueError("bounds must be finite and satisfy low < high")
 
 
 @dataclass(frozen=True)
@@ -113,56 +105,12 @@ def resonance_mask(
     return near_p[:, None] | near_m[None, :]
 
 
-def phase_difference_map(
-    od: float,
-    tau: float,
-    lambda0: float,
-    grid_p: WavelengthGrid,
-    grid_m: WavelengthGrid | None = None,
-) -> np.ndarray:
-    """Matrix of phi(lambda_+) - phi(lambda_-) over the grid pair [rad]."""
-    if grid_m is None:
-        grid_m = grid_p
-    model = DispersionModel(od=od, tau=tau, lambda0=lambda0)
-    phi_p = spectral_phase(model, grid_p.centers)
-    phi_m = spectral_phase(model, grid_m.centers)
-    return phi_p[:, None] - phi_m[None, :]
-
-
 def phase_profile_mod_2pi(
     od: float, tau: float, lambda0: float, grid: WavelengthGrid
 ) -> np.ndarray:
     """Spectral phase wrapped to [0, 2*pi) on the grid's bin centers."""
     model = DispersionModel(od=od, tau=tau, lambda0=lambda0)
     return np.mod(spectral_phase(model, grid.centers), 2.0 * math.pi)
-
-
-def forward_model(
-    od: float,
-    visibility: float,
-    delay: float,
-    jsa: JointSpectralAmplitude,
-    tau: float,
-    lambda0: float = RB87.d1_wavelength,
-    kernel_width: int = 1,
-) -> CoincidenceMap:
-    """Normalized fringe-form coincidence map for one parameter set.
-
-    ``delay`` is the residual idler delay in seconds.  The map is
-    boxcar-averaged over kernel_width bins and scaled to unit sum (left
-    untouched when identically zero, e.g. od = 0 at full visibility).
-    """
-    model = DispersionModel(od=od, tau=tau, lambda0=lambda0)
-    cmap = coincidence_probability_cosine(
-        jsa, model, InterferenceSettings(visibility), residual_delay=delay
-    )
-    cmap = pixel_average(cmap, kernel_width)
-    total = float(np.sum(cmap.values))
-    if total <= 0.0:
-        return cmap
-    return CoincidenceMap(
-        cmap.grid_p, cmap.grid_m, cmap.values / total, MapKind.PROBABILITY
-    )
 
 
 class _FringeModel:
@@ -175,13 +123,9 @@ class _FringeModel:
 
     def __init__(self, jsa: JointSpectralAmplitude, config: FitConfig, mask: np.ndarray):
         centers = jsa.grid_s.centers
-        g = spectral_phase(
-            DispersionModel(od=1.0, tau=config.tau, lambda0=config.lambda0), centers
-        )
-        phase_unit = g[:, None] - g[None, :]
-        inv = 1.0 / centers
+        phase_unit = phase_difference(DispersionModel(od=1.0, tau=config.tau), centers)
         # Phase per femtosecond of residual delay.
-        delay_unit = 2.0 * math.pi * CODATA.c * FS * (inv[:, None] - inv[None, :])
+        delay_unit = phase_difference(DispersionModel(od=0.0, tau=config.tau), centers, FS)
         self.keep = ~mask
         self.kernel = config.kernel_width
         self.fit_delay = config.fit_delay
@@ -246,7 +190,7 @@ def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
         raise ValueError("map and amplitude grids differ")
     if not np.any(cmap.values != 0.0):
         raise DegenerateMap("input map is identically zero")
-    mask = resonance_mask(cmap.grid_p, cmap.grid_m, config.lambda0, config.mask_radius)
+    mask = resonance_mask(cmap.grid_p, cmap.grid_m, RB87.d1_wavelength, config.mask_radius)
     data = cmap.values[~mask]
     total = float(np.sum(data))
     if total <= 0.0:
@@ -292,14 +236,13 @@ class _Profile:
 
     With u = J/sum(J) and v = S/sum(S) (after the boxcar), the weighted
     residual is a + t*b with a = sqrt_w*(u - data) and b = sqrt_w*(v - u),
-    t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)).  The visibility bounds map
-    to bounds on t, so the best t is a clipped one-dimensional linear
-    least-squares solution.  S = 2*sin^2(phi/2)*J rather than J - J*cos(phi)
+    t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)).  V in [0, 1] is t in [0, 1],
+    so the best t is a clipped one-dimensional linear least-squares
+    solution.  S = 2*sin^2(phi/2)*J rather than J - J*cos(phi)
     keeps low-od maps, whose phases are small, free of cancellation.
     """
 
-    def __init__(self, model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray,
-                 visibility_bounds: tuple[float, float]):
+    def __init__(self, model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray):
         self.model = model
         j = model.smooth(model.jsi)
         self.j_sum = float(np.sum(j))
@@ -309,7 +252,6 @@ class _Profile:
         # b.a, b.b and sum(S) follow from products of S with these columns.
         self.products = np.stack((np.ones_like(u), sqrt_w * a, self.w * u), axis=1)
         self.a_u, self.u_w_u, self.a_a = sqrt_w * a @ u, self.w * u @ u, a @ a
-        self.visibility_bounds = visibility_bounds
 
     def _best(self, s: np.ndarray):
         """sum(S), best t and cost for rows of S; the rows are overwritten."""
@@ -318,9 +260,7 @@ class _Profile:
         with np.errstate(invalid="ignore", divide="ignore"):
             p = s_a / s_sum - self.a_u  # b.a
             q = s_w_s / s_sum**2 - 2.0 * s_u / s_sum + self.u_w_u  # b.b
-            t_bounds = (v * s_sum / ((1.0 - v) * self.j_sum + v * s_sum)
-                        for v in self.visibility_bounds)
-            t = np.clip(-p / q, *t_bounds)
+            t = np.clip(-p / q, 0.0, 1.0)
             cost = self.a_a + t * (2.0 * p + t * q)
         return s_sum, t, np.where(s_sum > 0.0, cost, np.inf)
 
@@ -383,16 +323,16 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     """
     problem = _weighted_problem(cmap, jsa, config)
     residuals, jacobian, _, _, n_params = _objective_functions(*problem)
-    profile = _Profile(*problem, config.visibility_bounds)
+    profile = _Profile(*problem)
 
     ods, delays = _scan_grid(problem[0], config)
     costs = profile.costs(ods, delays)
     i, k = np.unravel_index(np.argmin(costs), costs.shape)
 
     lower, upper = np.array(
-        [config.od_bounds, config.visibility_bounds, config.delay_bounds_fs][:n_params]).T
-    solver = dict(method="trf", x_scale="jac", ftol=config.tol, xtol=config.tol,
-                  gtol=config.tol, max_nfev=config.max_iterations)
+        [config.od_bounds, _VISIBILITY_BOUNDS, config.delay_bounds_fs][:n_params]).T
+    solver = dict(method="trf", x_scale="jac", ftol=_TOL, xtol=_TOL, gtol=_TOL,
+                  max_nfev=_MAX_NFEV)
 
     def full(x):  # theta with the best visibility for x = [od(, delay_fs)]
         return np.insert(x, 1, profile.visibility(*x))

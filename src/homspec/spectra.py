@@ -132,7 +132,8 @@ def gaussian_jsa(
     spectrum [m]; ``correlation`` is the JSI correlation coefficient in
     (-1, 1).  The amplitude is normalized on the grid, so the discrete JSI
     sums to exactly one; raises GridTooNarrow when a grid spans less than
-    one marginal FWHM or does not contain the center.
+    one marginal FWHM or does not contain the center, or when its bins are
+    so coarse that none samples the JSA.
     """
     if grid_i is None:
         grid_i = grid_s
@@ -153,10 +154,15 @@ def gaussian_jsa(
     sigma = marginal_fwhm / FWHM_PER_SIGMA
     u_s = (grid_s.centers[:, None] - center) / sigma
     u_i = (grid_i.centers[None, :] - center) / sigma
-    quad = (u_s**2 - 2.0 * correlation * u_s * u_i + u_i**2) / (1.0 - correlation**2)
-    # Amplitude = sqrt of the bivariate normal kernel, so the JSI carries the
-    # requested marginal width and correlation.
-    amp = np.exp(-0.25 * quad)
+    # Bins far out in units of sigma overflow; the peak check below rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = (u_s**2 - 2.0 * correlation * u_s * u_i + u_i**2) / (1.0 - correlation**2)
+        # Amplitude = sqrt of the bivariate normal kernel, so the JSI carries the
+        # requested marginal width and correlation.
+        amp = np.exp(-0.25 * quad)
+    if not amp.max() > 1e-100:  # below it the squares lose precision, or underflow
+        raise GridTooNarrow(f"no bin samples the JSA (best bin at {amp.max():.3g} of its peak); "
+                            "use finer bins, a wider JSA or a smaller |correlation|")
     if grid_s == grid_i:
         amp = 0.5 * (amp + amp.T)
     step_area = grid_s.step_nm * grid_i.step_nm

@@ -2,8 +2,33 @@
 
 import numpy as np
 
-from homspec.spectra import WavelengthGrid
+from homspec.interference import (
+    CoincidenceMap,
+    InterferenceSettings,
+    coincidence_probability_cosine,
+    pixel_average,
+)
+from homspec.spectra import JointSpectralAmplitude, WavelengthGrid
 from homspec.vapor import DispersionModel, spectral_phase
+
+
+def fringe_map(
+    od: float,
+    visibility: float,
+    delay: float,
+    jsa: JointSpectralAmplitude,
+    tau: float,
+    kernel_width: int = 1,
+) -> CoincidenceMap:
+    """Noiseless coincidence map for one (od, visibility, delay [s]).
+
+    It takes the path of the ``theory`` command: the fringe form, then the
+    boxcar.  The map is not normalized; the fit normalizes its input.
+    """
+    cmap = coincidence_probability_cosine(
+        jsa, DispersionModel(od=od, tau=tau), InterferenceSettings(visibility), delay
+    )
+    return pixel_average(cmap, kernel_width)
 
 
 def cross_center(pc_values: np.ndarray, jsi_values: np.ndarray, grid: WavelengthGrid) -> float:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import cross_center, fringe_count
+from helpers import cross_center, fringe_count, fringe_map
 from homspec.cli import main
 from homspec.detector import (
     DetectionParams,
@@ -25,7 +25,7 @@ from homspec.interference import (
     coincidence_probability_cosine,
     port_spectra,
 )
-from homspec.retrieval import FitConfig, fit, forward_model, prepare_objective
+from homspec.retrieval import FitConfig, fit, prepare_objective
 from homspec.spectra import JointSpectralAmplitude, WavelengthGrid, apply_signal_phase, gaussian_jsa
 from homspec.vapor import DispersionModel, VaporCell, doppler_lifetime, optical_depth
 
@@ -136,8 +136,7 @@ def test_criterion_07_statistics_round_trip():
     result = fit(cov, JSA64, FitConfig(tau=tau))
     mc_err = abs(result.od_hat / od_true - 1.0)
 
-    clean = forward_model(od_true, 1.0, 0.0, JSA64, tau=tau)
-    noiseless = fit(clean, JSA64, FitConfig(tau=tau))
+    noiseless = fit(pc, JSA64, FitConfig(tau=tau))
     clean_err = abs(noiseless.od_hat / od_true - 1.0)
 
     control = simulate_uncorrelated_frames(GRID64, GRID64, marginals, params, 1_000_000)
@@ -184,7 +183,7 @@ def test_criterion_08_three_temperature_maps():
 
 def test_criterion_09_gradient_check():
     t0 = time.perf_counter()
-    data = forward_model(300.0, 0.85, 5e-15, JSA, tau=doppler_lifetime(359.15))
+    data = fringe_map(300.0, 0.85, 5e-15, JSA, tau=doppler_lifetime(359.15))
     _, _, cost, gradient, _ = prepare_objective(
         data, JSA, FitConfig(tau=doppler_lifetime(359.15))
     )

@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homspec import detector, retrieval
 from homspec.cli import main
+from homspec.config import _PARSERS, _REMOVED_KEYS
 from homspec.mapio import read_map_csv
 from homspec.retrieval import FitResult
 from homspec.zhf import read_frames
@@ -210,6 +215,21 @@ class TestFit:
         assert rc == 4
 
 
+_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "0x10", "1_000"]),
+)
+_UNITS = st.sampled_from(["nm", "um", "µm", "mm", "cm", "m", "fs", "ps", "ns", "us", "µs",
+                          "ms", "s", "Hz", "kHz", "MHz", "GHz", "C", "K", "parsec"])
+OVERRIDE_VALUES = st.one_of(
+    _NUMBERS,
+    st.tuples(_NUMBERS, _UNITS).map(" ".join),
+    st.sampled_from(["auto", "true", "false", "yes", "maybe", "", "= 5", "1 2 3"]),
+    st.text(max_size=12),
+)
+
+
 class TestConfigHandling:
     def test_write_config_round_trip(self, tmp_path, capsys):
         out_cfg = tmp_path / "effective.cfg"
@@ -235,6 +255,10 @@ class TestConfigHandling:
         "kernel_width = 2", "grid_bins = 1", "visibility = 1.5", "jsa_correlation = 1",
         "eta = 0", "chi = 2", "dark_rate = -1", "f_rep = 0", "--frames -5",
         "dark_rate = nan", "f_rep = inf",
+        "fit_od_min = 2e6", "fit_delay_min = 200 fs", "fit_delay_max = nan", "mask_radius = -1",
+        "jsa_fwhm = 0", "grid_start = 810 nm", "cell_length = -1 m", "temperature = -5 K",
+        "od = inf", "jsa_fwhm = 1 m", "filter_center = nan", "grid_bins = 65536",
+        "dark_rate = inf", "kernel_width = 141",
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, option):
         # Config keys go in through --override; "--frames -5" is passed as is.
@@ -243,6 +267,26 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: " + option.split()[0])
         assert err.count("\n") == 1
+
+    def test_unsampled_jsa_exits_2(self, tmp_path, capsys):
+        # Passes the O(1) checks; building the JSA finds that no bin samples it.
+        assert main(["theory", "--override", "grid_stop = 1 m", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: jsa_fwhm and jsa_correlation do not fit the grid")
+        assert err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(sorted([*_PARSERS, *_REMOVED_KEYS])), value=OVERRIDE_VALUES)
+    def test_any_single_override_exits_0_or_2(self, key, value):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["write-config", "--override", f"{key} = {value}"])
+        assert rc in (0, 2)
+        if rc == 0:
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().startswith("config error: ")
+            assert err.getvalue().count("\n") == 1
 
     def test_bundled_configs_parse(self, tmp_path):
         for name in ("t1_188C.cfg", "t2_174C.cfg", "t3_86C.cfg"):

@@ -61,10 +61,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"config:3.*unknown key"):
             parse_config("seed = 1\n\nnot_a_key = 2\n")
 
-    @pytest.mark.parametrize("key", ["fit_init_od", "fit_init_visibility"])
+    @pytest.mark.parametrize("key", [
+        "fit_init_od", "fit_init_visibility", "fit_visibility_min", "fit_visibility_max",
+        "fit_max_iterations", "fit_tol",
+    ])
     def test_removed_key_rejected_with_reason(self, key):
         with pytest.raises(ConfigError, match=rf"config:2: key '{key}' was removed \(the fit"):
             parse_config(f"seed = 1\n{key} = 0.5\n")
+
+    def test_repetition_count_overflow_rejected(self):
+        with pytest.raises(ConfigError, match=r"^f_rep \* t_exp must be finite"):
+            parse_config("f_rep = 1e300 Hz\nt_exp = 1e300 s\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -119,6 +126,14 @@ class TestOverrides:
     def test_applied_in_order(self):
         cfg = apply_overrides(ExperimentConfig(), ["seed = 5", "seed = 6"])
         assert cfg.seed == 6
+
+    def test_order_independent(self):
+        # Either override alone leaves f_rep * t_exp below one repetition;
+        # together, in either order, they give exactly one.
+        pair = ["f_rep = 1 Hz", "t_exp = 1 s"]
+        forward = apply_overrides(ExperimentConfig(), pair)
+        assert forward == apply_overrides(ExperimentConfig(), pair[::-1])
+        assert forward.detection_params().repetitions == 1
 
     def test_override_units(self):
         cfg = apply_overrides(ExperimentConfig(), ["temperature = 174 C"])

@@ -88,18 +88,3 @@ def test_shape_mismatch_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_map_csv(np.zeros((3, 3)), GRID_P, GRID_M, tmp_path / "bad.csv")
 
-
-def test_jsa_round_trip(tmp_path):
-    from homspec.mapio import read_jsa_csv, write_jsa_csv
-    from homspec.spectra import WavelengthGrid, apply_signal_phase, gaussian_jsa
-    from homspec.vapor import DispersionModel
-
-    grid = WavelengthGrid.from_edges(790e-9, 803e-9, 48)
-    jsa = apply_signal_phase(
-        gaussian_jsa(796.7e-9, 10e-9, -0.9, grid),
-        DispersionModel(od=35.0, tau=220e-12),
-    )
-    write_jsa_csv(jsa, tmp_path / "jsa_re.csv", tmp_path / "jsa_im.csv")
-    loaded = read_jsa_csv(tmp_path / "jsa_re.csv", tmp_path / "jsa_im.csv")
-    assert np.array_equal(loaded.amplitude, jsa.amplitude)
-    assert loaded.grid_s.n_bins == 48

@@ -104,6 +104,15 @@ class TestGaussianJsa:
         with pytest.raises(GridTooNarrow):
             gaussian_jsa(CENTER, FWHM, -0.9, offcenter)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid_stop,correlation", [(1.0, -0.9), (803e-9, -(1.0 - 1e-12))])
+    def test_unsampled_jsa_rejected(self, grid_stop, correlation):
+        # Bins far coarser than the JSA, or a ridge thinner than the bins
+        # that falls between them, leave nothing to normalize.
+        grid = WavelengthGrid.from_edges(790e-9, grid_stop, 140)
+        with pytest.raises(GridTooNarrow, match="no bin samples the JSA"):
+            gaussian_jsa(CENTER, FWHM, correlation, grid)
+
     def test_parameter_validation(self, grid):
         with pytest.raises(ValueError):
             gaussian_jsa(CENTER, -1e-9, 0.0, grid)
