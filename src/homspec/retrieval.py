@@ -16,13 +16,19 @@ the best visibility has a closed form (variable projection; Golub &
 Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so the fit scans this
 profile cost on an (od, delay) grid a quarter fringe apart at the fastest
 unmasked bin, refines the best grid point on the profile, and ends with
-one bounded trust-region solve of the full problem.  tau is not fitted; it
-comes from the independently measured cell temperature.  Bins within
-mask_radius of the resonance on either axis are excluded: there the phase
-varies too fast for the bin grid and the boxcar only approximates the
-averaging.
+one bounded trust-region solve of the full problem.  The phase separates
+per bin, theta_a - theta_b with theta_a = od*g_a + delay*h_a, so the scan
+evaluates its sums as bilinear forms over per-bin half-angle phasors: a
+block of grid points costs trig calls on (points x bins) arrays and matrix
+products, not trig on every bin pair.  A boxcar (kernel_width > 1) moves
+onto the form matrices exactly, so the scan is the profile at any width.
+tau is not fitted; it comes from the independently measured cell
+temperature.  Bins within mask_radius of the resonance on either axis are
+excluded: there the phase varies too fast for the bin grid and the boxcar
+only approximates the averaging.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,8 +36,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import least_squares
 
-from .constants import RB87
-from .errors import DegenerateMap
+from .constants import CODATA, RB87
+from .errors import ConfigError, DegenerateMap
 from .interference import CoincidenceMap, MapKind, phase_difference
 from .spectra import JointSpectralAmplitude, WavelengthGrid
 from .vapor import DispersionModel, spectral_phase
@@ -39,7 +45,9 @@ from .vapor import DispersionModel, spectral_phase
 FS = 1e-15
 
 _SCAN_OD_RANGE = (1.0, 1e5)  # scanned wherever the od bounds overlap it
-_SCAN_CHUNK = 8  # od rows per batched scan evaluation (about 1 MB per array)
+_SCAN_BLOCK = 512  # grid points per batched scan evaluation
+_MAX_SCAN = 1_000_000  # scan evaluations allowed: offset pairs x (grid points + bins)
+_COEF = (1.0, -2.0, 1.0)  # D^2 = s^2 c'^2 - 2 s c s' c' + c^2 s'^2 (see _Profile)
 _VISIBILITY_BOUNDS = (0.0, 1.0)
 _TOL = 1e-12  # ftol, xtol and gtol of the trust-region solves
 _MAX_NFEV = 400  # function evaluations per trust-region solve
@@ -132,7 +140,13 @@ class _FringeModel:
         # Fastest fringe rates over the unmasked bins [rad per od, per fs].
         self.max_rates = (np.max(np.abs(phase_unit[self.keep])),
                           np.max(np.abs(delay_unit[self.keep])))
-        arrays = (phase_unit, delay_unit, np.abs(jsa.amplitude) ** 2)
+        # Per-bin phase per od and per fs (theta_a above), each less its mean
+        # so that small phase differences are small phases.
+        per_bin = np.stack((spectral_phase(DispersionModel(od=1.0, tau=config.tau), centers),
+                            2.0 * math.pi * CODATA.c * FS / centers))
+        self.bin_phase = per_bin - per_bin.mean(axis=1, keepdims=True)
+        self.intensity = np.abs(jsa.amplitude) ** 2
+        arrays = (phase_unit, delay_unit, self.intensity)
         if self.kernel == 1:
             arrays = tuple(a[self.keep] for a in arrays)
         self.phase_unit, self.delay_unit, self.jsi = arrays
@@ -188,9 +202,12 @@ def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
         raise ValueError(f"fit expects a covariance or probability map, got {cmap.kind.value}")
     if not (cmap.grid_p.is_close(jsa.grid_s) and cmap.grid_m.is_close(jsa.grid_i)):
         raise ValueError("map and amplitude grids differ")
+    mask = resonance_mask(cmap.grid_p, cmap.grid_m, RB87.d1_wavelength, config.mask_radius)
+    if np.all(mask):
+        raise ConfigError(f"mask_radius = {config.mask_radius} masks every bin of the "
+                          f"{cmap.grid_p.n_bins}x{cmap.grid_m.n_bins} map")
     if not np.any(cmap.values != 0.0):
         raise DegenerateMap("input map is identically zero")
-    mask = resonance_mask(cmap.grid_p, cmap.grid_m, RB87.d1_wavelength, config.mask_radius)
     data = cmap.values[~mask]
     total = float(np.sum(data))
     if total <= 0.0:
@@ -231,6 +248,32 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     return _objective_functions(*_weighted_problem(cmap, jsa, config))
 
 
+def _shift(arr: np.ndarray, d: int) -> np.ndarray:
+    """arr[..., i + d], zero where i + d leaves the grid."""
+    out = np.zeros_like(arr)
+    n = arr.shape[-1]
+    out[..., max(-d, 0):n - max(d, 0)] = arr[..., max(d, 0):n + min(d, 0)]
+    return out
+
+
+def _square_terms(kernel: int, n_bins: int) -> dict:
+    """{(d, e): [(p, q, weight)]}: the forms that make up sum(w*S^2).
+
+    Two bins feed one smoothed bin when their offsets d (rows) and e
+    (columns) are below kernel; p and q pick the phasor products of the two
+    bins.  The (d, e, p, q) and (-d, -e, q, p) forms are equal, so one of
+    each such pair is kept, at weight 2.
+    """
+    reach = min(kernel - 1, n_bins - 1)
+    terms = {}
+    for d, e in itertools.product(range(-reach, reach + 1), repeat=2):
+        for p, q in itertools.product(range(3), repeat=2):
+            key, mirror = (d, e, p, q), (-d, -e, q, p)
+            if key >= mirror:
+                terms.setdefault((d, e), []).append((p, q, 1.0 if key == mirror else 2.0))
+    return terms
+
+
 class _Profile:
     """The objective minimized over visibility in closed form, at fixed phases.
 
@@ -238,8 +281,20 @@ class _Profile:
     residual is a + t*b with a = sqrt_w*(u - data) and b = sqrt_w*(v - u),
     t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)).  V in [0, 1] is t in [0, 1],
     so the best t is a clipped one-dimensional linear least-squares
-    solution.  S = 2*sin^2(phi/2)*J rather than J - J*cos(phi)
-    keeps low-od maps, whose phases are small, free of cancellation.
+    solution, found from four sums: sum(S), S.(sqrt_w*a), S.(w*u) and
+    sum(w*S^2).
+
+    The scan takes those sums as bilinear forms over per-bin phasors.  With
+    s = sin(theta/2) and c = cos(theta/2) per bin, S_ab = 2*J_ab*D_ab^2 with
+    D_ab = s_a*c_b - c_a*s_b, so each linear sum is
+    2*(s^2' M c^2 + c^2' M s^2 - 2*(sc)' M (sc)) for a fixed bins x bins
+    matrix M, and sum(w*S^2) is a sum of such forms over products of
+    s^2, sc and c^2.  With theta less its mean over bins, every term is as
+    small as the phase differences, so low-od points keep their relative
+    precision (1 - cos(phi) would cancel there).  The boxcar
+    is a banded matrix B (smoothed S = B S B'): the linear sums take it into
+    M exactly, and sum(w*S^2) through one matrix per pair of bin offsets
+    within the window (_square_terms).
     """
 
     def __init__(self, model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray):
@@ -253,40 +308,72 @@ class _Profile:
         self.products = np.stack((np.ones_like(u), sqrt_w * a, self.w * u), axis=1)
         self.a_u, self.u_w_u, self.a_a = sqrt_w * a @ u, self.w * u @ u, a @ a
 
-    def _best(self, s: np.ndarray):
-        """sum(S), best t and cost for rows of S; the rows are overwritten."""
-        s_sum, s_a, s_u = (s @ self.products).T
-        s_w_s = np.square(s, out=s) @ self.w
+        n = model.keep.shape[0]
+        self.box = ndimage.uniform_filter1d(np.eye(n), model.kernel, axis=0, mode="reflect")
+
+        def on_grid(values):  # unmasked-bin values on the bins x bins grid, zero in the mask
+            out = np.zeros((n, n))
+            out[model.keep] = values
+            return out
+
+        forms = [(self.box.T @ on_grid(col) @ self.box) * model.intensity
+                 for col in self.products.T]
+        self.linear_forms = np.hstack([m + m.T for m in forms])
+        self.w_grid = on_grid(self.w)
+        self.square_terms = _square_terms(model.kernel, n)
+
+    def _tail(self, s_sum, s_a, s_u, s_w_s):
+        """Best t and cost from sum(S), S.(sqrt_w*a), S.(w*u) and sum(w*S^2)."""
         with np.errstate(invalid="ignore", divide="ignore"):
             p = s_a / s_sum - self.a_u  # b.a
             q = s_w_s / s_sum**2 - 2.0 * s_u / s_sum + self.u_w_u  # b.b
             t = np.clip(-p / q, 0.0, 1.0)
             cost = self.a_a + t * (2.0 * p + t * q)
-        return s_sum, t, np.where(s_sum > 0.0, cost, np.inf)
+        return t, np.where(s_sum > 0.0, cost, np.inf)
+
+    def _square_form(self, d: int, e: int) -> np.ndarray:
+        """The matrix A of the (d, e) part of sum(w*S^2), sum of A_ij*S_ij*S_(i+d)(j+e).
+
+        S here is unsmoothed; A carries the boxcar weights and J_ij*J_(i+d)(j+e).
+        """
+        j = self.model.intensity
+        rows, cols = (self.box * _shift(self.box, offset) for offset in (d, e))
+        return (rows.T @ self.w_grid @ cols) * j * _shift(_shift(j.T, d).T, e)
+
+    def _sums(self, theta: np.ndarray):
+        """The four sums for rows of per-bin phases theta."""
+        sin, cos = np.sin(0.5 * theta), np.cos(0.5 * theta)
+        left = (sin * sin, sin * cos, cos * cos)
+        right = left[::-1]  # D_ab^2 = sum over p of _COEF[p] * left[p]_a * right[p]_b
+        shape = (len(theta), 3, theta.shape[1])
+        s_sum, s_a, s_u = 2.0 * (
+            np.einsum("kxn,kn->xk", (left[0] @ self.linear_forms).reshape(shape), right[0])
+            - np.einsum("kxn,kn->xk", (left[1] @ self.linear_forms).reshape(shape), left[1]))
+        s_w_s = 0.0
+        for (d, e), terms in self.square_terms.items():
+            form = self._square_form(d, e)
+            for p, q, weight in terms:
+                rows = left[p] * _shift(left[q], d)
+                cols = right[p] * _shift(right[q], e)
+                scale = 4.0 * weight * _COEF[p] * _COEF[q]
+                s_w_s = s_w_s + scale * np.einsum("kn,kn->k", rows @ form, cols)
+        return s_sum, s_a, s_u, s_w_s
 
     def costs(self, ods: np.ndarray, delays_fs: np.ndarray) -> np.ndarray:
-        """Profile cost on the grid ods x delays_fs; inf where the phases vanish.
-
-        Splitting the half phase by angle addition leaves sines on the axes.
-        """
-        half_d = 0.5 * np.multiply.outer(delays_fs, self.model.delay_unit)
-        sin_d, cos_d = np.sin(half_d), np.cos(half_d)
-        root_two_j = np.sqrt(2.0 * self.model.jsi)
-        out = np.empty((ods.size, delays_fs.size))
-        for i in range(0, ods.size, _SCAN_CHUNK):
-            half_o = 0.5 * np.multiply.outer(ods[i:i + _SCAN_CHUNK], self.model.phase_unit)
-            sin_o = np.sin(half_o) * root_two_j
-            cos_o = np.cos(half_o) * root_two_j
-            for k in range(delays_fs.size):
-                s = sin_o * cos_d[k]
-                s += cos_o * sin_d[k]
-                out[i:i + _SCAN_CHUNK, k] = self._best(self.model.smooth(np.square(s, out=s)))[2]
-        return out
+        """Profile cost on the grid ods x delays_fs; inf where the phases vanish."""
+        points = np.stack(np.meshgrid(ods, delays_fs, indexing="ij"), axis=-1).reshape(-1, 2)
+        out = np.empty(len(points))
+        for i in range(0, len(points), _SCAN_BLOCK):
+            theta = points[i:i + _SCAN_BLOCK] @ self.model.bin_phase
+            out[i:i + _SCAN_BLOCK] = self._tail(*self._sums(theta))[1]
+        return out.reshape(ods.size, delays_fs.size)
 
     def visibility(self, od: float, delay_fs: float = 0.0) -> float:
         """The visibility that minimizes the objective at one (od, delay)."""
         half = 0.5 * (od * self.model.phase_unit + delay_fs * self.model.delay_unit)
-        s_sum, t, _ = self._best(self.model.smooth(2.0 * np.sin(half[None]) ** 2 * self.model.jsi))
+        s = self.model.smooth(2.0 * np.sin(half[None]) ** 2 * self.model.jsi)
+        s_sum, s_a, s_u = (s @ self.products).T
+        t, _ = self._tail(s_sum, s_a, s_u, np.square(s, out=s) @ self.w)
         return float(t[0] * self.j_sum / ((1.0 - t[0]) * s_sum[0] + t[0] * self.j_sum))
 
 
@@ -296,20 +383,49 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
     od covers the od bounds within _SCAN_OD_RANGE, or all of the bounds
     where they lie outside it, in steps of 5% of od up to a quarter fringe
     (0.5*pi rad) of the fastest unmasked bin; delay spans its bounds a
-    quarter fringe apart.
+    quarter fringe apart.  Raises ConfigError, before building anything,
+    when the scan would exceed _MAX_SCAN evaluations.
     """
     od_step, delay_step = (0.5 * math.pi / rate for rate in model.max_rates)
     (od_lo, od_hi), (range_lo, range_hi) = config.od_bounds, _SCAN_OD_RANGE
     lo, hi = max(od_lo, range_lo), min(od_hi, range_hi)
     if not lo < hi:
         lo, hi = config.od_bounds
+    d_lo, d_hi = config.delay_bounds_fs
+    n_delays = math.ceil((d_hi - d_lo) / delay_step) + 1 if config.fit_delay else 1
+    n_bins = model.keep.shape[0]
+    reach = min(model.kernel, n_bins) - 1
+    n_pairs = ((2 * reach + 1) ** 2 + 1) // 2  # the (d, e) keys of _square_terms
+    evaluations = n_pairs * (_od_count(lo, hi, od_step) * n_delays + n_bins)
+    if evaluations > _MAX_SCAN:
+        raise ConfigError(
+            f"the profile scan needs about {evaluations:.3g} evaluations, above {_MAX_SCAN:.0e}; "
+            f"narrow fit_od_min/fit_od_max or fit_delay_min/fit_delay_max, "
+            f"or reduce kernel_width")
     ods = [lo]
     while ods[-1] < hi:
         ods.append(ods[-1] + min(od_step, 0.05 * max(ods[-1], 1.0)))
     ods[-1] = hi
-    d_lo, d_hi = config.delay_bounds_fs
-    delays = np.linspace(d_lo, d_hi, math.ceil((d_hi - d_lo) / delay_step) + 1)
-    return np.array(ods, dtype=float), delays if config.fit_delay else np.zeros(1)
+    delays = np.linspace(d_lo, d_hi, n_delays) if config.fit_delay else np.zeros(1)
+    return np.array(ods, dtype=float), delays
+
+
+def _od_count(lo: float, hi: float, od_step: float) -> float:
+    """Upper estimate of the od points _scan_grid steps through from lo to hi.
+
+    Steps are min(od_step, 0.05) below od 1, 5% of od up to 20*od_step, and
+    od_step above that.
+    """
+    knee = max(20.0 * od_step, 1.0)
+    count = 2.0
+    if lo < 1.0:
+        count += (min(hi, 1.0) - lo) / min(od_step, 0.05)
+    low, high = max(lo, 1.0), min(hi, knee)
+    if low < high:
+        count += math.log(high / low) / math.log(1.05) + 1.0
+    if hi > knee:
+        count += (hi - max(lo, knee)) / od_step
+    return count
 
 
 def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) -> FitResult:
@@ -323,9 +439,8 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     """
     problem = _weighted_problem(cmap, jsa, config)
     residuals, jacobian, _, _, n_params = _objective_functions(*problem)
-    profile = _Profile(*problem)
-
     ods, delays = _scan_grid(problem[0], config)
+    profile = _Profile(*problem)
     costs = profile.costs(ods, delays)
     i, k = np.unravel_index(np.argmin(costs), costs.shape)
 

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from homspec.retrieval import FitResult
 from homspec.zhf import read_frames
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 FAST = [
     "--override", "grid_bins = 64",
@@ -213,6 +217,47 @@ class TestFit:
         rc = main(["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
                    "--out", str(tmp_path), *FAST])
         assert rc == 4
+
+    @pytest.mark.parametrize("overrides,keys", [
+        (["fit_od_min = 2e5", "fit_od_max = 1e300"], "fit_od_min/fit_od_max"),
+        (["fit_delay_max = 1 s"], "fit_delay_min/fit_delay_max"),
+        (["kernel_width = 31"], "kernel_width"),
+        (["mask_radius = 100"], "mask_radius"),
+    ])
+    def test_unworkable_fit_settings_exit_2(self, tmp_path, capsys, overrides, keys):
+        # These pass validation; before the fit builds anything they are found
+        # to ask for too large a scan, or to leave no bin outside the mask.
+        small = ["--override", "grid_bins = 32"]
+        assert main(["theory", "--out", str(tmp_path), *small]) == 0
+        capsys.readouterr()
+        args = [arg for option in overrides for arg in ("--override", option)]
+        rc = main(["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
+                   "--out", str(tmp_path), *small, *args])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and keys in err
+        assert err.count("\n") == 1
+
+    def test_blas_thread_count_moves_only_last_digits(self, tmp_path):
+        # The README: another BLAS thread count moves od_hat by under 1e-9
+        # relative and iterations by a few.  This map is one where it does
+        # move them (2.9e-10 relative, 6 iterations, on a 2-core host).
+        cfg = str(CONFIG_DIR / "t2_174C.cfg")
+        assert main(["simulate", "--config", cfg, "--frames", "1000000", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": str(SRC_DIR), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "homspec.cli", "fit", "--config", cfg,
+                            str(tmp_path / "covariance.csv"), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            reports.append(json.loads((out / "fit_report.json").read_text()))
+        one, two = reports
+        assert abs(two["od_hat"] / one["od_hat"] - 1.0) < 1e-9
+        assert abs(two["iterations"] - one["iterations"]) <= 10
 
 
 _NUMBERS = st.one_of(

@@ -17,6 +17,7 @@ from homspec.interference import (
 from homspec.retrieval import (
     FitConfig,
     _Profile,
+    _scan_grid,
     _weighted_problem,
     fit,
     phase_profile_mod_2pi,
@@ -166,6 +167,50 @@ class TestObjective:
         zero = CoincidenceMap(GRID64, GRID64, np.zeros((64, 64)), MapKind.COVARIANCE)
         with pytest.raises(DegenerateMap):
             fit(zero, JSA64, FitConfig(tau=TAU_86))
+
+
+def elementwise_costs(profile, ods, delays_fs):
+    """Profile costs from S = 2*sin^2(phi/2)*J built bin pair by bin pair."""
+    model = profile.model
+    out = np.empty((ods.size, delays_fs.size))
+    for i, od in enumerate(ods):
+        phi = od * model.phase_unit + np.multiply.outer(delays_fs, model.delay_unit)
+        s = model.smooth(2.0 * np.sin(0.5 * phi) ** 2 * model.jsi)
+        s_sum, s_a, s_u = (s @ profile.products).T
+        out[i] = profile._tail(s_sum, s_a, s_u, np.square(s) @ profile.w)[1]
+    return out
+
+
+class TestScan:
+    @pytest.mark.parametrize("od_true,tau,delay,kernel_width", [
+        pytest.param(od, tau, delay, kernel, id=f"od{od:g}-delay{delay / 1e-15:g}fs-kernel{kernel}")
+        for od, tau in ((1.0, TAU_86), (5.0, TAU_86), (300.0, TAU_86),
+                        (2.6e3, TAU_174), (4.66e3, TAU_188))
+        for delay in (0.0, 10e-15)
+        for kernel in ((1, 3) if od in (1.0, 2.6e3) and delay else (1,))
+    ])
+    def test_matches_elementwise_reference(self, od_true, tau, delay, kernel_width):
+        # The whole scan grid, its low-od rows included, against the direct
+        # evaluation; noiseless maps leave the cost near zero at the truth.
+        data = fringe_map(od_true, 0.8, delay, JSA64, tau=tau, kernel_width=kernel_width)
+        config = FitConfig(tau=tau, kernel_width=kernel_width)
+        problem = _weighted_problem(data, JSA64, config)
+        ods, delays = _scan_grid(problem[0], config)
+        profile = _Profile(*problem)
+        costs = profile.costs(ods, delays)
+        reference = elementwise_costs(profile, ods, delays)
+        finite = np.isfinite(reference)
+        assert np.array_equal(np.isfinite(costs), finite)
+        np.testing.assert_allclose(costs[finite], reference[finite], rtol=1e-9)
+        assert np.argmin(costs) == np.argmin(reference)
+
+    def test_boxcar_fit_at_dense_fringes(self):
+        data = fringe_map(2.6e3, 0.8, 10e-15, JSA64, tau=TAU_174, kernel_width=3)
+        result = fit(data, JSA64, FitConfig(tau=TAU_174, kernel_width=3))
+        assert result.od_hat == pytest.approx(2.6e3, rel=1e-6)
+        assert result.visibility_hat == pytest.approx(0.8, rel=1e-6)
+        assert result.delay_fs == pytest.approx(10.0, rel=1e-6)
+        assert result.converged
 
 
 @pytest.fixture(scope="module")
