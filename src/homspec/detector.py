@@ -8,6 +8,18 @@ residual port spectrum).  Photons survive detection with probability eta,
 dark events arrive Poisson-distributed and uniform over bins, and a pixel
 clicks at most once per frame (binary occupancy with saturation).
 
+The simulation draws only what the camera sees.  A pair with at least one
+detected photon is a Bernoulli(q) event per repetition, q = chi * (1 - (1 -
+eta)^2), so the chunk's repetition slots are thinned to those events
+directly, by geometric gaps between them (Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. X).  Each event then draws its branch and
+which of its photons were detected, conditioned on at least one, and bins
+only for the detected photons: the joint coincidence table for both photons
+of a coincidence, its row or column marginal for one, the residual spectrum
+for the photons of a double.  Dark counts are one Poisson total per region
+spread uniformly over the chunk's frames.  No draw is made per frame or per
+undetected photon, so the cost follows the detected events.
+
 Estimators follow the frame-averaged definitions: the raw map is the mean
 cross-port product <n+(a) n-(b)>, the accidental map the product of means
 <n+(a)><n-(b)>, and their difference is the photon-number covariance.  Many
@@ -19,20 +31,25 @@ counter-based Philox streams keyed by (seed, frame-chunk index), and each
 chunk's events are sorted and deduplicated as the chunk is generated, so the
 output is bit-reproducible for a given seed and independent of how chunks
 would be scheduled.  Simulation and estimator memory follow the event count,
-not the frame count.
+not the frame count.  A run whose chunks would ask for more than
+MAX_CHUNK_EVENTS expected events is rejected with ConfigError.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, InconsistentMarginals
+from .errors import ConfigError, EmptyBatch, InconsistentMarginals
 from .interference import CoincidenceMap, MapKind
 from .sampling import AliasTable
 from .spectra import WavelengthGrid
 
 FRAME_CHUNK = 1 << 16
+MAX_CHUNK_EVENTS = 1 << 23  # expected events one chunk may ask for
+_MAX_SLOTS = 1 << 62  # repetition slots per chunk; slot sums stay inside int64
+_BATCH_SIGMAS = 6.0  # a batch of gaps covers the mean successes plus this many sigma
 MARGINAL_TOL = 1e-6
 
 
@@ -130,23 +147,60 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _repeat_frames(start: int, counts: np.ndarray) -> np.ndarray:
-    """Frame index start + i repeated counts[i] times."""
-    return np.repeat(np.arange(start, start + counts.size, dtype=np.uint32), counts)
-
-
 def _event_codes(frames: np.ndarray, region: int, bins: np.ndarray) -> np.ndarray:
     """Codes frame << 17 | region << 16 | bin, which sort in canonical order."""
     return frames.astype(np.int64) << 17 | region << 16 | bins
 
 
+def _bernoulli_slots(rng: np.random.Generator, p: float, n_slots: int) -> np.ndarray:
+    """Ascending indices of the successes among n_slots Bernoulli(p) trials.
+
+    The successes are drawn as geometric gaps between them, so the cost
+    follows the successes, not the trials.
+    """
+    parts = [np.zeros(0, dtype=np.int64)]
+    last = -1  # the latest success so far
+    while p > 0.0 and last < n_slots - 1:
+        remaining = n_slots - 1 - last  # the largest gap sum that stays inside
+        mean = remaining * p
+        gaps = rng.geometric(p, size=int(mean + _BATCH_SIGMAS * math.sqrt(mean)) + 16)
+        # A gap past the end ends the run.  Clipped to remaining + 1, the sums
+        # stay exact up to the first one past the end; later ones may wrap.
+        np.minimum(gaps, remaining + 1, out=gaps)
+        sums = np.cumsum(gaps)
+        past = sums > remaining
+        inside = int(np.argmax(past)) if past.any() else sums.size
+        parts.append(sums[:inside] + last)
+        if inside < sums.size:
+            break
+        last += int(sums[-1])
+    return np.concatenate(parts)
+
+
 def _dark_codes(
     rng: np.random.Generator, rate: float, start: int, size: int, region: int, n_bins: int
 ) -> np.ndarray:
-    """Poisson dark events of one region, uniform over its bins."""
-    counts = rng.poisson(rate, size=size)
-    bins = rng.integers(0, n_bins, size=int(counts.sum()))
-    return _event_codes(_repeat_frames(start, counts), region, bins)
+    """Poisson dark events of one region, uniform over its frames and bins.
+
+    A Poisson total spread uniformly over the frames is the same process as
+    one Poisson count per frame.
+    """
+    total = rng.poisson(rate * size)
+    frames = rng.integers(start, start + size, size=total)
+    return _event_codes(frames, region, rng.integers(0, n_bins, size=total))
+
+
+def _check_work(params: DetectionParams, n_frames: int, events_per_frame: float) -> None:
+    """Reject runs whose chunks would ask for unbounded work or memory."""
+    size = min(FRAME_CHUNK, n_frames)
+    events = events_per_frame * size
+    if params.repetitions * FRAME_CHUNK >= _MAX_SLOTS or events > MAX_CHUNK_EVENTS:
+        raise ConfigError(
+            f"chi, dark_rate, f_rep and t_exp ask for {events:.3g} expected events in a "
+            f"chunk of {size} frames at {params.repetitions} repetitions per frame; "
+            f"the limits are {MAX_CHUNK_EVENTS} events and {_MAX_SLOTS // FRAME_CHUNK} "
+            "repetitions"
+        )
 
 
 def _canonical_chunk(codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,72 +293,75 @@ def simulate_frames(
     res_plus, res_minus = _validate_marginals(pc_map, marginals)
 
     reps = params.repetitions
+    eta = params.eta
     area = pc_map.area_nm2
     w_coinc = min(float(np.sum(pc_map.values)) * area, 1.0)
     sum_res_plus = float(np.sum(res_plus)) * pc_map.grid_p.step_nm
     sum_res_minus = float(np.sum(res_minus)) * pc_map.grid_m.step_nm
     w_bunch_plus = 0.5 * sum_res_plus
     w_bunch_minus = 0.5 * sum_res_minus
-    # Branch thresholds for a single uniform draw per generated pair.
+    # Branch thresholds for a single uniform draw per detected pair.
     t_coinc = w_coinc
     t_plus = w_coinc + w_bunch_plus / max(w_bunch_plus + w_bunch_minus, 1e-300) * (
         1.0 - w_coinc
     )
+    # A pair is seen when at least one of its photons is detected.  Given that,
+    # both are with probability eta / (2 - eta); else each alone is equally likely.
+    q = params.chi * (1.0 - (1.0 - eta) ** 2)
+    t_both = eta / (2.0 - eta)
+    t_first = 0.5 * (1.0 + t_both)
+    _check_work(params, n_frames, reps * q + 2.0 * params.dark_rate)
 
     peak_bin = max(
         float(np.max(marginals[0])) * pc_map.grid_p.step_nm,
         float(np.max(marginals[1])) * pc_map.grid_m.step_nm,
     )
     n_bins_min = min(pc_map.grid_p.n_bins, pc_map.grid_m.n_bins)
-    if reps * params.chi * params.eta * peak_bin + params.dark_rate / n_bins_min > 1.0:
+    if reps * params.chi * eta * peak_bin + params.dark_rate / n_bins_min > 1.0:
         warnings.warn(
             "per-frame mean occupancy exceeds 1 in the peak bin; "
             "binary-pixel saturation will distort statistics",
             RuntimeWarning,
         )
 
-    coinc_alias = AliasTable(pc_map.values) if w_coinc > 0.0 else None
+    coinc_alias = row_alias = col_alias = None
+    if w_coinc > 0.0:
+        coinc_alias = AliasTable(pc_map.values)
+        row_alias = AliasTable(np.sum(pc_map.values, axis=1))
+        col_alias = AliasTable(np.sum(pc_map.values, axis=0))
     plus_alias = AliasTable(res_plus) if sum_res_plus > 0.0 else None
     minus_alias = AliasTable(res_minus) if sum_res_minus > 0.0 else None
     n_bins_m = pc_map.grid_m.n_bins
-    no_bins = np.zeros(0, dtype=np.int64)
 
     def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
-        n_pairs = rng.binomial(reps, params.chi, size=size)
-        total = int(n_pairs.sum())
-        pair_frame = _repeat_frames(start, n_pairs)
-
-        branch = rng.random(total)
+        frames = start + _bernoulli_slots(rng, q, size * reps) // reps
+        branch = rng.random(frames.size)
+        pattern = rng.random(frames.size)
+        first = pattern < t_first  # the plus-side photon of a coincidence
+        second = (pattern < t_both) | ~first
         is_coinc = branch < t_coinc
         is_plus = ~is_coinc & (branch < t_plus)
-        is_minus = ~is_coinc & ~is_plus
-        # Rounding can push a sliver of branch mass onto a port with an empty
-        # residual spectrum; drop those pairs instead of sampling nothing.
-        if plus_alias is None:
-            is_plus &= False
-        if minus_alias is None:
-            is_minus &= False
+        is_minus = branch >= t_plus
 
-        n_c = int(is_coinc.sum())
+        codes = []
         if coinc_alias is not None:
-            bin_a, bin_b = np.divmod(coinc_alias.draw(rng, n_c), n_bins_m)
-        else:
-            bin_a = bin_b = no_bins
-        n_p = int(is_plus.sum())
-        n_m = int(is_minus.sum())
-        plus_pair = plus_alias.draw(rng, 2 * n_p) if plus_alias is not None else no_bins
-        minus_pair = minus_alias.draw(rng, 2 * n_m) if minus_alias is not None else no_bins
-
-        detected = rng.random(2 * total) < params.eta
-
-        frames_c = pair_frame[is_coinc]
-        candidates = np.concatenate([
-            _event_codes(frames_c, 0, bin_a),
-            _event_codes(frames_c, 1, bin_b),
-            _event_codes(np.repeat(pair_frame[is_plus], 2), 0, plus_pair),
-            _event_codes(np.repeat(pair_frame[is_minus], 2), 1, minus_pair),
-        ])
-        codes = [candidates[detected[: candidates.size]]]
+            both = frames[is_coinc & first & second]
+            bin_a, bin_b = np.divmod(coinc_alias.draw(rng, both.size), n_bins_m)
+            only_a = frames[is_coinc & first & ~second]
+            only_b = frames[is_coinc & ~first & second]
+            codes += [
+                _event_codes(both, 0, bin_a),
+                _event_codes(both, 1, bin_b),
+                _event_codes(only_a, 0, row_alias.draw(rng, only_a.size)),
+                _event_codes(only_b, 1, col_alias.draw(rng, only_b.size)),
+            ]
+        # Rounding can push a sliver of branch mass onto a port with an empty
+        # residual spectrum; those pairs are dropped instead of sampling nothing.
+        for region, is_double, alias in ((0, is_plus, plus_alias), (1, is_minus, minus_alias)):
+            if alias is not None:
+                photons = first[is_double].astype(np.intp) + second[is_double]
+                double = np.repeat(frames[is_double], photons)
+                codes.append(_event_codes(double, region, alias.draw(rng, double.size)))
         if params.dark_rate > 0.0:
             codes += [
                 _dark_codes(rng, params.dark_rate, start, size, region, grid.n_bins)
@@ -330,18 +387,16 @@ def simulate_uncorrelated_frames(
     """
     if n_frames < 0:
         raise ValueError("n_frames must be non-negative")
-    m_plus = np.asarray(marginals[0], dtype=float)
-    m_minus = np.asarray(marginals[1], dtype=float)
     reps = params.repetitions
     p_detect = params.chi * params.eta
-    aliases = (AliasTable(m_plus), AliasTable(m_minus))
+    _check_work(params, n_frames, 2.0 * (reps * p_detect + params.dark_rate))
+    aliases = (AliasTable(marginals[0]), AliasTable(marginals[1]))
 
     def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
         codes = []
         for region, grid in ((0, grid_plus), (1, grid_minus)):
-            counts = rng.binomial(reps, p_detect, size=size)
-            bins = aliases[region].draw(rng, int(counts.sum()))
-            codes.append(_event_codes(_repeat_frames(start, counts), region, bins))
+            frames = start + _bernoulli_slots(rng, p_detect, size * reps) // reps
+            codes.append(_event_codes(frames, region, aliases[region].draw(rng, frames.size)))
             if params.dark_rate > 0.0:
                 codes.append(_dark_codes(rng, params.dark_rate, start, size, region, grid.n_bins))
         return codes

@@ -16,11 +16,12 @@ the best visibility has a closed form (variable projection; Golub &
 Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so the fit scans this
 profile cost on an (od, delay) grid a quarter fringe apart at the fastest
 unmasked bin, refines the best grid point on the profile, and ends with
-one bounded trust-region solve of the full problem.  The phase separates
-per bin, theta_a - theta_b with theta_a = od*g_a + delay*h_a, so the scan
-evaluates its sums as bilinear forms over per-bin half-angle phasors: a
-block of grid points costs trig calls on (points x bins) arrays and matrix
-products, not trig on every bin pair.  A boxcar (kernel_width > 1) moves
+one bounded trust-region solve of the full problem and Gauss-Newton steps
+to its stationary point.  The phase separates per bin, theta_a - theta_b
+with theta_a = od*g_a + delay*h_a, so the scan evaluates its sums as
+bilinear forms over per-bin half-angle phasors: a block of grid points
+costs trig calls on (points x bins) arrays and matrix products, not trig
+on every bin pair.  A boxcar (kernel_width > 1) moves
 onto the form matrices exactly, so the scan is the profile at any width.
 tau is not fitted; it comes from the independently measured cell
 temperature.  Bins within mask_radius of the resonance on either axis are
@@ -51,6 +52,7 @@ _COEF = (1.0, -2.0, 1.0)  # D^2 = s^2 c'^2 - 2 s c s' c' + c^2 s'^2 (see _Profil
 _VISIBILITY_BOUNDS = (0.0, 1.0)
 _TOL = 1e-12  # ftol, xtol and gtol of the trust-region solves
 _MAX_NFEV = 400  # function evaluations per trust-region solve
+_NEWTON_STEPS = 2  # Gauss-Newton steps that finish a converged solve
 
 
 @dataclass(frozen=True)
@@ -433,9 +435,10 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
 
     The visibility-profiled cost is scanned on an (od, delay) grid, its best
     point refined on the profile, and one trust-region solve of all
-    parameters finishes from there.  ``iterations`` counts the profile
-    evaluations plus the final solve's function evaluations.  A failed
-    convergence is reported through ``converged``, never as an exception.
+    parameters and up to two Gauss-Newton steps finish from there.
+    ``iterations`` counts the profile evaluations, both solves' function
+    evaluations and the Gauss-Newton steps.  A failed convergence is
+    reported through ``converged``, never as an exception.
     """
     problem = _weighted_problem(cmap, jsa, config)
     residuals, jacobian, _, _, n_params = _objective_functions(*problem)
@@ -480,7 +483,20 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         **solver,
     )
     theta = final.x
-    cost = 2.0 * final.cost  # scipy reports 0.5*sum(r^2)
+    newton_steps = 0
+    if final.status > 0:
+        # The cost resolves od only to about sigma * sqrt(dof * eps), so where in
+        # that flat bottom a cost-based stop lands is up to rounding, and the
+        # BLAS thread count moves it.  Gauss-Newton steps from the gradient go
+        # to the stationary point itself; one that would leave the bounds is
+        # not taken.
+        for newton_steps in range(1, _NEWTON_STEPS + 1):
+            step = np.linalg.lstsq(jacobian(theta), -residuals(theta), rcond=None)[0]
+            if not np.all((lower < theta + step) & (theta + step < upper)):
+                break
+            theta = theta + step
+    r = residuals(theta)
+    cost = float(r @ r)
     jac = jacobian(theta)
     dof = max(jac.shape[0] - n_params, 1)
     sigma2 = cost / dof
@@ -500,8 +516,8 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         od_hat=float(theta[0]),
         visibility_hat=float(theta[1]),
         delay_fs=float(theta[2]) if config.fit_delay else 0.0,
-        cost=float(cost),
-        iterations=int(costs.size + refined.nfev + final.nfev),
+        cost=cost,
+        iterations=int(costs.size + refined.nfev + final.nfev + newton_steps),
         converged=bool(final.status > 0),
         param_sigma=param_sigma,
         od_visibility_correlation=corr,

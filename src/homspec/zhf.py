@@ -51,7 +51,7 @@ def write_frames(batch: FrameBatch, path) -> None:
     records["bin"] = batch.bins
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(records.tobytes())
+        fh.write(records.data)
 
 
 def read_frames(path) -> FrameBatch:
@@ -75,13 +75,11 @@ def read_frames(path) -> FrameBatch:
         raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
-    body = raw[_HEADER.size :]
+    body = len(raw) - _HEADER.size
     expected = n_events * _RECORD_DTYPE.itemsize
-    if len(body) != expected:
-        raise DataFormatError(
-            f"{path}: event section is {len(body)} bytes, expected {expected}"
-        )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    if body != expected:
+        raise DataFormatError(f"{path}: event section is {body} bytes, expected {expected}")
+    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
     try:
         return FrameBatch(
             n_frames=int(n_frames),

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from homspec.detector import DetectionParams, FrameBatch
 from homspec.interference import (
     CoincidenceMap,
     InterferenceSettings,
@@ -85,3 +86,72 @@ def fringe_count(
     dphi = spectral_phase(model, lam) - spectral_phase(model, anti)
     cos = np.cos(dphi[keep])
     return int(np.sum(np.signbit(cos[1:]) != np.signbit(cos[:-1])))
+
+
+def brute_force_frames(
+    pc_map: CoincidenceMap,
+    marginals: tuple[np.ndarray, np.ndarray],
+    params: DetectionParams,
+    n_frames: int,
+    rng: np.random.Generator,
+    uncorrelated: bool = False,
+) -> FrameBatch:
+    """Reference camera Monte Carlo that draws everything the model names.
+
+    Every repetition of every frame draws whether it makes a pair, every
+    pair its branch and both bins, every photon its detection flag and every
+    frame its dark counts; a pixel hit more than once in a frame clicks
+    once.  A pair is a coincidence with probability sum(P) * bin area, else
+    a double on a port chosen evenly, its bins from that port's spectrum
+    less the coincidence marginal.  With ``uncorrelated`` the ports fire
+    independently instead and ``pc_map`` gives only the grids: each repetition makes a photon at each port with
+    probability chi, its bin from the port spectrum.  Slow and simple, it is
+    the law the library's generators must follow.
+    """
+    n_bins = marginals[0].size, marginals[1].size
+
+    def bins(weights, size):
+        return rng.choice(weights.size, size=size, p=weights / weights.sum())
+
+    frame = np.repeat(np.arange(n_frames), params.repetitions)
+    regions, photon_bins, photon_frames = [], [], []
+    if uncorrelated:
+        for region in (0, 1):
+            made = frame[rng.random(frame.size) < params.chi]
+            regions.append(np.full(made.size, region))
+            photon_bins.append(bins(marginals[region], made.size))
+            photon_frames.append(made)
+    else:
+        pair_frame = frame[rng.random(frame.size) < params.chi]
+        n_pairs = pair_frame.size
+        p_coinc = float(np.sum(pc_map.values)) * pc_map.area_nm2
+        residual = (
+            marginals[0] - np.sum(pc_map.values, axis=1) * pc_map.grid_m.step_nm,
+            marginals[1] - np.sum(pc_map.values, axis=0) * pc_map.grid_p.step_nm,
+        )
+        branch = rng.choice(3, size=n_pairs, p=[p_coinc, (1 - p_coinc) / 2, (1 - p_coinc) / 2])
+        coinc = pair_frame[branch == 0]
+        flat = bins(pc_map.values.ravel(), coinc.size)
+        regions += [np.zeros(coinc.size), np.ones(coinc.size)]
+        photon_bins += [flat // n_bins[1], flat % n_bins[1]]
+        photon_frames += [coinc, coinc]
+        for region in (0, 1):
+            double = np.repeat(pair_frame[branch == 1 + region], 2)
+            regions.append(np.full(double.size, region))
+            photon_bins.append(bins(np.clip(residual[region], 0.0, None), double.size))
+            photon_frames.append(double)
+    regions = np.concatenate(regions)
+    photon_bins = np.concatenate(photon_bins)
+    photon_frames = np.concatenate(photon_frames)
+    detected = rng.random(regions.size) < params.eta
+    regions = [regions[detected]]
+    photon_bins = [photon_bins[detected]]
+    photon_frames = [photon_frames[detected]]
+    for region in (0, 1):
+        dark = np.repeat(np.arange(n_frames), rng.poisson(params.dark_rate, size=n_frames))
+        regions.append(np.full(dark.size, region))
+        photon_bins.append(rng.integers(0, n_bins[region], size=dark.size))
+        photon_frames.append(dark)
+    clicks = np.unique(np.stack([np.concatenate(photon_frames), np.concatenate(regions),
+                                 np.concatenate(photon_bins)], axis=1).astype(np.int64), axis=0)
+    return FrameBatch(n_frames, pc_map.grid_p, pc_map.grid_m, *clicks.T)

@@ -91,6 +91,35 @@ class TestSimulate:
         ]
         assert digest[0] == digest[1]
 
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    @pytest.mark.parametrize("overrides", [
+        ["dark_rate = 1e6"],
+        ["dark_rate = 1e19"],
+        ["t_exp = 1e9 s"],
+        ["chi = 0", "t_exp = 1e9 s"],  # no events, but slot indices past int64
+    ])
+    def test_unworkable_simulate_settings_exit_2(self, tmp_path, capsys, overrides,
+                                                 uncorrelated):
+        # These pass validation; each chunk would ask for unbounded work.
+        args = [arg for option in ["grid_bins = 16", *overrides]
+                for arg in ("--override", option)]
+        flag = ["--uncorrelated"] if uncorrelated else []
+        rc = main(["simulate", "--frames", "200", "--out", str(tmp_path), *args, *flag])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: chi, dark_rate, f_rep and t_exp ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exposure", ["11 us", "8e5 s"])
+    def test_vanishing_chi_gives_empty_frames(self, tmp_path, exposure):
+        # The geometric gaps between events overflow int64; they must end the
+        # chunk, not wrap or loop.  8e5 s is 6.4e13 repetitions per frame.
+        rc = main(["simulate", "--frames", "200", "--out", str(tmp_path),
+                   "--override", "chi = 1e-300", "--override", f"t_exp = {exposure}"])
+        assert rc == 0
+        batch = read_frames(tmp_path / "frames.zhf")
+        assert batch.n_frames == 200 and batch.n_events == 0
+
 
 class TestEstimate:
     def test_covariance_equals_raw_minus_accidental(self, tmp_path):
@@ -164,16 +193,16 @@ class TestSeededOutputBytes:
         assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
         assert {name: self.digest(tmp_path / name) for name in (
             "frames.zhf", "raw.csv", "accidental.csv", "covariance.csv")} == {
-            "frames.zhf": "067175b6288f4bc565ac25ea929477aba0d120abf2a7fe2b2c28e553543a88fb",
-            "raw.csv": "d5eb5d27189af7a91b5cc9c28578f3b8ae8934467255c16cf488cbd7b3f4e717",
-            "accidental.csv": "b11a47844c63d2c488a919eb38f89985b9e29bb61f0438b3b2a1ba81268a4853",
-            "covariance.csv": "7c9ea3d698637a61bb91b5a485d55ca3126d869db42512af8a6ff58493de307f",
+            "frames.zhf": "4bdbafd9ad4182735cb33810b2ca42c7a87e31b4bb4721f332c7d2a57a15add5",
+            "raw.csv": "93715c06d0d40ee6517d81ec3329faa731e24cba7c4b0f0e2ad80f2c994c9c50",
+            "accidental.csv": "6963a8255d5406446667129fc89fa6294515f445094a0f8ff1256f642ecc7cc2",
+            "covariance.csv": "837be9e1c2b675d00a6116f86998beffcff61b9070d958cae11855bb656da7b5",
         }
 
     def test_uncorrelated_events(self, tmp_path):
         assert main(["simulate", *self.SIMULATE, "--uncorrelated", "--out", str(tmp_path)]) == 0
         assert self.digest(tmp_path / "frames.zhf") == (
-            "37637b9ff6c1df275218cb1b3388eb0c7c29a4f9a807b8e1b0e2c5b96263e26a"
+            "3564d8d7caace6070bf1b6c3d43fb64dc4cd27148506696e9b5fde4e6434a22c"
         )
 
 
@@ -240,8 +269,9 @@ class TestFit:
 
     def test_blas_thread_count_moves_only_last_digits(self, tmp_path):
         # The README: another BLAS thread count moves od_hat by under 1e-9
-        # relative and iterations by a few.  This map is one where it does
-        # move them (2.9e-10 relative, 6 iterations, on a 2-core host).
+        # relative and iterations by a few.  Without the fit's Gauss-Newton
+        # finish, t2 seeds 6 and 8 moved od_hat by 1.3e-9 and 1.6e-9 on a
+        # 2-core host; with it, t1 and t2 seeds 1-8 stay within 1.1e-11.
         cfg = str(CONFIG_DIR / "t2_174C.cfg")
         assert main(["simulate", "--config", cfg, "--frames", "1000000", "--seed", "1",
                      "--out", str(tmp_path)]) == 0

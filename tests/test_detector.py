@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from helpers import brute_force_frames
+from homspec import detector
 from homspec.detector import (
     FRAME_CHUNK,
     DetectionParams,
     FrameBatch,
+    _bernoulli_slots,
     accidental_map,
     covariance_map,
     raw_coincidences,
@@ -173,6 +178,79 @@ class TestSimulateFrames:
         cov = covariance_map(simulate_frames(PC, MARGINALS, params, 1_000))
         with pytest.raises(ValueError):
             simulate_frames(cov, MARGINALS, params, 10)
+
+
+def frame_fractions(batch: FrameBatch) -> np.ndarray:
+    """Fractions of frames with each per-frame indicator the law fixes.
+
+    The indicators are k photons at a port (k = 0..bins), a click in each
+    bin of each port, and a click pair in each cross-port bin pair (the raw
+    map).  Each is a Bernoulli variable per frame, and frames are
+    independent, so a fraction's variance is p(1 - p) / n_frames.
+    """
+    n = batch.n_frames
+    parts = []
+    for region, n_bins in ((0, batch.grid_plus.n_bins), (1, batch.grid_minus.n_bins)):
+        per_frame = np.bincount(batch.frames[batch.regions == region], minlength=n)
+        parts.append(np.bincount(per_frame, minlength=n_bins + 1) / n)
+        parts.append(np.bincount(batch.bins[batch.regions == region], minlength=n_bins) / n)
+    parts.append(raw_coincidences(batch).values.ravel())
+    return np.concatenate(parts)
+
+
+class TestLaw:
+    @pytest.mark.parametrize("batch_sigmas", [6.0, -2.0])
+    def test_bernoulli_slots_are_sums_of_geometric_gaps(self, monkeypatch, batch_sigmas):
+        # Successes of Bernoulli trials sit at the partial sums of iid
+        # geometric gaps.  Drawing the gaps in batches must not change which:
+        # the same stream drawn in one long call gives the same slots.  A
+        # batch short of the mean makes almost every run take a second one.
+        monkeypatch.setattr(detector, "_BATCH_SIGMAS", batch_sigmas)
+        p, n_slots = 0.3, 4000
+        for seed in range(200):
+            slots = _bernoulli_slots(np.random.default_rng(seed), p, n_slots)
+            ends = np.cumsum(np.random.default_rng(seed).geometric(p, size=2 * n_slots)) - 1
+            assert np.array_equal(slots, ends[ends < n_slots])
+        rng = np.random.default_rng(0)
+        assert np.array_equal(_bernoulli_slots(rng, 1.0, 10), np.arange(10))
+        assert _bernoulli_slots(rng, 0.0, 10).size == 0
+        assert _bernoulli_slots(rng, 0.5, 0).size == 0
+        assert _bernoulli_slots(rng, 1e-300, 1 << 61).size == 0
+        # Gaps near 2**63: a success, then a gap whose sum with it would wrap.
+        p, n_slots = 1e-19, 1 << 61
+        found = 0
+        for seed in range(50):
+            slots = _bernoulli_slots(np.random.default_rng(seed), p, n_slots)
+            ends = itertools.accumulate(
+                int(gap) for gap in np.random.default_rng(seed).geometric(p, size=64))
+            expected = [end - 1 for end in ends if end <= n_slots]
+            assert slots.tolist() == expected
+            found += len(expected)
+        assert found > 0
+
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    def test_matches_brute_force_reference(self, uncorrelated):
+        # The thinned, event-driven draw against a reference that draws every
+        # repetition, bin and detection flag: 8 bins, R = 3, many same-frame
+        # photons and doubles, and dark counts.  Two-sample z-score for each
+        # per-frame indicator; 5 sigma over about 100 of them.
+        grid = WavelengthGrid.from_edges(790e-9, 803e-9, 8)
+        jsa = gaussian_jsa(796.7e-9, 6e-9, -0.7, grid)
+        pc = coincidence_probability_cosine(jsa, DispersionModel(od=400.0, tau=TAU))
+        marginals = port_spectra(jsa)
+        params = DetectionParams(chi=0.3, eta=0.5, f_rep=3.0, t_exp=1.0, dark_rate=0.05, seed=13)
+        n = 200_000
+        if uncorrelated:
+            library = simulate_uncorrelated_frames(grid, grid, marginals, params, n)
+        else:
+            library = simulate_frames(pc, marginals, params, n)
+        reference = brute_force_frames(
+            pc, marginals, params, n, np.random.default_rng(13), uncorrelated
+        )
+        p_lib, p_ref = frame_fractions(library), frame_fractions(reference)
+        var = (p_lib * (1 - p_lib) + p_ref * (1 - p_ref)) / n
+        z = (p_lib - p_ref) / np.sqrt(np.maximum(var, 1.0 / n**2))
+        assert np.max(np.abs(z)) < 5.0
 
 
 class TestEstimators:
