@@ -123,7 +123,10 @@ def cmd_fit(args) -> int:
         values, grid_p, grid_m = mapio.read_map_binary(path)
     else:
         values, grid_p, grid_m = mapio.read_map_csv(path)
-    cmap = CoincidenceMap(grid_p, grid_m, values, MapKind(args.kind))
+    try:
+        cmap = CoincidenceMap(grid_p, grid_m, values, MapKind(args.kind))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
     jsa = cfg.jsa()
     if not (grid_p.is_close(jsa.grid_s) and grid_m.is_close(jsa.grid_i)):

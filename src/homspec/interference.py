@@ -42,7 +42,7 @@ class MapKind(enum.Enum):
 class CoincidenceMap:
     """Real-valued map over the (lambda_+, lambda_-) bin grid.
 
-    Value conventions by kind:
+    Values must be finite.  Conventions by kind:
       probability -- density per nm^2 (theory maps; non-negative, total <= 1)
       raw, accidental -- per-bin-pair frame averages in [0, 1]
       covariance -- raw minus accidental; may be negative
@@ -60,6 +60,8 @@ class CoincidenceMap:
                 f"values shape {vals.shape} does not match grids "
                 f"({self.grid_p.n_bins}, {self.grid_m.n_bins})"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("map values must be finite")
         if self.kind is MapKind.PROBABILITY:
             if np.any(vals < 0.0):
                 raise ValueError("probability map must be non-negative")

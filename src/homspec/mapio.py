@@ -109,8 +109,8 @@ def read_map_binary(path) -> tuple[np.ndarray, WavelengthGrid, WavelengthGrid]:
     if len(body) != expected:
         raise DataFormatError(f"{path}: matrix section is {len(body)} bytes, expected {expected}")
     values = np.frombuffer(body, dtype="<f8").reshape(p_bins, m_bins).copy()
-    return (
-        values,
-        WavelengthGrid(p_start, p_step, p_bins),
-        WavelengthGrid(m_start, m_step, m_bins),
-    )
+    try:
+        grids = WavelengthGrid(p_start, p_step, p_bins), WavelengthGrid(m_start, m_step, m_bins)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    return (values, *grids)

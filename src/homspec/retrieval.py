@@ -15,9 +15,9 @@ from an arbitrary start lands in the wrong fringe.  For fixed (od, delay)
 the best visibility has a closed form (variable projection; Golub &
 Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so the fit scans this
 profile cost on an (od, delay) grid a quarter fringe apart at the fastest
-unmasked bin, refines the best grid point on the profile, and ends with
-one bounded trust-region solve of the full problem and Gauss-Newton steps
-to its stationary point.  The phase separates per bin, theta_a - theta_b
+unmasked bin, refines the best grid point on the profile with a bounded
+trust-region solve, and finishes with Gauss-Newton steps of the full
+problem to its stationary point.  The phase separates per bin, theta_a - theta_b
 with theta_a = od*g_a + delay*h_a, so the scan evaluates its sums as
 bilinear forms over per-bin half-angle phasors: a block of grid points
 costs trig calls on (points x bins) arrays and matrix products, not trig
@@ -50,9 +50,9 @@ _SCAN_BLOCK = 512  # grid points per batched scan evaluation
 _MAX_SCAN = 1_000_000  # scan evaluations allowed: offset pairs x (grid points + bins)
 _COEF = (1.0, -2.0, 1.0)  # D^2 = s^2 c'^2 - 2 s c s' c' + c^2 s'^2 (see _Profile)
 _VISIBILITY_BOUNDS = (0.0, 1.0)
-_TOL = 1e-12  # ftol, xtol and gtol of the trust-region solves
-_MAX_NFEV = 400  # function evaluations per trust-region solve
-_NEWTON_STEPS = 2  # Gauss-Newton steps that finish a converged solve
+_TOL = 1e-12  # ftol and xtol of the profile refine
+_MAX_NFEV = 400  # function evaluations allowed to the profile refine
+_NEWTON_STEPS = 2  # Gauss-Newton steps that finish a converged refine
 
 
 @dataclass(frozen=True)
@@ -187,15 +187,13 @@ def _estimate_weights(data: np.ndarray, kind: MapKind) -> np.ndarray:
 
     Covariance estimates have a per-bin variance that tracks the underlying
     raw rate; with only the normalized map available, the positive part of
-    the data plus its mean magnitude serves as a plug-in for that rate.
+    the data plus its mean magnitude serves as a plug-in for that rate.  The
+    data sums to 1 (_weighted_problem), so that mean is positive.
     Probability maps (noiseless theory) get uniform weights.
     """
     if kind is not MapKind.COVARIANCE:
         return np.ones_like(data)
-    scale = float(np.mean(np.abs(data)))
-    if scale <= 0.0:
-        return np.ones_like(data)
-    return 1.0 / (np.clip(data, 0.0, None) + scale)
+    return 1.0 / (np.clip(data, 0.0, None) + np.mean(np.abs(data)))
 
 
 def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig):
@@ -251,28 +249,31 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
 
 
 def _shift(arr: np.ndarray, d: int) -> np.ndarray:
-    """arr[..., i + d], zero where i + d leaves the grid."""
+    """arr[..., i + d], zero where i + d leaves the grid; arr itself for d = 0."""
+    if d == 0:
+        return arr
     out = np.zeros_like(arr)
     n = arr.shape[-1]
     out[..., max(-d, 0):n - max(d, 0)] = arr[..., max(d, 0):n + min(d, 0)]
     return out
 
 
-def _square_terms(kernel: int, n_bins: int) -> dict:
+def _square_terms(offsets: range) -> dict:
     """{(d, e): [(p, q, weight)]}: the forms that make up sum(w*S^2).
 
     Two bins feed one smoothed bin when their offsets d (rows) and e
-    (columns) are below kernel; p and q pick the phasor products of the two
-    bins.  The (d, e, p, q) and (-d, -e, q, p) forms are equal, so one of
-    each such pair is kept, at weight 2.
+    (columns) lie in offsets; p and q pick the phasor products of the two
+    bins, and weight carries their _COEF factors.  The (d, e, p, q) and
+    (-d, -e, q, p) forms are equal, so one of each such pair is kept, at
+    twice the weight.
     """
-    reach = min(kernel - 1, n_bins - 1)
     terms = {}
-    for d, e in itertools.product(range(-reach, reach + 1), repeat=2):
+    for d, e in itertools.product(offsets, repeat=2):
         for p, q in itertools.product(range(3), repeat=2):
             key, mirror = (d, e, p, q), (-d, -e, q, p)
             if key >= mirror:
-                terms.setdefault((d, e), []).append((p, q, 1.0 if key == mirror else 2.0))
+                weight = 4.0 * _COEF[p] * _COEF[q] * (1.0 if key == mirror else 2.0)
+                terms.setdefault((d, e), []).append((p, q, weight))
     return terms
 
 
@@ -311,18 +312,25 @@ class _Profile:
         self.a_u, self.u_w_u, self.a_a = sqrt_w * a @ u, self.w * u @ u, a @ a
 
         n = model.keep.shape[0]
-        self.box = ndimage.uniform_filter1d(np.eye(n), model.kernel, axis=0, mode="reflect")
+        box = ndimage.uniform_filter1d(np.eye(n), model.kernel, axis=0, mode="reflect")
 
         def on_grid(values):  # unmasked-bin values on the bins x bins grid, zero in the mask
             out = np.zeros((n, n))
             out[model.keep] = values
             return out
 
-        forms = [(self.box.T @ on_grid(col) @ self.box) * model.intensity
+        forms = [(box.T @ on_grid(col) @ box) * model.intensity
                  for col in self.products.T]
         self.linear_forms = np.hstack([m + m.T for m in forms])
-        self.w_grid = on_grid(self.w)
-        self.square_terms = _square_terms(model.kernel, n)
+        # The (d, e) part of sum(w*S^2) is sum of A_ij*S_ij*S_(i+d)(j+e) over
+        # unsmoothed S; A carries the boxcar weights and J_ij*J_(i+d)(j+e).
+        w_grid, jsi = on_grid(self.w), model.intensity
+        self.offsets = range(1 - min(model.kernel, n), min(model.kernel, n))
+        self.square_forms = []
+        for (d, e), terms in _square_terms(self.offsets).items():
+            rows, cols = (box * _shift(box, offset) for offset in (d, e))
+            form = (rows.T @ w_grid @ cols) * jsi * _shift(_shift(jsi.T, d).T, e)
+            self.square_forms.append((d, e, form, terms))
 
     def _tail(self, s_sum, s_a, s_u, s_w_s):
         """Best t and cost from sum(S), S.(sqrt_w*a), S.(w*u) and sum(w*S^2)."""
@@ -333,15 +341,6 @@ class _Profile:
             cost = self.a_a + t * (2.0 * p + t * q)
         return t, np.where(s_sum > 0.0, cost, np.inf)
 
-    def _square_form(self, d: int, e: int) -> np.ndarray:
-        """The matrix A of the (d, e) part of sum(w*S^2), sum of A_ij*S_ij*S_(i+d)(j+e).
-
-        S here is unsmoothed; A carries the boxcar weights and J_ij*J_(i+d)(j+e).
-        """
-        j = self.model.intensity
-        rows, cols = (self.box * _shift(self.box, offset) for offset in (d, e))
-        return (rows.T @ self.w_grid @ cols) * j * _shift(_shift(j.T, d).T, e)
-
     def _sums(self, theta: np.ndarray):
         """The four sums for rows of per-bin phases theta."""
         sin, cos = np.sin(0.5 * theta), np.cos(0.5 * theta)
@@ -351,14 +350,13 @@ class _Profile:
         s_sum, s_a, s_u = 2.0 * (
             np.einsum("kxn,kn->xk", (left[0] @ self.linear_forms).reshape(shape), right[0])
             - np.einsum("kxn,kn->xk", (left[1] @ self.linear_forms).reshape(shape), left[1]))
+        moved = {(q, d): _shift(left[q], d) for q in range(3) for d in self.offsets}
         s_w_s = 0.0
-        for (d, e), terms in self.square_terms.items():
-            form = self._square_form(d, e)
+        for d, e, form, terms in self.square_forms:
             for p, q, weight in terms:
-                rows = left[p] * _shift(left[q], d)
-                cols = right[p] * _shift(right[q], e)
-                scale = 4.0 * weight * _COEF[p] * _COEF[q]
-                s_w_s = s_w_s + scale * np.einsum("kn,kn->k", rows @ form, cols)
+                rows = left[p] * moved[q, d]
+                cols = right[p] * moved[2 - q, e]  # right[q] is left[2 - q]
+                s_w_s = s_w_s + weight * np.einsum("kn,kn->k", rows @ form, cols)
         return s_sum, s_a, s_u, s_w_s
 
     def costs(self, ods: np.ndarray, delays_fs: np.ndarray) -> np.ndarray:
@@ -372,10 +370,9 @@ class _Profile:
 
     def visibility(self, od: float, delay_fs: float = 0.0) -> float:
         """The visibility that minimizes the objective at one (od, delay)."""
-        half = 0.5 * (od * self.model.phase_unit + delay_fs * self.model.delay_unit)
-        s = self.model.smooth(2.0 * np.sin(half[None]) ** 2 * self.model.jsi)
-        s_sum, s_a, s_u = (s @ self.products).T
-        t, _ = self._tail(s_sum, s_a, s_u, np.square(s, out=s) @ self.w)
+        s_sum, *rest = self._sums(np.array([[od, delay_fs]]) @ self.model.bin_phase)
+        t, _ = self._tail(s_sum, *rest)
+        # t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)), solved for V
         return float(t[0] * self.j_sum / ((1.0 - t[0]) * s_sum[0] + t[0] * self.j_sum))
 
 
@@ -385,8 +382,9 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
     od covers the od bounds within _SCAN_OD_RANGE, or all of the bounds
     where they lie outside it, in steps of 5% of od up to a quarter fringe
     (0.5*pi rad) of the fastest unmasked bin; delay spans its bounds a
-    quarter fringe apart.  Raises ConfigError, before building anything,
-    when the scan would exceed _MAX_SCAN evaluations.
+    quarter fringe apart.  The bound on the scan is checked as each od point
+    is added: ConfigError is raised as soon as the scan would exceed
+    _MAX_SCAN evaluations, before any delay array or profile is built.
     """
     od_step, delay_step = (0.5 * math.pi / rate for rate in model.max_rates)
     (od_lo, od_hi), (range_lo, range_hi) = config.od_bounds, _SCAN_OD_RANGE
@@ -398,47 +396,28 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
     n_bins = model.keep.shape[0]
     reach = min(model.kernel, n_bins) - 1
     n_pairs = ((2 * reach + 1) ** 2 + 1) // 2  # the (d, e) keys of _square_terms
-    evaluations = n_pairs * (_od_count(lo, hi, od_step) * n_delays + n_bins)
-    if evaluations > _MAX_SCAN:
-        raise ConfigError(
-            f"the profile scan needs about {evaluations:.3g} evaluations, above {_MAX_SCAN:.0e}; "
-            f"narrow fit_od_min/fit_od_max or fit_delay_min/fit_delay_max, "
-            f"or reduce kernel_width")
     ods = [lo]
     while ods[-1] < hi:
         ods.append(ods[-1] + min(od_step, 0.05 * max(ods[-1], 1.0)))
+        if n_pairs * (len(ods) * n_delays + n_bins) > _MAX_SCAN:
+            raise ConfigError(
+                f"the profile scan needs over {_MAX_SCAN:.0e} evaluations; "
+                f"narrow fit_od_min/fit_od_max or fit_delay_min/fit_delay_max, "
+                f"or reduce kernel_width")
     ods[-1] = hi
     delays = np.linspace(d_lo, d_hi, n_delays) if config.fit_delay else np.zeros(1)
     return np.array(ods, dtype=float), delays
-
-
-def _od_count(lo: float, hi: float, od_step: float) -> float:
-    """Upper estimate of the od points _scan_grid steps through from lo to hi.
-
-    Steps are min(od_step, 0.05) below od 1, 5% of od up to 20*od_step, and
-    od_step above that.
-    """
-    knee = max(20.0 * od_step, 1.0)
-    count = 2.0
-    if lo < 1.0:
-        count += (min(hi, 1.0) - lo) / min(od_step, 0.05)
-    low, high = max(lo, 1.0), min(hi, knee)
-    if low < high:
-        count += math.log(high / low) / math.log(1.05) + 1.0
-    if hi > knee:
-        count += (hi - max(lo, knee)) / od_step
-    return count
 
 
 def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) -> FitResult:
     """Bounded least-squares fit of {od, visibility, delay}.
 
     The visibility-profiled cost is scanned on an (od, delay) grid, its best
-    point refined on the profile, and one trust-region solve of all
-    parameters and up to two Gauss-Newton steps finish from there.
-    ``iterations`` counts the profile evaluations, both solves' function
-    evaluations and the Gauss-Newton steps.  A failed convergence is
-    reported through ``converged``, never as an exception.
+    point refined on the profile by a bounded trust-region solve, and up to
+    two Gauss-Newton steps of all parameters finish from there.
+    ``iterations`` counts the scan points, the refine's function evaluations
+    and the Gauss-Newton steps.  ``converged`` reports whether the refine
+    met its tolerance; a failure is never raised as an exception.
     """
     problem = _weighted_problem(cmap, jsa, config)
     residuals, jacobian, _, _, n_params = _objective_functions(*problem)
@@ -449,8 +428,6 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
 
     lower, upper = np.array(
         [config.od_bounds, _VISIBILITY_BOUNDS, config.delay_bounds_fs][:n_params]).T
-    solver = dict(method="trf", x_scale="jac", ftol=_TOL, xtol=_TOL, gtol=_TOL,
-                  max_nfev=_MAX_NFEV)
 
     def full(x):  # theta with the best visibility for x = [od(, delay_fs)]
         return np.insert(x, 1, profile.visibility(*x))
@@ -470,21 +447,18 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         np.array([ods[i], delays[k]][: n_params - 1]),
         jac=reduced_jacobian,
         bounds=(np.delete(lower, 1), np.delete(upper, 1)),
+        method="trf",
+        x_scale="jac",
+        ftol=_TOL,
+        xtol=_TOL,
         # Noiseless low-od maps leave a ridge whose gradient falls below any
         # absolute gtol long before od settles, so only steps stop the refine.
-        **{**solver, "gtol": None},
+        gtol=None,
+        max_nfev=_MAX_NFEV,
     )
-    theta0 = full(refined.x)
-    final = least_squares(
-        residuals,
-        np.clip(theta0, lower + 1e-12, upper - 1e-12),
-        jac=jacobian,
-        bounds=(lower, upper),
-        **solver,
-    )
-    theta = final.x
+    theta = full(refined.x)
     newton_steps = 0
-    if final.status > 0:
+    if refined.status > 0:
         # The cost resolves od only to about sigma * sqrt(dof * eps), so where in
         # that flat bottom a cost-based stop lands is up to rounding, and the
         # BLAS thread count moves it.  Gauss-Newton steps from the gradient go
@@ -517,8 +491,8 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         visibility_hat=float(theta[1]),
         delay_fs=float(theta[2]) if config.fit_delay else 0.0,
         cost=cost,
-        iterations=int(costs.size + refined.nfev + final.nfev + newton_steps),
-        converged=bool(final.status > 0),
+        iterations=int(costs.size + refined.nfev + newton_steps),
+        converged=bool(refined.status > 0),
         param_sigma=param_sigma,
         od_visibility_correlation=corr,
         covariance=cov,

@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from homspec import detector, retrieval
 from homspec.cli import main
 from homspec.config import _PARSERS, _REMOVED_KEYS
-from homspec.mapio import read_map_csv
+from homspec.mapio import read_map_binary, read_map_csv, write_map_binary, write_map_csv
 from homspec.retrieval import FitResult
 from homspec.zhf import read_frames
 
@@ -227,6 +229,35 @@ class TestFit:
         rc = main(["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
                    "--out", str(tmp_path)])
         assert rc == 3
+
+    @pytest.mark.parametrize("kind,suffix,value,header", [
+        pytest.param("covariance", ".csv", math.nan, None, id="nan-value"),
+        pytest.param("covariance", ".bin", math.inf, None, id="inf-value-binary"),
+        pytest.param("probability", ".csv", -1e-3, None, id="negative-probability"),
+        pytest.param("probability", ".csv", 1e9, None, id="probability-total-above-1"),
+        pytest.param("probability", ".bin", None, {"n_bins": 1}, id="one-bin-binary-axes"),
+        pytest.param("probability", ".bin", None, {"step": -1e-11}, id="negative-binary-step"),
+    ])
+    def test_malformed_map_exits_3(self, tmp_path, capsys, kind, suffix, value, header):
+        # The file parses; one of its values, or its ZHM1 grid header, is invalid.
+        small = ["--override", "grid_bins = 32"]
+        assert main(["theory", "--binary", "--out", str(tmp_path), *small]) == 0
+        capsys.readouterr()
+        values, grid_p, grid_m = read_map_binary(tmp_path / "pc_map.bin")
+        path = tmp_path / f"bad{suffix}"
+        if header is None:
+            values[3, 5] = value
+            (write_map_csv if suffix == ".csv" else write_map_binary)(values, grid_p, grid_m, path)
+        else:
+            n_bins, step = header.get("n_bins", grid_p.n_bins), header.get("step", grid_p.step)
+            # ZHM1 header: magic, version, then start, step and n_bins of each axis
+            head = struct.pack("<4sH" + "ddH" * 2, b"ZHM1", 1, *(grid_p.start, step, n_bins) * 2)
+            path.write_bytes(head + np.zeros(n_bins * n_bins).tobytes())
+        rc = main(["fit", str(path), "--kind", kind, "--out", str(tmp_path), *small])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err
+        assert err.count("\n") == 1
 
     def test_grid_mismatch_exits_2(self, tmp_path, capsys):
         assert main(["theory", "--out", str(tmp_path), *FAST]) == 0

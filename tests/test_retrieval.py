@@ -170,15 +170,18 @@ class TestObjective:
 
 
 def elementwise_costs(profile, ods, delays_fs):
-    """Profile costs from S = 2*sin^2(phi/2)*J built bin pair by bin pair."""
+    """Profile costs and best visibilities from S = 2*sin^2(phi/2)*J built bin
+    pair by bin pair."""
     model = profile.model
-    out = np.empty((ods.size, delays_fs.size))
+    costs = np.empty((ods.size, delays_fs.size))
+    visibilities = np.empty_like(costs)
     for i, od in enumerate(ods):
         phi = od * model.phase_unit + np.multiply.outer(delays_fs, model.delay_unit)
         s = model.smooth(2.0 * np.sin(0.5 * phi) ** 2 * model.jsi)
         s_sum, s_a, s_u = (s @ profile.products).T
-        out[i] = profile._tail(s_sum, s_a, s_u, np.square(s) @ profile.w)[1]
-    return out
+        t, costs[i] = profile._tail(s_sum, s_a, s_u, np.square(s) @ profile.w)
+        visibilities[i] = t * profile.j_sum / ((1.0 - t) * s_sum + t * profile.j_sum)
+    return costs, visibilities
 
 
 class TestScan:
@@ -198,11 +201,20 @@ class TestScan:
         ods, delays = _scan_grid(problem[0], config)
         profile = _Profile(*problem)
         costs = profile.costs(ods, delays)
-        reference = elementwise_costs(profile, ods, delays)
+        reference, visibilities = elementwise_costs(profile, ods, delays)
         finite = np.isfinite(reference)
         assert np.array_equal(np.isfinite(costs), finite)
         np.testing.assert_allclose(costs[finite], reference[finite], rtol=1e-9)
         assert np.argmin(costs) == np.argmin(reference)
+        # The best visibility from the scan's forms, at the scan's best point
+        # and at the truth, against the direct evaluation.
+        i, k = np.unravel_index(np.argmin(costs), costs.shape)
+        truth = np.array([od_true]), np.array([delay / 1e-15])
+        for od, delay_fs, expected in (
+                (ods[i], delays[k], visibilities[i, k]),
+                (od_true, delay / 1e-15, elementwise_costs(profile, *truth)[1][0, 0])):
+            np.testing.assert_allclose(profile.visibility(od, delay_fs), expected,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_boxcar_fit_at_dense_fringes(self):
         data = fringe_map(2.6e3, 0.8, 10e-15, JSA64, tau=TAU_174, kernel_width=3)
