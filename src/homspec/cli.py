@@ -61,8 +61,8 @@ def cmd_theory(args) -> int:
     mapio.write_map_csv(dphi, grid, grid, out / "phase_map.csv")
     with open(out / "phase_profile.csv", "w", encoding="utf-8") as fh:
         fh.write("lambda_nm,phase_mod_2pi\n")
-        for lam, phi in zip(grid.centers_nm, profile):
-            fh.write(f"{float(lam)!r},{float(phi)!r}\n")
+        for row in zip(grid.centers_nm.tolist(), profile.tolist()):
+            fh.write(",".join(map(repr, row)) + "\n")
     if args.binary:
         mapio.write_map_binary(cmap.values, grid, grid, out / "pc_map.bin")
         mapio.write_map_binary(dphi, grid, grid, out / "phase_map.bin")

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .constants import CODATA
 from .errors import GridMismatch, NonRealAmplitude
@@ -158,10 +157,27 @@ def coincidence_probability_cosine(
     return CoincidenceMap(jsa.grid_s, jsa.grid_i, values, MapKind.PROBABILITY)
 
 
+def boxcar_matrix(n: int, width: int) -> np.ndarray:
+    """The n x n moving average over width bins, mirrored at the edges.
+
+    Row i averages bins i - width//2 .. i + width//2, each index outside
+    [0, n) reflected about the half-sample edge (d c b a | a b c d | d c b a,
+    scipy.ndimage's mode="reflect").  B is symmetric with unit row and
+    column sums, so B @ x conserves sum(x); width 1 gives the identity.
+    """
+    half = width // 2
+    src = np.mod(np.arange(n)[:, None] + np.arange(-half, half + 1), 2 * n)
+    src = np.minimum(src, 2 * n - 1 - src)
+    rows = np.repeat(np.arange(n), width)
+    counts = np.bincount(rows * n + src.ravel(), minlength=n * n)
+    return counts.reshape(n, n) / width
+
+
 def pixel_average(cmap: CoincidenceMap, kernel_width: int) -> CoincidenceMap:
     """Boxcar-average the map over kernel_width bins along both axes.
 
-    Models finite spectrometer resolution; symmetric boundary handling keeps
+    Models finite spectrometer resolution.  The boxcar is the matrix B of
+    boxcar_matrix, applied as B_p @ values @ B_m.T; its mirrored edges keep
     the total conserved.  kernel_width must be odd and >= 1; width 1 is the
     identity.
     """
@@ -169,7 +185,8 @@ def pixel_average(cmap: CoincidenceMap, kernel_width: int) -> CoincidenceMap:
         raise ValueError(f"kernel_width must be odd and >= 1, got {kernel_width}")
     if kernel_width == 1:
         return cmap
-    values = ndimage.uniform_filter(cmap.values, size=kernel_width, mode="reflect")
+    rows, cols = (boxcar_matrix(n, kernel_width) for n in cmap.values.shape)
+    values = rows @ cmap.values @ cols.T
     return CoincidenceMap(cmap.grid_p, cmap.grid_m, values, cmap.kind)
 
 

@@ -6,7 +6,8 @@ The forward model is the fringe form of the coincidence probability,
 
 with G the unit-OD phase difference between the two spectral coordinates,
 H the linear phase of a residual idler delay and J the joint spectral
-intensity, followed by an optional boxcar over bins and normalization to
+intensity, followed by an optional boxcar over bins, B P B' with B the
+moving-average matrix of interference.boxcar_matrix, and normalization to
 unit sum over the unmasked bins.  Normalizing both data and model removes
 the unknown detection prefactor, so only fringe shape is fit.
 
@@ -21,8 +22,8 @@ problem to its stationary point.  The phase separates per bin, theta_a - theta_b
 with theta_a = od*g_a + delay*h_a, so the scan evaluates its sums as
 bilinear forms over per-bin half-angle phasors: a block of grid points
 costs trig calls on (points x bins) arrays and matrix products, not trig
-on every bin pair.  A boxcar (kernel_width > 1) moves
-onto the form matrices exactly, so the scan is the profile at any width.
+on every bin pair.  The boxcar matrix B (kernel_width > 1) moves onto the
+form matrices exactly, so the scan is the profile at any width.
 tau is not fitted; it comes from the independently measured cell
 temperature.  Bins within mask_radius of the resonance on either axis are
 excluded: there the phase varies too fast for the bin grid and the boxcar
@@ -34,12 +35,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.optimize import least_squares
 
 from .constants import CODATA, RB87
 from .errors import ConfigError, DegenerateMap
-from .interference import CoincidenceMap, MapKind, phase_difference
+from .interference import CoincidenceMap, MapKind, boxcar_matrix, phase_difference
 from .spectra import JointSpectralAmplitude, WavelengthGrid
 from .vapor import DispersionModel, spectral_phase
 
@@ -128,7 +127,8 @@ class _FringeModel:
 
     Without a boxcar every bin stands alone, so the unit phases and the
     intensity are stored for the unmasked bins only; with one they stay
-    full matrices and ``smooth`` drops the masked bins after averaging.
+    full matrices and ``smooth`` applies the boxcar matrix B on both sides,
+    then drops the masked bins.
     """
 
     def __init__(self, jsa: JointSpectralAmplitude, config: FitConfig, mask: np.ndarray):
@@ -138,6 +138,7 @@ class _FringeModel:
         delay_unit = phase_difference(DispersionModel(od=0.0, tau=config.tau), centers, FS)
         self.keep = ~mask
         self.kernel = config.kernel_width
+        self.box = boxcar_matrix(mask.shape[0], self.kernel)
         self.fit_delay = config.fit_delay
         # Fastest fringe rates over the unmasked bins [rad per od, per fs].
         self.max_rates = (np.max(np.abs(phase_unit[self.keep])),
@@ -157,8 +158,7 @@ class _FringeModel:
         """Boxcar the trailing two (bin) axes and keep the unmasked bins."""
         if self.kernel == 1:
             return arr
-        size = (1,) * (arr.ndim - 2) + (self.kernel, self.kernel)
-        return ndimage.uniform_filter(arr, size=size, mode="reflect")[..., self.keep]
+        return (self.box @ arr @ self.box.T)[..., self.keep]
 
     def normalized_model_and_jac(self, theta: np.ndarray):
         """Model vector over unmasked bins and its Jacobian columns."""
@@ -311,8 +311,7 @@ class _Profile:
         self.products = np.stack((np.ones_like(u), sqrt_w * a, self.w * u), axis=1)
         self.a_u, self.u_w_u, self.a_a = sqrt_w * a @ u, self.w * u @ u, a @ a
 
-        n = model.keep.shape[0]
-        box = ndimage.uniform_filter1d(np.eye(n), model.kernel, axis=0, mode="reflect")
+        n, box = model.keep.shape[0], model.box
 
         def on_grid(values):  # unmasked-bin values on the bins x bins grid, zero in the mask
             out = np.zeros((n, n))
@@ -419,6 +418,9 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     and the Gauss-Newton steps.  ``converged`` reports whether the refine
     met its tolerance; a failure is never raised as an exception.
     """
+    # Imported here so that the other subcommands start without scipy.
+    from scipy.optimize import least_squares
+
     problem = _weighted_problem(cmap, jsa, config)
     residuals, jacobian, _, _, n_params = _objective_functions(*problem)
     ods, delays = _scan_grid(problem[0], config)

@@ -22,12 +22,14 @@ class AliasTable:
             raise ValueError("weights must have positive total")
 
         k = w.size
+        # Vose's loop runs on Python lists: indexing numpy scalars one at a
+        # time costs more than the arithmetic.
         scaled = w * (k / total)
-        prob = np.ones(k)
-        alias = np.arange(k)
-
-        small = [i for i in range(k) if scaled[i] < 1.0]
-        large = [i for i in range(k) if scaled[i] >= 1.0]
+        small = np.flatnonzero(scaled < 1.0).tolist()
+        large = np.flatnonzero(scaled >= 1.0).tolist()
+        scaled = scaled.tolist()
+        prob = [1.0] * k
+        alias = list(range(k))
         while small and large:
             lo = small.pop()
             hi = large.pop()
@@ -43,8 +45,8 @@ class AliasTable:
             prob[i] = 1.0
 
         self.n_outcomes = k
-        self._prob = prob
-        self._alias = alias
+        self._prob = np.array(prob)
+        self._alias = np.array(alias)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` outcome indices; consumes exactly two RNG vectors."""

@@ -336,6 +336,29 @@ OVERRIDE_VALUES = st.one_of(
 )
 
 
+class TestImports:
+    def test_only_fit_loads_scipy(self, tmp_path):
+        # Every subcommand but fit runs on numpy alone, in a fresh interpreter.
+        script = """
+import sys
+from homspec.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+assert main(["write-config", "--config", cfg, "--out", out + "/effective.cfg"]) == 0
+assert main(["theory", "--config", cfg, "--out", out]) == 0
+assert main(["simulate", "--config", cfg, "--frames", "20000", "--seed", "3", "--out", out]) == 0
+assert main(["estimate", out + "/frames.zhf", "--out", out]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"{len(loaded)} scipy modules loaded, first {loaded[0]}"
+assert main(["fit", "--config", cfg, out + "/pc_map.csv", "--kind", "probability",
+             "--out", out]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+        env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+        proc = subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR / "t2_174C.cfg"),
+                               str(tmp_path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestConfigHandling:
     def test_write_config_round_trip(self, tmp_path, capsys):
         out_cfg = tmp_path / "effective.cfg"

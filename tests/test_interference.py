@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from homspec.errors import GridMismatch, NonRealAmplitude
 from homspec.interference import (
     CoincidenceMap,
     InterferenceSettings,
     MapKind,
+    boxcar_matrix,
     bunching_probability,
     coincidence_probability,
     coincidence_probability_cosine,
@@ -161,6 +165,22 @@ class TestPixelAverage:
         assert np.sqrt(np.mean((ratio_avg - 1.0) ** 2)) < np.sqrt(
             np.mean((ratio_raw - 1.0) ** 2)
         )
+
+
+class TestBoxcarMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 140])
+    def test_matches_uniform_filter_and_conserves_total(self, n):
+        rng = np.random.default_rng(n)
+        for width in range(1, n + 1, 2):
+            box = boxcar_matrix(n, width)
+            x = rng.standard_normal((n, n))
+            reference = ndimage.uniform_filter(x, size=width, mode="reflect")
+            assert np.max(np.abs(box @ x @ box.T - reference)) < 1e-14
+            # Exact column sums of the stored entries, free of summation roundoff.
+            assert max(abs(math.fsum(col) - 1.0) for col in box.T) < 1e-15
+
+    def test_width_one_is_identity(self):
+        assert np.array_equal(boxcar_matrix(140, 1), np.eye(140))
 
 
 class TestPortSpectra:

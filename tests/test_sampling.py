@@ -18,6 +18,23 @@ def test_matches_distribution_within_five_sigma():
     assert np.max(np.abs(z)) < 5.0
 
 
+@pytest.mark.parametrize("case", ["uniform", "squared", "sparse", "one_heavy"])
+def test_table_implies_the_weights(case):
+    # Outcome i is kept with prob[i] and is the alias of the others, so the
+    # table's distribution is prob/K plus (1 - prob)/K summed onto each alias.
+    rng = np.random.default_rng(11)
+    weights = {
+        "uniform": rng.random(1000),
+        "squared": rng.random(19600) ** 4,
+        "sparse": np.where(rng.random(5000) < 0.02, rng.random(5000), 0.0),
+        "one_heavy": np.r_[1e6, rng.random(300)],
+    }[case]
+    table = AliasTable(weights)
+    k = table.n_outcomes
+    implied = table._prob / k + np.bincount(table._alias, (1.0 - table._prob) / k, minlength=k)
+    assert np.max(np.abs(implied - weights / weights.sum())) < 1e-12
+
+
 def test_zero_weight_outcomes_never_drawn():
     weights = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
     table = AliasTable(weights)
