@@ -257,7 +257,7 @@ _REMOVED_KEYS = {
     "fit_init_visibility": "the fit solves visibility in closed form",
     "fit_visibility_min": "the fit bounds visibility to its physical range [0, 1]",
     "fit_visibility_max": "the fit bounds visibility to its physical range [0, 1]",
-    "fit_max_iterations": "the fit caps each solve at 400 function evaluations",
+    "fit_max_iterations": "the fit caps its refine at 400 function evaluations",
     "fit_tol": "the fit's solver tolerances are fixed at 1e-12",
 }
 

@@ -16,8 +16,8 @@ from an arbitrary start lands in the wrong fringe.  For fixed (od, delay)
 the best visibility has a closed form (variable projection; Golub &
 Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so the fit scans this
 profile cost on an (od, delay) grid a quarter fringe apart at the fastest
-unmasked bin, refines the best grid point on the profile with a bounded
-trust-region solve, and finishes with Gauss-Newton steps of the full
+unmasked bin, refines the best grid point on the profile with bounded
+Levenberg-Marquardt steps, and finishes with Gauss-Newton steps of the full
 problem to its stationary point.  The phase separates per bin, theta_a - theta_b
 with theta_a = od*g_a + delay*h_a, so the scan evaluates its sums as
 bilinear forms over per-bin half-angle phasors: a block of grid points
@@ -218,24 +218,20 @@ def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
 
 
 def _objective_functions(model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray):
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        m, _ = model.normalized_model_and_jac(theta)
-        return sqrt_w * (m - data)
-
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        _, jac = model.normalized_model_and_jac(theta)
-        return sqrt_w[:, None] * jac
+    def weighted(theta: np.ndarray):
+        """Weighted residuals and their Jacobian, from one model evaluation."""
+        m, jac = model.normalized_model_and_jac(theta)
+        return sqrt_w * (m - data), sqrt_w[:, None] * jac
 
     def cost(theta: np.ndarray) -> float:
-        r = residuals(theta)
+        r, _ = weighted(theta)
         return float(r @ r)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
-        m, jac = model.normalized_model_and_jac(theta)
-        r = sqrt_w * (m - data)
-        return 2.0 * (sqrt_w[:, None] * jac).T @ r
+        r, jac = weighted(theta)
+        return 2.0 * jac.T @ r
 
-    return residuals, jacobian, cost, gradient, 3 if model.fit_delay else 2
+    return weighted, cost, gradient, 3 if model.fit_delay else 2
 
 
 def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig):
@@ -245,7 +241,8 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     parameter vector is [od, visibility, delay_fs] (delay omitted when not
     fitted).  Raises DegenerateMap when the map carries no usable signal.
     """
-    return _objective_functions(*_weighted_problem(cmap, jsa, config))
+    weighted, *rest = _objective_functions(*_weighted_problem(cmap, jsa, config))
+    return (lambda theta: weighted(theta)[0], lambda theta: weighted(theta)[1], *rest)
 
 
 def _shift(arr: np.ndarray, d: int) -> np.ndarray:
@@ -412,17 +409,14 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     """Bounded least-squares fit of {od, visibility, delay}.
 
     The visibility-profiled cost is scanned on an (od, delay) grid, its best
-    point refined on the profile by a bounded trust-region solve, and up to
-    two Gauss-Newton steps of all parameters finish from there.
-    ``iterations`` counts the scan points, the refine's function evaluations
-    and the Gauss-Newton steps.  ``converged`` reports whether the refine
-    met its tolerance; a failure is never raised as an exception.
+    point refined on the profile by Levenberg-Marquardt steps clipped to the
+    bounds, and up to two Gauss-Newton steps of all parameters finish from
+    there.  ``iterations`` counts the scan points, the refine's function
+    evaluations and the Gauss-Newton steps.  ``converged`` reports whether
+    the refine met its tolerance; a failure is never raised as an exception.
     """
-    # Imported here so that the other subcommands start without scipy.
-    from scipy.optimize import least_squares
-
     problem = _weighted_problem(cmap, jsa, config)
-    residuals, jacobian, _, _, n_params = _objective_functions(*problem)
+    weighted, _, _, n_params = _objective_functions(*problem)
     ods, delays = _scan_grid(problem[0], config)
     profile = _Profile(*problem)
     costs = profile.costs(ods, delays)
@@ -431,49 +425,54 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     lower, upper = np.array(
         [config.od_bounds, _VISIBILITY_BOUNDS, config.delay_bounds_fs][:n_params]).T
 
-    def full(x):  # theta with the best visibility for x = [od(, delay_fs)]
-        return np.insert(x, 1, profile.visibility(*x))
-
-    def reduced_jacobian(x):
+    def reduced(x):  # theta with the best V at x = [od(, delay_fs)], its r, reduced J
         # Kaufman's variable-projection Jacobian: the od and delay columns less
         # their part along the visibility column, unless V sits on a bound.
-        theta = full(x)
-        jac = jacobian(theta)
+        theta = np.insert(x, 1, profile.visibility(*x))
+        r, jac = weighted(theta)
         rest = np.delete(jac, 1, axis=1)
         if lower[1] < theta[1] < upper[1]:
             rest -= np.outer(jac[:, 1], jac[:, 1] @ rest / (jac[:, 1] @ jac[:, 1]))
-        return rest
+        return theta, r, rest
 
-    refined = least_squares(
-        lambda x: residuals(full(x)),
-        np.array([ods[i], delays[k]][: n_params - 1]),
-        jac=reduced_jacobian,
-        bounds=(np.delete(lower, 1), np.delete(upper, 1)),
-        method="trf",
-        x_scale="jac",
-        ftol=_TOL,
-        xtol=_TOL,
-        # Noiseless low-od maps leave a ridge whose gradient falls below any
-        # absolute gtol long before od settles, so only steps stop the refine.
-        gtol=None,
-        max_nfev=_MAX_NFEV,
-    )
-    theta = full(refined.x)
+    # Levenberg-Marquardt (More, LNM 630 (1978)) with Marquardt's diag(J'J)
+    # scaling.  Noiseless low-od maps leave a ridge whose gradient falls below
+    # any absolute tolerance long before od settles, so only the step (xtol)
+    # and the relative cost decrease of an accepted step (ftol) stop it.
+    x_lo, x_hi = np.delete(lower, 1), np.delete(upper, 1)
+    x = np.array([ods[i], delays[k]][: n_params - 1])
+    theta, r, jac = reduced(x)
+    nfev, damping, converged = 1, 1e-3, False
+    while not converged and nfev < _MAX_NFEV:
+        jtj = jac.T @ jac
+        # At V = 0 od and delay have no effect: their zero columns take unit scale.
+        damped = jtj + damping * np.diag(np.where(np.diag(jtj) > 0.0, np.diag(jtj), 1.0))
+        step = np.clip(x + np.linalg.solve(damped, -jac.T @ r), x_lo, x_hi) - x
+        converged = bool(np.linalg.norm(step) <= _TOL * (_TOL + np.linalg.norm(x)))
+        if not converged:
+            trial = reduced(x + step)
+            nfev += 1
+            gain = r @ r - trial[1] @ trial[1]
+            if gain > 0.0:
+                converged = bool(gain <= _TOL * (r @ r))
+                x, (theta, r, jac), damping = x + step, trial, 0.1 * damping
+            else:
+                damping *= 10.0
     newton_steps = 0
-    if refined.status > 0:
+    if converged:
         # The cost resolves od only to about sigma * sqrt(dof * eps), so where in
         # that flat bottom a cost-based stop lands is up to rounding, and the
         # BLAS thread count moves it.  Gauss-Newton steps from the gradient go
         # to the stationary point itself; one that would leave the bounds is
         # not taken.
         for newton_steps in range(1, _NEWTON_STEPS + 1):
-            step = np.linalg.lstsq(jacobian(theta), -residuals(theta), rcond=None)[0]
+            r, jac = weighted(theta)
+            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
             if not np.all((lower < theta + step) & (theta + step < upper)):
                 break
             theta = theta + step
-    r = residuals(theta)
+    r, jac = weighted(theta)
     cost = float(r @ r)
-    jac = jacobian(theta)
     dof = max(jac.shape[0] - n_params, 1)
     sigma2 = cost / dof
     try:
@@ -493,8 +492,8 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         visibility_hat=float(theta[1]),
         delay_fs=float(theta[2]) if config.fit_delay else 0.0,
         cost=cost,
-        iterations=int(costs.size + refined.nfev + newton_steps),
-        converged=bool(refined.status > 0),
+        iterations=int(costs.size + nfev + newton_steps),
+        converged=converged,
         param_sigma=param_sigma,
         od_visibility_correlation=corr,
         covariance=cov,

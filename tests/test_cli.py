@@ -278,6 +278,16 @@ class TestFit:
                    "--out", str(tmp_path), *FAST])
         assert rc == 4
 
+    def test_refine_out_of_evaluations_exits_4(self, tmp_path, monkeypatch):
+        # The real fit, not a stub, reports that its refine ran out of evaluations.
+        assert main(["theory", "--out", str(tmp_path), *FAST]) == 0
+        monkeypatch.setattr(retrieval, "_MAX_NFEV", 2)
+        rc = main(["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
+                   "--out", str(tmp_path), *FAST])
+        assert rc == 4
+        report = json.loads((tmp_path / "fit_report.json").read_text(encoding="utf-8"))
+        assert report["converged"] is False
+
     @pytest.mark.parametrize("overrides,keys", [
         (["fit_od_min = 2e5", "fit_od_max = 1e300"], "fit_od_min/fit_od_max"),
         (["fit_delay_max = 1 s"], "fit_delay_min/fit_delay_max"),
@@ -337,8 +347,8 @@ OVERRIDE_VALUES = st.one_of(
 
 
 class TestImports:
-    def test_only_fit_loads_scipy(self, tmp_path):
-        # Every subcommand but fit runs on numpy alone, in a fresh interpreter.
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        # Every subcommand, fit included, runs on numpy alone, in a fresh interpreter.
         script = """
 import sys
 from homspec.cli import main
@@ -347,11 +357,10 @@ assert main(["write-config", "--config", cfg, "--out", out + "/effective.cfg"]) 
 assert main(["theory", "--config", cfg, "--out", out]) == 0
 assert main(["simulate", "--config", cfg, "--frames", "20000", "--seed", "3", "--out", out]) == 0
 assert main(["estimate", out + "/frames.zhf", "--out", out]) == 0
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-assert not loaded, f"{len(loaded)} scipy modules loaded, first {loaded[0]}"
 assert main(["fit", "--config", cfg, out + "/pc_map.csv", "--kind", "probability",
              "--out", out]) == 0
-assert "scipy.optimize" in sys.modules
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"{len(loaded)} scipy modules loaded, first {loaded[0]}"
 """
         env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
         proc = subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR / "t2_174C.cfg"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import fringe_map
+from homspec import retrieval
 from homspec.constants import CODATA
 from homspec.detector import DetectionParams, covariance_map, simulate_frames
 from homspec.errors import DegenerateMap
@@ -92,6 +93,20 @@ class TestNoiselessRoundTrip:
         result = fit(data, JSA64, FitConfig(tau=TAU_86, fit_delay=False))
         assert result.delay_fs == 0.0
         assert result.od_hat == pytest.approx(20.0, rel=1e-2)
+
+    def test_fringe_free_map(self):
+        # V = 0 leaves od and delay no effect, so their Jacobian columns vanish.
+        data = fringe_map(300.0, 0.0, 0.0, JSA64, tau=TAU_174)
+        result = fit(data, JSA64, FitConfig(tau=TAU_174))
+        assert result.visibility_hat == 0.0
+        assert result.converged
+
+    def test_refine_out_of_evaluations_reports_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "_MAX_NFEV", 2)
+        config = FitConfig(tau=TAU_86)
+        result = fit(fringe_map(300.0, 0.8, 10e-15, JSA64, tau=TAU_86), JSA64, config)
+        assert not result.converged
+        assert config.od_bounds[0] <= result.od_hat <= config.od_bounds[1]
 
 
 class TestObjective:
@@ -250,7 +265,7 @@ class TestNoisyFits:
         # |dC/dtheta_k| against its Cauchy-Schwarz bound 2*|r|*|J_k|
         scale = 2.0 * np.linalg.norm(residuals(theta)) * np.linalg.norm(jacobian(theta), axis=0)
         bounds = np.array([config.od_bounds, (0.0, 1.0), config.delay_bounds_fs])
-        # the solver keeps iterates strictly inside, a hair from an active bound
+        # a clipped refine step can land on a bound, or stop a hair inside it
         at_upper = bounds[:, 1] - theta <= 1e-8 * (bounds[:, 1] - bounds[:, 0])
         # a parameter held at its upper bound only needs the cost to fall outward
         assert np.all(grad[at_upper] <= 0.0)
