@@ -30,9 +30,12 @@ Frames are simulated in chunks of FRAME_CHUNK.  Randomness is drawn from
 counter-based Philox streams keyed by (seed, frame-chunk index), and each
 chunk's events are sorted and deduplicated as the chunk is generated, so the
 output is bit-reproducible for a given seed and independent of how chunks
-would be scheduled.  Simulation and estimator memory follow the event count,
-not the frame count.  A run whose chunks would ask for more than
-MAX_CHUNK_EVENTS expected events is rejected with ConfigError.
+would be scheduled.  The batch's own three fields are the only allocation
+that follows the event count: validation, the estimators and the ZHF1 reader
+and writer work through the events in blocks of about _BLOCK events, so
+every temporary is bounded by the block, not the events or the frames.  A
+run whose chunks would ask for more than MAX_CHUNK_EVENTS expected events is
+rejected with ConfigError.
 """
 
 import math
@@ -51,6 +54,7 @@ MAX_CHUNK_EVENTS = 1 << 23  # expected events one chunk may ask for
 _MAX_SLOTS = 1 << 62  # repetition slots per chunk; slot sums stay inside int64
 _BATCH_SIGMAS = 6.0  # a batch of gaps covers the mean successes plus this many sigma
 MARGINAL_TOL = 1e-6
+_BLOCK = 1 << 16  # events per block of the event-path loops
 
 
 @dataclass(frozen=True)
@@ -114,24 +118,19 @@ class FrameBatch:
         bins = np.ascontiguousarray(self.bins, dtype=np.uint16)
         if not (frames.shape == regions.shape == bins.shape):
             raise ValueError("event arrays must have identical length")
-        if frames.size:
-            if int(frames.max()) >= self.n_frames:
+        n_plus, n_minus = self.grid_plus.n_bins, self.grid_minus.n_bins
+        for lo in range(0, frames.size, _BLOCK):
+            # One event of overlap checks the order across the seam.
+            f, r, b = (arr[max(lo - 1, 0) : lo + _BLOCK] for arr in (frames, regions, bins))
+            if int(f.max()) >= self.n_frames:
                 raise ValueError("event frame index out of range")
-            if int(regions.max()) > 1:
+            if int(r.max()) > 1:
                 raise ValueError("region must be 0 (plus) or 1 (minus)")
-            n_plus, n_minus = self.grid_plus.n_bins, self.grid_minus.n_bins
             # The per-event limit is needed only when some bin reaches the smaller grid.
-            if int(bins.max()) >= min(n_plus, n_minus):
-                if np.any(bins >= np.where(regions == 0, n_plus, n_minus)):
+            if int(b.max()) >= min(n_plus, n_minus):
+                if np.any(b >= np.where(r == 0, n_plus, n_minus)):
                     raise ValueError("event bin index out of range")
-            same_frame = frames[1:] == frames[:-1]
-            same_region = same_frame & (regions[1:] == regions[:-1])
-            increasing = (
-                (frames[1:] > frames[:-1])
-                | same_frame & (regions[1:] > regions[:-1])
-                | same_region & (bins[1:] > bins[:-1])
-            )
-            if not increasing.all():
+            if not np.all(np.diff(_event_codes(f, r, b)) > 0):
                 raise ValueError("events must be in strictly increasing (frame, region, bin) order")
         for arr, name in ((frames, "frames"), (regions, "regions"), (bins, "bins")):
             arr.setflags(write=False)
@@ -147,9 +146,9 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _event_codes(frames: np.ndarray, region: int, bins: np.ndarray) -> np.ndarray:
+def _event_codes(frames: np.ndarray, region: int | np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Codes frame << 17 | region << 16 | bin, which sort in canonical order."""
-    return frames.astype(np.int64) << 17 | region << 16 | bins
+    return (frames.astype(np.int64) << 1 | region) << 16 | bins
 
 
 def _bernoulli_slots(rng: np.random.Generator, p: float, n_slots: int) -> np.ndarray:
@@ -238,7 +237,9 @@ def _simulate_chunks(
         )
         for index, start in enumerate(range(0, max(n_frames, 1), FRAME_CHUNK))
     ]
-    frames, regions, bins = (np.concatenate(field) for field in zip(*chunks))
+    fields = list(zip(*chunks))
+    del chunks  # each field's chunks are freed as soon as that field is joined
+    frames, regions, bins = (np.concatenate(fields.pop(0)) for _ in range(3))
     return FrameBatch(n_frames, grid_plus, grid_minus, frames, regions, bins)
 
 
@@ -422,20 +423,35 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frame_blocks(frames: np.ndarray):
+    """Slices of about _BLOCK events of a canonical batch, cut at frame ends.
+
+    A block runs on to the end of its last frame, so no frame is split,
+    not even one with more events than a block.
+    """
+    lo = 0
+    while lo < frames.size:
+        last = frames[min(lo + _BLOCK, frames.size) - 1]
+        hi = int(np.searchsorted(frames, last, side="right"))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def raw_coincidences(batch: FrameBatch) -> CoincidenceMap:
     """Raw coincidence map <n+(a) n-(b)>: per-frame cross-port products.
 
     In canonical order each frame's events form one run, plus events first,
-    so the products are enumerated run by run: work and memory follow the
-    events and their products, not the frame count.
+    so the products are enumerated run by run, a block of whole frames at a
+    time: the exact integer counts add across blocks, and memory follows
+    the block, not the events or the frame count.
     """
     _require_frames(batch)
     n_bins_m = batch.grid_minus.n_bins
-    flat = np.zeros(0, dtype=np.intp)
-    if batch.n_events:
-        frames, bins = batch.frames, batch.bins
+    counts = np.zeros(batch.grid_plus.n_bins * n_bins_m, dtype=np.intp)
+    for block in _frame_blocks(batch.frames):
+        frames, bins = batch.frames[block], batch.bins[block]
         starts = np.flatnonzero(np.concatenate(([True], frames[1:] != frames[:-1])))
-        n_minus = np.add.reduceat(batch.regions, starts, dtype=np.intp)
+        n_minus = np.add.reduceat(batch.regions[block], starts, dtype=np.intp)
         n_plus = np.diff(starts, append=frames.size) - n_minus
         both = (n_plus > 0) & (n_minus > 0)
         starts, n_plus, n_minus = starts[both], n_plus[both], n_minus[both]
@@ -443,7 +459,7 @@ def raw_coincidences(batch: FrameBatch) -> CoincidenceMap:
         per_plus = np.repeat(n_minus, n_plus)
         flat = np.repeat(bins[_ranges(starts, n_plus)].astype(np.intp) * n_bins_m, per_plus)
         flat += bins[_ranges(np.repeat(starts + n_plus, n_plus), per_plus)]
-    counts = np.bincount(flat, minlength=batch.grid_plus.n_bins * n_bins_m)
+        counts += np.bincount(flat, minlength=counts.size)
     values = counts.reshape(batch.grid_plus.n_bins, n_bins_m) / batch.n_frames
     return CoincidenceMap(batch.grid_plus, batch.grid_minus, values, MapKind.RAW)
 
@@ -451,14 +467,13 @@ def raw_coincidences(batch: FrameBatch) -> CoincidenceMap:
 def accidental_map(batch: FrameBatch) -> CoincidenceMap:
     """Accidental coincidence map <n+(a)><n-(b)>: outer product of means."""
     _require_frames(batch)
-    plus = batch.regions == 0
-    mean_plus = (
-        np.bincount(batch.bins[plus], minlength=batch.grid_plus.n_bins) / batch.n_frames
-    )
-    mean_minus = (
-        np.bincount(batch.bins[~plus], minlength=batch.grid_minus.n_bins)
-        / batch.n_frames
-    )
+    n_plus = batch.grid_plus.n_bins
+    # Plus events count into [0, n_plus), minus events into [n_plus, n_plus + n_minus).
+    counts = np.zeros(n_plus + batch.grid_minus.n_bins, dtype=np.intp)
+    for block in _frame_blocks(batch.frames):
+        code = batch.regions[block].astype(np.intp) * n_plus + batch.bins[block]
+        counts += np.bincount(code, minlength=counts.size)
+    mean_plus, mean_minus = np.split(counts / batch.n_frames, [n_plus])
     return CoincidenceMap(
         batch.grid_plus, batch.grid_minus, np.outer(mean_plus, mean_minus), MapKind.ACCIDENTAL
     )

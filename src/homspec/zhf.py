@@ -12,14 +12,17 @@ Layout (all little-endian):
     58      7*n   event records: frame u32, region u8 (0 plus / 1 minus), bin u16
 
 Events are stored in the batch's canonical order (frame, region, bin), so a
-batch round-trips byte-identically.
+batch round-trips byte-identically.  Records are written and read a block of
+events at a time, so neither side holds more than the batch's own fields and
+one block of records.
 """
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
+from . import detector
 from .detector import FrameBatch
 from .errors import DataFormatError
 from .spectra import WavelengthGrid
@@ -45,50 +48,46 @@ def write_frames(batch: FrameBatch, path) -> None:
         batch.n_frames,
         batch.n_events,
     )
-    records = np.empty(batch.n_events, dtype=_RECORD_DTYPE)
-    records["frame"] = batch.frames
-    records["region"] = batch.regions
-    records["bin"] = batch.bins
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(records.data)
+        for lo in range(0, batch.n_events, detector._BLOCK):
+            block = slice(lo, lo + detector._BLOCK)
+            records = np.empty(batch.frames[block].size, dtype=_RECORD_DTYPE)
+            records["frame"] = batch.frames[block]
+            records["region"] = batch.regions[block]
+            records["bin"] = batch.bins[block]
+            fh.write(records.data)
 
 
 def read_frames(path) -> FrameBatch:
-    """Read a ZHF1 file, validating magic, version and field bounds."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise DataFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    (
-        magic,
-        version,
-        p_start,
-        p_step,
-        p_bins,
-        m_start,
-        m_step,
-        m_bins,
-        n_frames,
-        n_events,
-    ) = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    body = len(raw) - _HEADER.size
-    expected = n_events * _RECORD_DTYPE.itemsize
-    if body != expected:
-        raise DataFormatError(f"{path}: event section is {body} bytes, expected {expected}")
-    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    try:
-        return FrameBatch(
-            n_frames=int(n_frames),
-            grid_plus=WavelengthGrid(p_start, p_step, p_bins),
-            grid_minus=WavelengthGrid(m_start, m_step, m_bins),
-            frames=records["frame"].copy(),
-            regions=records["region"].copy(),
-            bins=records["bin"].copy(),
-        )
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    """Read a ZHF1 file, validating magic, version, size and field bounds.
 
+    The body size is checked against the header before any record is read,
+    and the records are read into the batch's fields a block at a time.
+    """
+    size = os.stat(path).st_size
+    if size < _HEADER.size:
+        raise DataFormatError(f"{path}: truncated header ({size} bytes)")
+    with open(path, "rb") as fh:
+        magic, version, *grids, n_frames, n_events = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        body = size - _HEADER.size
+        expected = n_events * _RECORD_DTYPE.itemsize
+        if body != expected:
+            raise DataFormatError(f"{path}: event section is {body} bytes, expected {expected}")
+        fields = [np.empty(n_events, dtype=_RECORD_DTYPE[name]) for name in _RECORD_DTYPE.names]
+        try:
+            for lo in range(0, n_events, detector._BLOCK):
+                block = slice(lo, lo + detector._BLOCK)
+                # A file cut short since the size check fails the assignment.
+                records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=fields[0][block].size)
+                for field, name in zip(fields, _RECORD_DTYPE.names):
+                    field[block] = records[name]
+            return FrameBatch(
+                int(n_frames), WavelengthGrid(*grids[:3]), WavelengthGrid(*grids[3:]), *fields
+            )
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc

@@ -155,3 +155,21 @@ def brute_force_frames(
     clicks = np.unique(np.stack([np.concatenate(photon_frames), np.concatenate(regions),
                                  np.concatenate(photon_bins)], axis=1).astype(np.int64), axis=0)
     return FrameBatch(n_frames, pc_map.grid_p, pc_map.grid_m, *clicks.T)
+
+
+def seam_repeat_events():
+    """Eight one-event frames with the fifth a repeat of the fourth."""
+    frames = np.arange(8, dtype=np.uint32)
+    frames[4] = frames[3]
+    return frames, np.zeros(8, np.uint8), np.zeros(8, np.uint16)
+
+
+def last_block_bad_bin_events():
+    """Eight frames of (plus bin 40, minus bin 10); the last minus bin is 40.
+
+    Bin 40 fits the 64-bin plus grid but not the 32-bin minus grid.
+    """
+    bins = np.tile(np.array([40, 10], np.uint16), 8)
+    bins[-1] = 40
+    return np.repeat(np.arange(8, dtype=np.uint32), 2), np.tile(np.uint8([0, 1]), 8), bins
+

@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import brute_force_frames
+from helpers import brute_force_frames, last_block_bad_bin_events, seam_repeat_events
 from homspec import detector
 from homspec.detector import (
     FRAME_CHUNK,
@@ -12,6 +13,7 @@ from homspec.detector import (
     _bernoulli_slots,
     accidental_map,
     covariance_map,
+    estimate_maps,
     raw_coincidences,
     simulate_frames,
     simulate_uncorrelated_frames,
@@ -43,6 +45,9 @@ def empty_batch(n_frames=0):
         regions=np.zeros(0, np.uint8),
         bins=np.zeros(0, np.uint16),
     )
+
+
+GRID_HALF = WavelengthGrid.from_edges(790e-9, 803e-9, 32)
 
 
 class TestDetectionParams:
@@ -137,6 +142,43 @@ class TestSimulateFrames:
         assert np.array_equal(long.frames[head], short.frames)
         assert np.array_equal(long.regions[head], short.regions)
         assert np.array_equal(long.bins[head], short.bins)
+
+    @pytest.mark.parametrize("dark_rate", [0.0, 0.7])
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    def test_batch_independent_of_chunk_order(self, monkeypatch, uncorrelated, dark_rate):
+        # Output would stay the same under parallel chunk scheduling:
+        # evaluating the chunks last to first, then putting them back in
+        # frame order, gives the same batch.
+        params = DetectionParams(**DEFAULTS, dark_rate=dark_rate, seed=22)
+        n_frames = 3 * FRAME_CHUNK + 5
+
+        def simulate():
+            if uncorrelated:
+                return simulate_uncorrelated_frames(GRID, GRID, MARGINALS, params, n_frames)
+            return simulate_frames(PC, MARGINALS, params, n_frames)
+
+        calls = []
+
+        def reversed_chunks(n_frames, grid_plus, grid_minus, seed, chunk_codes):
+            starts = list(enumerate(range(0, max(n_frames, 1), FRAME_CHUNK)))
+            calls.append(len(starts))
+            chunks = [
+                detector._canonical_chunk(chunk_codes(
+                    detector._chunk_rng(seed, index), start, min(FRAME_CHUNK, n_frames - start)
+                ))
+                for index, start in reversed(starts)
+            ]
+            frames, regions, bins = (np.concatenate(field) for field in zip(*chunks[::-1]))
+            return FrameBatch(n_frames, grid_plus, grid_minus, frames, regions, bins)
+
+        expected = simulate()
+        monkeypatch.setattr(detector, "_simulate_chunks", reversed_chunks)
+        batch = simulate()
+        assert calls == [4]
+        assert batch.n_events == expected.n_events > 0
+        assert np.array_equal(batch.frames, expected.frames)
+        assert np.array_equal(batch.regions, expected.regions)
+        assert np.array_equal(batch.bins, expected.bins)
 
     def test_saturation_warning(self):
         params = DetectionParams(chi=0.5, eta=1.0, f_rep=80e6, t_exp=11e-6, seed=5)
@@ -301,6 +343,68 @@ class TestEstimators:
         expected = occ[0].T @ occ[1] / batch.n_frames
         assert np.array_equal(raw_coincidences(batch).values, expected)
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_estimators_exact_at_any_block_size(self, monkeypatch, block):
+        # The estimators count a block of whole frames at a time, and integer
+        # counts add exactly, so any block size must give the dense-occupancy
+        # reference P^T M / n_frames and the accidental recount bit for bit.
+        # The batch ends with a frame of 24 events, more than any block here.
+        params = DetectionParams(chi=0.002, eta=0.5, f_rep=80e6, t_exp=11e-6,
+                                 dark_rate=0.3, seed=41)
+        sim = simulate_frames(PC, MARGINALS, params, 3_000)
+        batch = FrameBatch(
+            n_frames=sim.n_frames + 1,
+            grid_plus=GRID,
+            grid_minus=GRID,
+            frames=np.append(sim.frames, np.full(24, sim.n_frames)),
+            regions=np.append(sim.regions, np.repeat([0, 1], 12)),
+            bins=np.append(sim.bins, np.tile(np.arange(0, 60, 5), 2)),
+        )
+        monkeypatch.setattr(detector, "_BLOCK", block)
+        blocks = list(detector._frame_blocks(batch.frames))
+        starts, stops = [b.start for b in blocks], [b.stop for b in blocks]
+        # The blocks tile the batch, every cut is a frame end, some frame
+        # straddled a block edge and the last frame is one block of its own.
+        assert starts == [0] + stops[:-1] and stops[-1] == batch.n_events
+        assert np.isin(stops[:-1], np.flatnonzero(np.diff(batch.frames)) + 1).all()
+        assert any(b.stop - b.start > block for b in blocks[:-1])
+        assert blocks[-1].stop - blocks[-1].start == 24 > block
+
+        occ = np.zeros((2, batch.n_frames, GRID.n_bins))
+        occ[batch.regions, batch.frames, batch.bins] = 1.0
+        assert np.array_equal(raw_coincidences(batch).values, occ[0].T @ occ[1] / batch.n_frames)
+        means = [
+            np.bincount(batch.bins[batch.regions == region], minlength=GRID.n_bins)
+            / batch.n_frames
+            for region in (0, 1)
+        ]
+        assert np.array_equal(accidental_map(batch).values, np.outer(*means))
+
+    def test_estimator_memory_bounded_by_the_block(self):
+        # The batch is the only allocation that follows the events: the traced
+        # peak of estimate_maps, less its three output maps, must not grow
+        # from about 4 blocks of events to about 16.  The events are dense,
+        # about 8 a frame and 2 pair products an event.
+        params = DetectionParams(chi=0.01, eta=0.5, f_rep=80e6, t_exp=11e-6, seed=5)
+        n_frames = 125_000
+        whole = simulate_frames(PC, MARGINALS, params, n_frames)
+        cut = int(np.searchsorted(whole.frames, n_frames // 4))
+        quarter = FrameBatch(n_frames // 4, GRID, GRID, whole.frames[:cut],
+                             whole.regions[:cut], whole.bins[:cut])
+        assert quarter.n_events > 3.5 * detector._BLOCK
+        assert whole.n_events > 15.5 * detector._BLOCK
+
+        def traced_peak(batch):
+            tracemalloc.start()
+            try:
+                maps = estimate_maps(batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(cmap.values.nbytes for cmap in maps)
+
+        assert traced_peak(whole) <= 1.5 * traced_peak(quarter)
+
     def test_covariance_is_raw_minus_accidental(self):
         params = DetectionParams(**DEFAULTS, seed=12)
         batch = simulate_frames(PC, MARGINALS, params, 50_000)
@@ -379,6 +483,21 @@ class TestFrameBatchValidation:
                 regions=np.array(regions, np.uint8),
                 bins=np.array(bins, np.uint16),
             )
+
+    def test_order_checked_across_a_block_seam(self, monkeypatch):
+        # Blocks are checked with one event of overlap: a repeat placed on the
+        # seam, as the last event of one block and the first of the next, is
+        # caught although each block alone is in order.
+        monkeypatch.setattr(detector, "_BLOCK", 4)
+        with pytest.raises(ValueError, match="order"):
+            FrameBatch(9, GRID, GRID, *seam_repeat_events())
+
+    def test_bin_bounds_checked_in_the_last_block(self, monkeypatch):
+        # On unequal grids a minus-port bin that fits the plus grid only is
+        # out of range; placed in the last of four blocks, it is still found.
+        monkeypatch.setattr(detector, "_BLOCK", 4)
+        with pytest.raises(ValueError, match="out of range"):
+            FrameBatch(8, GRID, GRID_HALF, *last_block_bad_bin_events())
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):

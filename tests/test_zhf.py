@@ -1,6 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
+from helpers import last_block_bad_bin_events, seam_repeat_events
+from homspec import detector
+from homspec.cli import main
 from homspec.detector import DetectionParams, FrameBatch, simulate_frames
 from homspec.errors import DataFormatError
 from homspec.interference import coincidence_probability_cosine, port_spectra
@@ -9,7 +14,21 @@ from homspec.vapor import DispersionModel, doppler_lifetime
 from homspec.zhf import read_frames, write_frames
 
 GRID = WavelengthGrid.from_edges(790e-9, 803e-9, 64)
+GRID_HALF = WavelengthGrid.from_edges(790e-9, 803e-9, 32)
 JSA = gaussian_jsa(796.7e-9, 10e-9, -0.9, GRID)
+
+
+def write_by_hand(path, n_frames, grid_plus, grid_minus, frames, regions, bins):
+    """Write a ZHF1 file without homspec.zhf, so it may hold invalid events."""
+    header = struct.pack(
+        "<4sH" + "ddH" * 2 + "QQ", b"ZHF1", 1,
+        grid_plus.start, grid_plus.step, grid_plus.n_bins,
+        grid_minus.start, grid_minus.step, grid_minus.n_bins,
+        n_frames, len(frames),
+    )
+    records = np.empty(len(frames), dtype=[("frame", "<u4"), ("region", "u1"), ("bin", "<u2")])
+    records["frame"], records["region"], records["bin"] = frames, regions, bins
+    path.write_bytes(header + records.tobytes())
 
 
 def sample_batch(n_frames=20_000, seed=3):
@@ -138,3 +157,45 @@ def test_out_of_order_events_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(DataFormatError, match="order"):
         read_frames(path)
+
+
+@pytest.mark.parametrize("n_events", [0, 1, 4, 5])
+def test_round_trip_in_blocks(tmp_path, monkeypatch, n_events):
+    # With blocks of 4 events: no block, a partial one, exactly one and one
+    # more event.  Bytes match a file written by hand, and read back and
+    # written again they do not change.
+    monkeypatch.setattr(detector, "_BLOCK", 4)
+    index = np.arange(n_events)
+    fields = (
+        (index // 2).astype(np.uint32), (index % 2).astype(np.uint8), (index % 64).astype(np.uint16)
+    )
+    expected = tmp_path / "by_hand.zhf"
+    write_by_hand(expected, n_events // 2 + 1, GRID, GRID, *fields)
+    path = tmp_path / "frames.zhf"
+    write_frames(FrameBatch(n_events // 2 + 1, GRID, GRID, *fields), path)
+    assert path.read_bytes() == expected.read_bytes()
+    loaded = read_frames(path)
+    for got, want in zip((loaded.frames, loaded.regions, loaded.bins), fields):
+        assert np.array_equal(got, want)
+    again = tmp_path / "again.zhf"
+    write_frames(loaded, again)
+    assert again.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("grid_minus, events, match", [
+    (GRID, seam_repeat_events(), "order"),
+    (GRID_HALF, last_block_bad_bin_events(), "out of range"),
+], ids=["order-on-a-seam", "bin-in-the-last-block"])
+def test_invalid_events_in_blocks_exit_3(tmp_path, monkeypatch, capsys, grid_minus, events, match):
+    # Read in blocks of 4 events, a repeat on a block seam and a minus bin
+    # past the smaller grid in the last block are one-line data errors that
+    # name the file, and `homspec estimate` exits 3 on them.
+    monkeypatch.setattr(detector, "_BLOCK", 4)
+    path = tmp_path / "bad.zhf"
+    write_by_hand(path, 9, GRID, grid_minus, *events)
+    with pytest.raises(DataFormatError, match=match) as info:
+        read_frames(path)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+    assert main(["estimate", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and match in err and err.count("\n") == 1
