@@ -16,9 +16,8 @@ from an arbitrary start lands in the wrong fringe.  For fixed (od, delay)
 the best visibility has a closed form (variable projection; Golub &
 Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so the fit scans this
 profile cost on an (od, delay) grid a quarter fringe apart at the fastest
-unmasked bin, refines the best grid point on the profile with bounded
-Levenberg-Marquardt steps, and finishes with Gauss-Newton steps of the full
-problem to its stationary point.  The phase separates per bin, theta_a - theta_b
+unmasked bin, then refines the best grid point on the profile with bounded
+Levenberg-Marquardt steps.  The phase separates per bin, theta_a - theta_b
 with theta_a = od*g_a + delay*h_a, so the scan evaluates its sums as
 bilinear forms over per-bin half-angle phasors: a block of grid points
 costs trig calls on (points x bins) arrays and matrix products, not trig
@@ -51,7 +50,6 @@ _COEF = (1.0, -2.0, 1.0)  # D^2 = s^2 c'^2 - 2 s c s' c' + c^2 s'^2 (see _Profil
 _VISIBILITY_BOUNDS = (0.0, 1.0)
 _TOL = 1e-12  # ftol and xtol of the profile refine
 _MAX_NFEV = 400  # function evaluations allowed to the profile refine
-_NEWTON_STEPS = 2  # Gauss-Newton steps that finish a converged refine
 
 
 @dataclass(frozen=True)
@@ -217,21 +215,13 @@ def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     return _FringeModel(jsa, config, mask), data, sqrt_w
 
 
-def _objective_functions(model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray):
+def _weighted_residuals(model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray):
     def weighted(theta: np.ndarray):
         """Weighted residuals and their Jacobian, from one model evaluation."""
         m, jac = model.normalized_model_and_jac(theta)
         return sqrt_w * (m - data), sqrt_w[:, None] * jac
 
-    def cost(theta: np.ndarray) -> float:
-        r, _ = weighted(theta)
-        return float(r @ r)
-
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        r, jac = weighted(theta)
-        return 2.0 * jac.T @ r
-
-    return weighted, cost, gradient, 3 if model.fit_delay else 2
+    return weighted
 
 
 def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig):
@@ -241,8 +231,17 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     parameter vector is [od, visibility, delay_fs] (delay omitted when not
     fitted).  Raises DegenerateMap when the map carries no usable signal.
     """
-    weighted, *rest = _objective_functions(*_weighted_problem(cmap, jsa, config))
-    return (lambda theta: weighted(theta)[0], lambda theta: weighted(theta)[1], *rest)
+    weighted = _weighted_residuals(*_weighted_problem(cmap, jsa, config))
+
+    def cost(theta: np.ndarray) -> float:
+        r, _ = weighted(theta)
+        return float(r @ r)
+
+    def gradient(theta: np.ndarray) -> np.ndarray:
+        r, jac = weighted(theta)
+        return 2.0 * jac.T @ r
+
+    return lambda t: weighted(t)[0], lambda t: weighted(t)[1], cost, gradient, 2 + config.fit_delay
 
 
 def _shift(arr: np.ndarray, d: int) -> np.ndarray:
@@ -408,24 +407,24 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
 def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) -> FitResult:
     """Bounded least-squares fit of {od, visibility, delay}.
 
-    The visibility-profiled cost is scanned on an (od, delay) grid, its best
-    point refined on the profile by Levenberg-Marquardt steps clipped to the
-    bounds, and up to two Gauss-Newton steps of all parameters finish from
-    there.  ``iterations`` counts the scan points, the refine's function
-    evaluations and the Gauss-Newton steps.  ``converged`` reports whether
-    the refine met its tolerance; a failure is never raised as an exception.
+    The visibility-profiled cost is scanned on an (od, delay) grid, and its
+    best point refined on the profile by bounded Levenberg-Marquardt steps
+    whose last accepted evaluation gives the cost and the covariance.
+    ``iterations`` counts scan points and refine evaluations; a parameter
+    with no effect there (od and delay at V = 0) has sigma inf.  ``converged``
+    reports whether the refine met its tolerance; it is never an exception.
     """
     problem = _weighted_problem(cmap, jsa, config)
-    weighted, _, _, n_params = _objective_functions(*problem)
+    weighted = _weighted_residuals(*problem)
     ods, delays = _scan_grid(problem[0], config)
     profile = _Profile(*problem)
     costs = profile.costs(ods, delays)
     i, k = np.unravel_index(np.argmin(costs), costs.shape)
 
     lower, upper = np.array(
-        [config.od_bounds, _VISIBILITY_BOUNDS, config.delay_bounds_fs][:n_params]).T
+        [config.od_bounds, _VISIBILITY_BOUNDS, config.delay_bounds_fs][:2 + config.fit_delay]).T
 
-    def reduced(x):  # theta with the best V at x = [od(, delay_fs)], its r, reduced J
+    def reduced(x):  # theta with the best V at x = [od(, delay_fs)], its r, J, reduced J
         # Kaufman's variable-projection Jacobian: the od and delay columns less
         # their part along the visibility column, unless V sits on a bound.
         theta = np.insert(x, 1, profile.visibility(*x))
@@ -433,21 +432,21 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         rest = np.delete(jac, 1, axis=1)
         if lower[1] < theta[1] < upper[1]:
             rest -= np.outer(jac[:, 1], jac[:, 1] @ rest / (jac[:, 1] @ jac[:, 1]))
-        return theta, r, rest
+        return theta, r, jac, rest
 
     # Levenberg-Marquardt (More, LNM 630 (1978)) with Marquardt's diag(J'J)
     # scaling.  Noiseless low-od maps leave a ridge whose gradient falls below
     # any absolute tolerance long before od settles, so only the step (xtol)
     # and the relative cost decrease of an accepted step (ftol) stop it.
     x_lo, x_hi = np.delete(lower, 1), np.delete(upper, 1)
-    x = np.array([ods[i], delays[k]][: n_params - 1])
-    theta, r, jac = reduced(x)
+    x = np.array([ods[i], delays[k]][:1 + config.fit_delay])
+    theta, r, jac, rest = reduced(x)
     nfev, damping, converged = 1, 1e-3, False
     while not converged and nfev < _MAX_NFEV:
-        jtj = jac.T @ jac
+        jtj = rest.T @ rest
         # At V = 0 od and delay have no effect: their zero columns take unit scale.
         damped = jtj + damping * np.diag(np.where(np.diag(jtj) > 0.0, np.diag(jtj), 1.0))
-        step = np.clip(x + np.linalg.solve(damped, -jac.T @ r), x_lo, x_hi) - x
+        step = np.clip(x + np.linalg.solve(damped, -rest.T @ r), x_lo, x_hi) - x
         converged = bool(np.linalg.norm(step) <= _TOL * (_TOL + np.linalg.norm(x)))
         if not converged:
             trial = reduced(x + step)
@@ -455,44 +454,30 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
             gain = r @ r - trial[1] @ trial[1]
             if gain > 0.0:
                 converged = bool(gain <= _TOL * (r @ r))
-                x, (theta, r, jac), damping = x + step, trial, 0.1 * damping
+                x, (theta, r, jac, rest), damping = x + step, trial, 0.1 * damping
             else:
                 damping *= 10.0
-    newton_steps = 0
-    if converged:
-        # The cost resolves od only to about sigma * sqrt(dof * eps), so where in
-        # that flat bottom a cost-based stop lands is up to rounding, and the
-        # BLAS thread count moves it.  Gauss-Newton steps from the gradient go
-        # to the stationary point itself; one that would leave the bounds is
-        # not taken.
-        for newton_steps in range(1, _NEWTON_STEPS + 1):
-            r, jac = weighted(theta)
-            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-            if not np.all((lower < theta + step) & (theta + step < upper)):
-                break
-            theta = theta + step
-    r, jac = weighted(theta)
     cost = float(r @ r)
-    dof = max(jac.shape[0] - n_params, 1)
-    sigma2 = cost / dof
     try:
-        cov = np.linalg.pinv(jac.T @ jac) * sigma2
+        cov = np.linalg.pinv(jac.T @ jac) * (cost / max(jac.shape[0] - jac.shape[1], 1))
+        idle = ~np.any(jac, axis=0)  # a parameter that moves nothing has no finite error
+        cov[idle, idle] = math.inf
         sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        denom = sigmas[0] * sigmas[1]
-        corr = float(cov[0, 1] / denom) if denom > 0.0 else math.nan
+        finite = 0.0 < sigmas[0] < math.inf and 0.0 < sigmas[1] < math.inf
+        corr = float(cov[0, 1] / (sigmas[0] * sigmas[1])) if finite else math.nan
     except np.linalg.LinAlgError:
         cov = None
-        sigmas = np.full(n_params, math.nan)
+        sigmas = np.full(jac.shape[1], math.nan)
         corr = math.nan
 
     param_sigma = {"od": float(sigmas[0]), "visibility": float(sigmas[1])}
     param_sigma["delay_fs"] = float(sigmas[2]) if config.fit_delay else 0.0
     return FitResult(
         od_hat=float(theta[0]),
-        visibility_hat=float(theta[1]),
+        visibility_hat=float(theta[1]) + 0.0,  # + 0.0 turns a -0.0 from the profile into 0.0
         delay_fs=float(theta[2]) if config.fit_delay else 0.0,
         cost=cost,
-        iterations=int(costs.size + nfev + newton_steps),
+        iterations=int(costs.size + nfev),
         converged=converged,
         param_sigma=param_sigma,
         od_visibility_correlation=corr,

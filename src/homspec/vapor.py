@@ -125,15 +125,6 @@ def optical_depth(cell: VaporCell) -> float:
     )
 
 
-def dispersion_model(cell: VaporCell, lambda0: float = RB87.d1_wavelength) -> DispersionModel:
-    """Bundle OD(T, L) and tau(T) of a cell into a DispersionModel."""
-    return DispersionModel(
-        od=optical_depth(cell),
-        tau=doppler_lifetime(cell.temperature),
-        lambda0=lambda0,
-    )
-
-
 def reduced_detuning(model: DispersionModel, wavelength) -> np.ndarray:
     """Reduced detuning x = 2*pi*tau*c*(lambda - lambda0)/lambda0**2."""
     lam = np.asarray(wavelength, dtype=float)
@@ -164,17 +155,6 @@ def transfer_function(model: DispersionModel, omega) -> np.ndarray:
         raise ValueError("angular frequency must be positive")
     detuning = (w - model.omega0) * model.tau
     return np.exp(-model.od / (1.0 - 1j * detuning))
-
-
-def linearized_detuning(wavelength, lambda0: float) -> np.ndarray:
-    """Angular detuning under the linearized wavelength map.
-
-    omega - omega0 = -2*pi*c*(lambda - lambda0)/lambda0**2, the same
-    first-order map that defines the reduced detuning x.  The exact relation
-    omega = 2*pi*c/lambda differs from this by O((lambda-lambda0)/lambda0).
-    """
-    lam = np.asarray(wavelength, dtype=float)
-    return -2.0 * math.pi * CODATA.c * (lam - lambda0) / lambda0**2
 
 
 def absorption_negligible(

@@ -224,6 +224,19 @@ class TestFit:
         }
         assert (tmp_path / "fit_report.txt").exists()
 
+    def test_kernel_width_reaches_theory_and_fit(self, tmp_path):
+        # The same override boxcars the theory map and the fit's model.
+        args = ["--override", "grid_bins = 64", "--override", "kernel_width = 3",
+                "--override", "od = 2600", "--override", "visibility = 0.8"]
+        assert main(["theory", "--out", str(tmp_path), *args]) == 0
+        rc = main(["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
+                   "--out", str(tmp_path), *args])
+        assert rc == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text(encoding="utf-8"))
+        assert abs(report["od_hat"] / 2600.0 - 1.0) < 1e-6
+        assert abs(report["visibility_hat"] - 0.8) < 1e-6
+        assert report["converged"] is True
+
     def test_all_zero_map_exits_3(self, tmp_path):
         assert main(["theory", "--override", "od = 0", "--out", str(tmp_path)]) == 0
         rc = main(["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
@@ -310,9 +323,9 @@ class TestFit:
 
     def test_blas_thread_count_moves_only_last_digits(self, tmp_path):
         # The README: another BLAS thread count moves od_hat by under 1e-9
-        # relative and iterations by a few.  Without the fit's Gauss-Newton
-        # finish, t2 seeds 6 and 8 moved od_hat by 1.3e-9 and 1.6e-9 on a
-        # 2-core host; with it, t1 and t2 seeds 1-8 stay within 1.1e-11.
+        # relative and iterations by a few.  With the fit's Levenberg-Marquardt
+        # refine stopping on its step, t1 and t2 seeds 1-8 on a 2-core host kept
+        # iterations in all 16 fits and od_hat in 15, the other within 2.2e-16.
         cfg = str(CONFIG_DIR / "t2_174C.cfg")
         assert main(["simulate", "--config", cfg, "--frames", "1000000", "--seed", "1",
                      "--out", str(tmp_path)]) == 0

@@ -95,10 +95,15 @@ class TestNoiselessRoundTrip:
         assert result.od_hat == pytest.approx(20.0, rel=1e-2)
 
     def test_fringe_free_map(self):
-        # V = 0 leaves od and delay no effect, so their Jacobian columns vanish.
+        # V = 0 leaves od and delay no effect, so their Jacobian columns vanish:
+        # neither can be identified, and neither has a finite error.
         data = fringe_map(300.0, 0.0, 0.0, JSA64, tau=TAU_174)
         result = fit(data, JSA64, FitConfig(tau=TAU_174))
         assert result.visibility_hat == 0.0
+        assert math.copysign(1.0, result.visibility_hat) == 1.0
+        assert result.param_sigma["od"] == math.inf
+        assert result.param_sigma["delay_fs"] == math.inf
+        assert math.isnan(result.od_visibility_correlation)
         assert result.converged
 
     def test_refine_out_of_evaluations_reports_nonconvergence(self, monkeypatch):
@@ -270,6 +275,13 @@ class TestNoisyFits:
         # a parameter held at its upper bound only needs the cost to fall outward
         assert np.all(grad[at_upper] <= 0.0)
         assert np.all(np.abs(grad[~at_upper]) < 1e-8 * scale[~at_upper])
+
+    def test_cost_is_objective_at_reported_parameters(self, simulated_covariance):
+        config = FitConfig(tau=TAU_174)
+        result = fit(simulated_covariance, JSA64, config)
+        _, _, cost, _, _ = prepare_objective(simulated_covariance, JSA64, config)
+        theta = np.array([result.od_hat, result.visibility_hat, result.delay_fs])
+        assert result.cost == cost(theta)
 
     def test_mask_radius_invariance(self, simulated_covariance):
         results = {

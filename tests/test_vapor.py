@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homspec.constants import CODATA, RB87
+from homspec.constants import CODATA
 from homspec.errors import OutOfModelRange
 from homspec.vapor import (
     DispersionModel,
     VaporCell,
     absorption_negligible,
-    dispersion_model,
     doppler_lifetime,
-    linearized_detuning,
     optical_depth,
     reduced_detuning,
     spectral_phase,
@@ -135,6 +133,17 @@ class TestSpectralPhase:
             spectral_phase(warm_model, -1e-9)
 
 
+def linearized_detuning(wavelength, lambda0: float) -> np.ndarray:
+    """Angular detuning under the linearized wavelength map.
+
+    omega - omega0 = -2*pi*c*(lambda - lambda0)/lambda0**2, the same
+    first-order map that defines the reduced detuning x.  The exact relation
+    omega = 2*pi*c/lambda differs from this by O((lambda-lambda0)/lambda0).
+    """
+    lam = np.asarray(wavelength, dtype=float)
+    return -2.0 * math.pi * CODATA.c * (lam - lambda0) / lambda0**2
+
+
 class TestTransferFunction:
     def test_pure_attenuation_on_resonance(self, warm_model):
         value = transfer_function(warm_model, warm_model.omega0)
@@ -220,14 +229,6 @@ class TestAbsorptionNegligible:
         assert margin == pytest.approx(50.0, rel=1e-9)
         ok, _ = absorption_negligible(model, omega, kappa=10.0)
         assert ok
-
-
-def test_dispersion_model_from_cell():
-    cell = VaporCell(447.15, 0.05)
-    model = dispersion_model(cell)
-    assert model.od == pytest.approx(optical_depth(cell), rel=1e-15)
-    assert model.tau == pytest.approx(doppler_lifetime(447.15), rel=1e-15)
-    assert model.lambda0 == RB87.d1_wavelength
 
 
 def test_cell_validation():
