@@ -81,6 +81,10 @@ def cmd_simulate(args) -> int:
     params = cfg.detection_params()
     jsa = cfg.jsa()
     marginals = interference.port_spectra(jsa)
+    if cfg.kernel_width > 1:
+        # The spectrometer blurs each photon, so the port spectra take the map's boxcar.
+        box = interference.boxcar_matrix(jsa.grid_s.n_bins, cfg.kernel_width)
+        marginals = tuple(box @ m for m in marginals)
     if args.uncorrelated:
         batch = detector.simulate_uncorrelated_frames(
             jsa.grid_s, jsa.grid_i, marginals, params, args.frames

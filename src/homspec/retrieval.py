@@ -21,15 +21,15 @@ Levenberg-Marquardt steps.  The phase separates per bin, theta_a - theta_b
 with theta_a = od*g_a + delay*h_a, so the scan evaluates its sums as
 bilinear forms over per-bin half-angle phasors: a block of grid points
 costs trig calls on (points x bins) arrays and matrix products, not trig
-on every bin pair.  The boxcar matrix B (kernel_width > 1) moves onto the
-form matrices exactly, so the scan is the profile at any width.
+on every bin pair.  The scan profiles the model without the boxcar at every
+kernel_width, since it only picks the starting fringe; the refine fits the
+smoothed model, so a wide kernel costs the scan nothing.
 tau is not fitted; it comes from the independently measured cell
 temperature.  Bins within mask_radius of the resonance on either axis are
 excluded: there the phase varies too fast for the bin grid and the boxcar
 only approximates the averaging.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -45,8 +45,12 @@ FS = 1e-15
 
 _SCAN_OD_RANGE = (1.0, 1e5)  # scanned wherever the od bounds overlap it
 _SCAN_BLOCK = 512  # grid points per batched scan evaluation
-_MAX_SCAN = 1_000_000  # scan evaluations allowed: offset pairs x (grid points + bins)
+_MAX_SCAN = 1_000_000  # scan evaluations allowed: grid points + bins
 _COEF = (1.0, -2.0, 1.0)  # D^2 = s^2 c'^2 - 2 s c s' c' + c^2 s'^2 (see _Profile)
+# S^2 = 4*J^2 * sum over p, q of _COEF[p]*_COEF[q] * left[p]*left[q] x right[p]*right[q];
+# the (p, q) and (q, p) terms are equal, so each pair is kept once (p >= q).
+_SQUARE_TERMS = tuple((p, q, 4.0 * _COEF[p] * _COEF[q] * (1.0 if p == q else 2.0))
+                      for p in range(3) for q in range(p + 1))
 _VISIBILITY_BOUNDS = (0.0, 1.0)
 _TOL = 1e-12  # ftol and xtol of the profile refine
 _MAX_NFEV = 400  # function evaluations allowed to the profile refine
@@ -73,6 +77,8 @@ class FitConfig:
             raise ValueError("tau must be positive")
         if self.mask_radius < 0:
             raise ValueError("mask_radius must be non-negative")
+        if self.kernel_width < 1 or self.kernel_width % 2 == 0:
+            raise ValueError(f"kernel_width must be odd and >= 1, got {self.kernel_width}")
         for low, high in (self.od_bounds, self.delay_bounds_fs):
             if not -math.inf < low < high < math.inf:
                 raise ValueError("bounds must be finite and satisfy low < high")
@@ -157,6 +163,23 @@ class _FringeModel:
         if self.kernel == 1:
             return arr
         return (self.box @ arr @ self.box.T)[..., self.keep]
+
+    def visibility(self, x: np.ndarray, data: np.ndarray, sqrt_w: np.ndarray) -> float:
+        """The visibility that minimizes the weighted objective at x = [od(, delay_fs)].
+
+        The smoothed model normalizes to (1 - t)*u + t*v, u and v the unit-sum
+        smooth(J) and smooth(S) with S = 2*sin^2(phi/2)*J, and
+        t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)); the best t in [0, 1] is a
+        clipped linear solve, and V follows from it.
+        """
+        dphi = x[0] * self.phase_unit + (x[1] * self.delay_unit if self.fit_delay else 0.0)
+        j, s = self.smooth(self.jsi), self.smooth(2.0 * np.sin(0.5 * dphi) ** 2 * self.jsi)
+        j_sum, s_sum = float(np.sum(j)), float(np.sum(s))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = j / j_sum
+            a, b = sqrt_w * (u - data), sqrt_w * (s / s_sum - u)
+            t = np.clip(-(a @ b) / (b @ b), 0.0, 1.0)
+            return float(t * j_sum / ((1.0 - t) * s_sum + t * j_sum))
 
     def normalized_model_and_jac(self, theta: np.ndarray):
         """Model vector over unmasked bins and its Jacobian columns."""
@@ -244,39 +267,12 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     return lambda t: weighted(t)[0], lambda t: weighted(t)[1], cost, gradient, 2 + config.fit_delay
 
 
-def _shift(arr: np.ndarray, d: int) -> np.ndarray:
-    """arr[..., i + d], zero where i + d leaves the grid; arr itself for d = 0."""
-    if d == 0:
-        return arr
-    out = np.zeros_like(arr)
-    n = arr.shape[-1]
-    out[..., max(-d, 0):n - max(d, 0)] = arr[..., max(d, 0):n + min(d, 0)]
-    return out
-
-
-def _square_terms(offsets: range) -> dict:
-    """{(d, e): [(p, q, weight)]}: the forms that make up sum(w*S^2).
-
-    Two bins feed one smoothed bin when their offsets d (rows) and e
-    (columns) lie in offsets; p and q pick the phasor products of the two
-    bins, and weight carries their _COEF factors.  The (d, e, p, q) and
-    (-d, -e, q, p) forms are equal, so one of each such pair is kept, at
-    twice the weight.
-    """
-    terms = {}
-    for d, e in itertools.product(offsets, repeat=2):
-        for p, q in itertools.product(range(3), repeat=2):
-            key, mirror = (d, e, p, q), (-d, -e, q, p)
-            if key >= mirror:
-                weight = 4.0 * _COEF[p] * _COEF[q] * (1.0 if key == mirror else 2.0)
-                terms.setdefault((d, e), []).append((p, q, weight))
-    return terms
-
-
 class _Profile:
-    """The objective minimized over visibility in closed form, at fixed phases.
+    """The unsmoothed objective minimized over visibility in closed form.
 
-    With u = J/sum(J) and v = S/sum(S) (after the boxcar), the weighted
+    The scan only has to pick the fringe the refine starts in, so it fits
+    the model without the boxcar to the (possibly smoothed) data; the refine
+    carries kernel_width.  With u = J/sum(J) and v = S/sum(S), the weighted
     residual is a + t*b with a = sqrt_w*(u - data) and b = sqrt_w*(v - u),
     t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)).  V in [0, 1] is t in [0, 1],
     so the best t is a clipped one-dimensional linear least-squares
@@ -287,45 +283,30 @@ class _Profile:
     s = sin(theta/2) and c = cos(theta/2) per bin, S_ab = 2*J_ab*D_ab^2 with
     D_ab = s_a*c_b - c_a*s_b, so each linear sum is
     2*(s^2' M c^2 + c^2' M s^2 - 2*(sc)' M (sc)) for a fixed bins x bins
-    matrix M, and sum(w*S^2) is a sum of such forms over products of
-    s^2, sc and c^2.  With theta less its mean over bins, every term is as
-    small as the phase differences, so low-od points keep their relative
-    precision (1 - cos(phi) would cancel there).  The boxcar
-    is a banded matrix B (smoothed S = B S B'): the linear sums take it into
-    M exactly, and sum(w*S^2) through one matrix per pair of bin offsets
-    within the window (_square_terms).
+    matrix M, and sum(w*S^2) is a sum of six such forms over products of
+    s^2, sc and c^2 (_SQUARE_TERMS).  With theta less its mean over bins,
+    every term is as small as the phase differences, so low-od points keep
+    their relative precision (1 - cos(phi) would cancel there).
     """
 
     def __init__(self, model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray):
         self.model = model
-        j = model.smooth(model.jsi)
-        self.j_sum = float(np.sum(j))
-        u = j / self.j_sum
+        j = model.intensity[model.keep]
+        u = j / float(np.sum(j))
         a = sqrt_w * (u - data)
         self.w = sqrt_w**2
         # b.a, b.b and sum(S) follow from products of S with these columns.
         self.products = np.stack((np.ones_like(u), sqrt_w * a, self.w * u), axis=1)
         self.a_u, self.u_w_u, self.a_a = sqrt_w * a @ u, self.w * u @ u, a @ a
 
-        n, box = model.keep.shape[0], model.box
-
         def on_grid(values):  # unmasked-bin values on the bins x bins grid, zero in the mask
-            out = np.zeros((n, n))
+            out = np.zeros(model.keep.shape)
             out[model.keep] = values
             return out
 
-        forms = [(box.T @ on_grid(col) @ box) * model.intensity
-                 for col in self.products.T]
+        forms = [on_grid(col) * model.intensity for col in self.products.T]
         self.linear_forms = np.hstack([m + m.T for m in forms])
-        # The (d, e) part of sum(w*S^2) is sum of A_ij*S_ij*S_(i+d)(j+e) over
-        # unsmoothed S; A carries the boxcar weights and J_ij*J_(i+d)(j+e).
-        w_grid, jsi = on_grid(self.w), model.intensity
-        self.offsets = range(1 - min(model.kernel, n), min(model.kernel, n))
-        self.square_forms = []
-        for (d, e), terms in _square_terms(self.offsets).items():
-            rows, cols = (box * _shift(box, offset) for offset in (d, e))
-            form = (rows.T @ w_grid @ cols) * jsi * _shift(_shift(jsi.T, d).T, e)
-            self.square_forms.append((d, e, form, terms))
+        self.square_form = on_grid(self.w) * model.intensity * model.intensity
 
     def _tail(self, s_sum, s_a, s_u, s_w_s):
         """Best t and cost from sum(S), S.(sqrt_w*a), S.(w*u) and sum(w*S^2)."""
@@ -345,13 +326,10 @@ class _Profile:
         s_sum, s_a, s_u = 2.0 * (
             np.einsum("kxn,kn->xk", (left[0] @ self.linear_forms).reshape(shape), right[0])
             - np.einsum("kxn,kn->xk", (left[1] @ self.linear_forms).reshape(shape), left[1]))
-        moved = {(q, d): _shift(left[q], d) for q in range(3) for d in self.offsets}
         s_w_s = 0.0
-        for d, e, form, terms in self.square_forms:
-            for p, q, weight in terms:
-                rows = left[p] * moved[q, d]
-                cols = right[p] * moved[2 - q, e]  # right[q] is left[2 - q]
-                s_w_s = s_w_s + weight * np.einsum("kn,kn->k", rows @ form, cols)
+        for p, q, weight in _SQUARE_TERMS:
+            rows, cols = left[p] * left[q], right[p] * right[q]
+            s_w_s = s_w_s + weight * np.einsum("kn,kn->k", rows @ self.square_form, cols)
         return s_sum, s_a, s_u, s_w_s
 
     def costs(self, ods: np.ndarray, delays_fs: np.ndarray) -> np.ndarray:
@@ -362,13 +340,6 @@ class _Profile:
             theta = points[i:i + _SCAN_BLOCK] @ self.model.bin_phase
             out[i:i + _SCAN_BLOCK] = self._tail(*self._sums(theta))[1]
         return out.reshape(ods.size, delays_fs.size)
-
-    def visibility(self, od: float, delay_fs: float = 0.0) -> float:
-        """The visibility that minimizes the objective at one (od, delay)."""
-        s_sum, *rest = self._sums(np.array([[od, delay_fs]]) @ self.model.bin_phase)
-        t, _ = self._tail(s_sum, *rest)
-        # t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)), solved for V
-        return float(t[0] * self.j_sum / ((1.0 - t[0]) * s_sum[0] + t[0] * self.j_sum))
 
 
 def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -389,16 +360,13 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
     d_lo, d_hi = config.delay_bounds_fs
     n_delays = math.ceil((d_hi - d_lo) / delay_step) + 1 if config.fit_delay else 1
     n_bins = model.keep.shape[0]
-    reach = min(model.kernel, n_bins) - 1
-    n_pairs = ((2 * reach + 1) ** 2 + 1) // 2  # the (d, e) keys of _square_terms
     ods = [lo]
     while ods[-1] < hi:
         ods.append(ods[-1] + min(od_step, 0.05 * max(ods[-1], 1.0)))
-        if n_pairs * (len(ods) * n_delays + n_bins) > _MAX_SCAN:
+        if len(ods) * n_delays + n_bins > _MAX_SCAN:
             raise ConfigError(
                 f"the profile scan needs over {_MAX_SCAN:.0e} evaluations; "
-                f"narrow fit_od_min/fit_od_max or fit_delay_min/fit_delay_max, "
-                f"or reduce kernel_width")
+                f"narrow fit_od_min/fit_od_max or fit_delay_min/fit_delay_max")
     ods[-1] = hi
     delays = np.linspace(d_lo, d_hi, n_delays) if config.fit_delay else np.zeros(1)
     return np.array(ods, dtype=float), delays
@@ -407,18 +375,18 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
 def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) -> FitResult:
     """Bounded least-squares fit of {od, visibility, delay}.
 
-    The visibility-profiled cost is scanned on an (od, delay) grid, and its
-    best point refined on the profile by bounded Levenberg-Marquardt steps
-    whose last accepted evaluation gives the cost and the covariance.
+    The visibility-profiled cost of the unsmoothed model is scanned on an
+    (od, delay) grid, and its best point refined on the smoothed model's
+    profile by bounded Levenberg-Marquardt steps whose last accepted
+    evaluation gives the cost and the covariance.
     ``iterations`` counts scan points and refine evaluations; a parameter
     with no effect there (od and delay at V = 0) has sigma inf.  ``converged``
     reports whether the refine met its tolerance; it is never an exception.
     """
-    problem = _weighted_problem(cmap, jsa, config)
+    model, data, sqrt_w = problem = _weighted_problem(cmap, jsa, config)
     weighted = _weighted_residuals(*problem)
-    ods, delays = _scan_grid(problem[0], config)
-    profile = _Profile(*problem)
-    costs = profile.costs(ods, delays)
+    ods, delays = _scan_grid(model, config)
+    costs = _Profile(*problem).costs(ods, delays)
     i, k = np.unravel_index(np.argmin(costs), costs.shape)
 
     lower, upper = np.array(
@@ -427,7 +395,7 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     def reduced(x):  # theta with the best V at x = [od(, delay_fs)], its r, J, reduced J
         # Kaufman's variable-projection Jacobian: the od and delay columns less
         # their part along the visibility column, unless V sits on a bound.
-        theta = np.insert(x, 1, profile.visibility(*x))
+        theta = np.insert(x, 1, model.visibility(x, data, sqrt_w))
         r, jac = weighted(theta)
         rest = np.delete(jac, 1, axis=1)
         if lower[1] < theta[1] < upper[1]:

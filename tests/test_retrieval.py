@@ -137,21 +137,23 @@ class TestObjective:
 
     @pytest.mark.parametrize("kernel_width", [1, 3])
     def test_profile_matches_objective(self, kernel_width):
-        # The scan's closed-form profile is the objective at the best
-        # visibility: equal to it there and no larger than at any other.
+        # The refine's visibility minimizes the objective over V, at any
+        # kernel; without a boxcar the scan's closed-form profile is the
+        # objective there.
         data = fringe_map(150.0, 0.7, 5e-15, JSA64, tau=TAU_86, kernel_width=kernel_width)
         noise = 0.05 * data.values.max() * np.random.default_rng(3).standard_normal((64, 64))
         noisy = CoincidenceMap(GRID64, GRID64, data.values + noise, MapKind.COVARIANCE)
         config = FitConfig(tau=TAU_86, kernel_width=kernel_width)
         _, _, cost, _, _ = prepare_objective(noisy, JSA64, config)
-        profile = _Profile(*_weighted_problem(noisy, JSA64, config))
+        model, data, sqrt_w = problem = _weighted_problem(noisy, JSA64, config)
         ods, delays = np.array([20.0, 150.0, 900.0]), np.array([-40.0, 5.0])
-        costs = profile.costs(ods, delays)
+        costs = _Profile(*problem).costs(ods, delays)
         for i, od in enumerate(ods):
             for k, delay in enumerate(delays):
-                vis = profile.visibility(od, delay)
+                vis = model.visibility(np.array([od, delay]), data, sqrt_w)
                 best = cost(np.array([od, vis, delay]))
-                assert costs[i, k] == pytest.approx(best, rel=1e-9)
+                if kernel_width == 1:
+                    assert costs[i, k] == pytest.approx(best, rel=1e-9)
                 for other in (0.0, 0.5 * vis, min(1.5 * vis, 1.0), 1.0):
                     assert cost(np.array([od, other, delay])) >= best * (1 - 1e-12)
 
@@ -189,18 +191,25 @@ class TestObjective:
             fit(zero, JSA64, FitConfig(tau=TAU_86))
 
 
-def elementwise_costs(profile, ods, delays_fs):
-    """Profile costs and best visibilities from S = 2*sin^2(phi/2)*J built bin
-    pair by bin pair."""
-    model = profile.model
+def elementwise_costs(model, data, sqrt_w, ods, delays_fs):
+    """Costs minimized over V and the best visibilities of the model's
+    objective, from its smoothed S = 2*sin^2(phi/2)*J built bin pair by bin
+    pair.  The cost is expanded as the scan expands it, a.a + t*(2*b.a + t*b.b)."""
+    j = model.smooth(model.jsi)
+    u = j / np.sum(j)
+    a, w = sqrt_w * (u - data), sqrt_w**2
     costs = np.empty((ods.size, delays_fs.size))
     visibilities = np.empty_like(costs)
     for i, od in enumerate(ods):
         phi = od * model.phase_unit + np.multiply.outer(delays_fs, model.delay_unit)
         s = model.smooth(2.0 * np.sin(0.5 * phi) ** 2 * model.jsi)
-        s_sum, s_a, s_u = (s @ profile.products).T
-        t, costs[i] = profile._tail(s_sum, s_a, s_u, np.square(s) @ profile.w)
-        visibilities[i] = t * profile.j_sum / ((1.0 - t) * s_sum + t * profile.j_sum)
+        s_sum = np.sum(s, axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p = s @ (sqrt_w * a) / s_sum - sqrt_w * a @ u
+            q = np.square(s) @ w / s_sum**2 - 2.0 * (s @ (w * u)) / s_sum + w * u @ u
+            t = np.clip(-p / q, 0.0, 1.0)
+            costs[i] = np.where(s_sum > 0.0, a @ a + t * (2.0 * p + t * q), np.inf)
+        visibilities[i] = t * np.sum(j) / ((1.0 - t) * s_sum + t * np.sum(j))
     return costs, visibilities
 
 
@@ -214,27 +223,44 @@ class TestScan:
     ])
     def test_matches_elementwise_reference(self, od_true, tau, delay, kernel_width):
         # The whole scan grid, its low-od rows included, against the direct
-        # evaluation; noiseless maps leave the cost near zero at the truth.
-        data = fringe_map(od_true, 0.8, delay, JSA64, tau=tau, kernel_width=kernel_width)
+        # evaluation of the unsmoothed (kernel 1) profile of the same data;
+        # noiseless kernel-1 maps leave the cost near zero at the truth.
+        cmap = fringe_map(od_true, 0.8, delay, JSA64, tau=tau, kernel_width=kernel_width)
         config = FitConfig(tau=tau, kernel_width=kernel_width)
-        problem = _weighted_problem(data, JSA64, config)
-        ods, delays = _scan_grid(problem[0], config)
-        profile = _Profile(*problem)
-        costs = profile.costs(ods, delays)
-        reference, visibilities = elementwise_costs(profile, ods, delays)
+        model, data, sqrt_w = problem = _weighted_problem(cmap, JSA64, config)
+        ods, delays = _scan_grid(model, config)
+        costs = _Profile(*problem).costs(ods, delays)
+        unsmoothed = _weighted_problem(cmap, JSA64, FitConfig(tau=tau, kernel_width=1))
+        reference, _ = elementwise_costs(*unsmoothed, ods, delays)
         finite = np.isfinite(reference)
         assert np.array_equal(np.isfinite(costs), finite)
         np.testing.assert_allclose(costs[finite], reference[finite], rtol=1e-9)
         assert np.argmin(costs) == np.argmin(reference)
-        # The best visibility from the scan's forms, at the scan's best point
-        # and at the truth, against the direct evaluation.
+        # The refine's visibility, at the scan's best point and at the truth,
+        # against the direct evaluation of the smoothed model.
         i, k = np.unravel_index(np.argmin(costs), costs.shape)
-        truth = np.array([od_true]), np.array([delay / 1e-15])
-        for od, delay_fs, expected in (
-                (ods[i], delays[k], visibilities[i, k]),
-                (od_true, delay / 1e-15, elementwise_costs(profile, *truth)[1][0, 0])):
-            np.testing.assert_allclose(profile.visibility(od, delay_fs), expected,
-                                       rtol=1e-12, atol=1e-14)
+        for od, delay_fs in ((ods[i], delays[k]), (od_true, delay / 1e-15)):
+            expected = elementwise_costs(*problem, np.array([od]), np.array([delay_fs]))[1]
+            np.testing.assert_allclose(model.visibility(np.array([od, delay_fs]), data, sqrt_w),
+                                       expected[0, 0], rtol=1e-12, atol=1e-14)
+
+    def test_grid_does_not_depend_on_kernel(self):
+        # The scan profiles the unsmoothed model, so neither its grid nor its
+        # bound grows with kernel_width.
+        data = fringe_map(2.6e3, 0.8, 10e-15, JSA64, tau=TAU_174)
+        configs = [FitConfig(tau=TAU_174, kernel_width=kernel) for kernel in (1, 31)]
+        (ods1, delays1), (ods31, delays31) = (
+            _scan_grid(_weighted_problem(data, JSA64, config)[0], config) for config in configs)
+        assert np.array_equal(ods1, ods31) and np.array_equal(delays1, delays31)
+
+    def test_wide_boxcar_fit_finds_the_true_fringe(self):
+        # The 140-bin kernel-7 map once drew the fit into a neighbouring fringe.
+        data = fringe_map(2586.16, 0.8, 10e-15, JSA, tau=TAU_174, kernel_width=7)
+        result = fit(data, JSA, FitConfig(tau=TAU_174, kernel_width=7))
+        assert result.od_hat == pytest.approx(2586.16, rel=1e-6)
+        assert result.visibility_hat == pytest.approx(0.8, rel=1e-6)
+        assert result.delay_fs == pytest.approx(10.0, rel=1e-6)
+        assert result.converged
 
     def test_boxcar_fit_at_dense_fringes(self):
         data = fringe_map(2.6e3, 0.8, 10e-15, JSA64, tau=TAU_174, kernel_width=3)
@@ -342,3 +368,9 @@ class TestFitConfigValidation:
             FitConfig(tau=TAU_86, od_bounds=(5.0, 5.0))
         with pytest.raises(ValueError):
             FitConfig(tau=TAU_86, delay_bounds_fs=(-100.0, math.inf))
+
+    @pytest.mark.parametrize("kernel_width", [0, 2, -1])
+    def test_even_or_nonpositive_kernel_rejected(self, kernel_width):
+        message = f"kernel_width must be odd and >= 1, got {kernel_width}"
+        with pytest.raises(ValueError, match=message):
+            FitConfig(tau=TAU_86, kernel_width=kernel_width)
