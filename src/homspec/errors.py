@@ -30,7 +30,7 @@ class EmptyBatch(HomspecError):
 
 
 class DegenerateMap(HomspecError):
-    """Fit input map carries no signal (all zero)."""
+    """Fit input map carries no signal: all zero, or unmasked bins summing to <= 0."""
 
 
 class DataFormatError(HomspecError):

@@ -2,14 +2,15 @@
 
 The forward model is the fringe form of the coincidence probability,
 
-    P(od, V, delay) = 1/2 * [1 - V*cos(od*G + delay*H)] * J,
+    P(od, V, delay) = 1/2 * [1 - V*cos(dphi)] * J = 1/2 * [(1 - V)*J + V*S],
 
-with G the unit-OD phase difference between the two spectral coordinates,
-H the linear phase of a residual idler delay and J the joint spectral
-intensity, followed by an optional boxcar over bins, B P B' with B the
-moving-average matrix of interference.boxcar_matrix, and normalization to
-unit sum over the unmasked bins.  Normalizing both data and model removes
-the unknown detection prefactor, so only fringe shape is fit.
+with dphi = od*G + delay*H, S = 2*sin^2(dphi/2)*J, G the unit-OD phase
+difference between the two spectral coordinates, H the linear phase of a
+residual idler delay and J the joint spectral intensity, followed by an
+optional boxcar over bins, B P B' with B the moving-average matrix of
+interference.boxcar_matrix, and normalization to unit sum over the
+unmasked bins.  Normalizing both data and model removes the unknown
+detection prefactor, so only fringe shape is fit.
 
 The cost oscillates in od and delay (fringe aliasing), so a local solve
 from an arbitrary start lands in the wrong fringe.  For fixed (od, delay)
@@ -23,7 +24,9 @@ bilinear forms over per-bin half-angle phasors: a block of grid points
 costs trig calls on (points x bins) arrays and matrix products, not trig
 on every bin pair.  The scan profiles the model without the boxcar at every
 kernel_width, since it only picks the starting fringe; the refine fits the
-smoothed model, so a wide kernel costs the scan nothing.
+smoothed model, so a wide kernel costs the scan nothing.  Each refine point
+is one evaluation: the same phasors give S, and S the best V, the model and
+its Jacobian.
 tau is not fitted; it comes from the independently measured cell
 temperature.  Bins within mask_radius of the resonance on either axis are
 excluded: there the phase varies too fast for the bin grid and the boxcar
@@ -37,7 +40,7 @@ import numpy as np
 
 from .constants import CODATA, RB87
 from .errors import ConfigError, DegenerateMap
-from .interference import CoincidenceMap, MapKind, boxcar_matrix, phase_difference
+from .interference import CoincidenceMap, MapKind, boxcar_matrix
 from .spectra import JointSpectralAmplitude, WavelengthGrid
 from .vapor import DispersionModel, spectral_phase
 
@@ -127,80 +130,82 @@ def phase_profile_mod_2pi(
 
 
 class _FringeModel:
-    """Precomputed pieces of the fringe model and its parameter Jacobian.
+    """The fringe model on the unmasked bins, holding their data and weights.
 
-    Without a boxcar every bin stands alone, so the unit phases and the
-    intensity are stored for the unmasked bins only; with one they stay
-    full matrices and ``smooth`` applies the boxcar matrix B on both sides,
-    then drops the masked bins.
+    The phases come from per-bin half-angle phasors s, c = sin, cos(theta/2):
+    on bin pairs, D = s_a*c_b - c_a*s_b is sin(dphi/2), so S = 2*D^2*J and
+    dS/d(dphi) = 2*D*(c_a*c_b + s_a*s_b)*J.  The mask is a cross, so without
+    a boxcar the pairs are the unmasked rows by the unmasked columns; with
+    one they are the full grid, and ``smooth`` applies the boxcar matrix B
+    on both sides, then drops the masked bins.
     """
 
-    def __init__(self, jsa: JointSpectralAmplitude, config: FitConfig, mask: np.ndarray):
+    def __init__(self, jsa: JointSpectralAmplitude, config: FitConfig, mask: np.ndarray,
+                 data: np.ndarray, sqrt_w: np.ndarray):
         centers = jsa.grid_s.centers
-        phase_unit = phase_difference(DispersionModel(od=1.0, tau=config.tau), centers)
-        # Phase per femtosecond of residual delay.
-        delay_unit = phase_difference(DispersionModel(od=0.0, tau=config.tau), centers, FS)
         self.keep = ~mask
         self.kernel = config.kernel_width
         self.box = boxcar_matrix(mask.shape[0], self.kernel)
-        self.fit_delay = config.fit_delay
-        # Fastest fringe rates over the unmasked bins [rad per od, per fs].
-        self.max_rates = (np.max(np.abs(phase_unit[self.keep])),
-                          np.max(np.abs(delay_unit[self.keep])))
         # Per-bin phase per od and per fs (theta_a above), each less its mean
         # so that small phase differences are small phases.
         per_bin = np.stack((spectral_phase(DispersionModel(od=1.0, tau=config.tau), centers),
                             2.0 * math.pi * CODATA.c * FS / centers))
         self.bin_phase = per_bin - per_bin.mean(axis=1, keepdims=True)
+        rows, cols = (np.flatnonzero(np.any(self.keep, axis=axis)) for axis in (1, 0))
+        # Fastest fringe rates over the unmasked bins [rad per od, per fs].
+        phase_rows, phase_cols = self.bin_phase[:, rows], self.bin_phase[:, cols]
+        self.max_rates = np.maximum(phase_rows.max(axis=1) - phase_cols.min(axis=1),
+                                    phase_cols.max(axis=1) - phase_rows.min(axis=1))
+        if self.kernel > 1:
+            rows = cols = np.arange(mask.shape[0])
+        self.pairs = np.ix_(rows, cols)
         self.intensity = np.abs(jsa.amplitude) ** 2
-        arrays = (phase_unit, delay_unit, self.intensity)
-        if self.kernel == 1:
-            arrays = tuple(a[self.keep] for a in arrays)
-        self.phase_unit, self.delay_unit, self.jsi = arrays
+        self.jsi = self.intensity[self.pairs]
+        self.data, self.sqrt_w = data, sqrt_w
+        self.j = self.smooth(self.jsi)
+        self.j_sum = float(np.sum(self.j))
+        self.u = self.j / self.j_sum
+        self.a = sqrt_w * (self.u - data)
 
     def smooth(self, arr: np.ndarray) -> np.ndarray:
-        """Boxcar the trailing two (bin) axes and keep the unmasked bins."""
+        """Boxcar the trailing two (bin) axes and flatten them to the unmasked bins."""
         if self.kernel == 1:
-            return arr
+            return arr.reshape(*arr.shape[:-2], -1)
         return (self.box @ arr @ self.box.T)[..., self.keep]
 
-    def visibility(self, x: np.ndarray, data: np.ndarray, sqrt_w: np.ndarray) -> float:
-        """The visibility that minimizes the weighted objective at x = [od(, delay_fs)].
+    def evaluate(self, x: np.ndarray, visibility: float | None = None):
+        """theta, the weighted residuals and their Jacobian at x = [od(, delay_fs)].
 
-        The smoothed model normalizes to (1 - t)*u + t*v, u and v the unit-sum
-        smooth(J) and smooth(S) with S = 2*sin^2(phi/2)*J, and
-        t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)); the best t in [0, 1] is a
-        clipped linear solve, and V follows from it.
+        The model is (1 - V)*smooth(J) + V*smooth(S) at unit sum, V as given or
+        else the best V at x: with u, v the unit-sum smooth(J), smooth(S), the
+        model is (1 - t)*u + t*v, t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)), so
+        the best t in [0, 1] is a clipped linear solve, and V follows from it.
         """
-        dphi = x[0] * self.phase_unit + (x[1] * self.delay_unit if self.fit_delay else 0.0)
-        j, s = self.smooth(self.jsi), self.smooth(2.0 * np.sin(0.5 * dphi) ** 2 * self.jsi)
-        j_sum, s_sum = float(np.sum(j)), float(np.sum(s))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u = j / j_sum
-            a, b = sqrt_w * (u - data), sqrt_w * (s / s_sum - u)
-            t = np.clip(-(a @ b) / (b @ b), 0.0, 1.0)
-            return float(t * j_sum / ((1.0 - t) * s_sum + t * j_sum))
-
-    def normalized_model_and_jac(self, theta: np.ndarray):
-        """Model vector over unmasked bins and its Jacobian columns."""
-        od, vis = theta[0], theta[1]
-        delay_fs = theta[2] if self.fit_delay else 0.0
-        dphi = od * self.phase_unit + delay_fs * self.delay_unit
-        cos = np.cos(dphi)
-        sin = np.sin(dphi)
-        smooth = self.smooth(0.5 * (1.0 - vis * cos) * self.jsi)
-        total = float(np.sum(smooth))
+        rates = self.bin_phase[:x.size]
+        half = 0.5 * (x @ rates)
+        (s_a, s_b), (c_a, c_b), (rate_a, rate_b) = (
+            [v[..., i] for i in self.pairs] for v in (np.sin(half), np.cos(half), rates))
+        d = s_a * c_b - c_a * s_b
+        s = self.smooth(2.0 * d * d * self.jsi)
+        slope = 2.0 * d * (c_a * c_b + s_a * s_b) * self.jsi
+        if visibility is None:
+            s_sum = float(np.sum(s))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                b = self.sqrt_w * (s / s_sum - self.u)
+                t = np.clip(-(self.a @ b) / (b @ b), 0.0, 1.0)
+                visibility = float(t * self.j_sum / ((1.0 - t) * s_sum + t * self.j_sum))
+        theta = np.insert(x, 1, visibility)
+        model = 0.5 * ((1.0 - visibility) * self.j + visibility * s)
+        total = float(np.sum(model))
         if total <= 0.0:
-            return np.zeros(smooth.size), np.zeros((smooth.size, 3 if self.fit_delay else 2))
-        m = smooth / total
-        cols = [self.smooth(0.5 * vis * sin * self.phase_unit * self.jsi),
-                self.smooth(-0.5 * cos * self.jsi)]
-        if self.fit_delay:
-            cols.append(self.smooth(0.5 * vis * sin * self.delay_unit * self.jsi))
-        jac = np.empty((m.size, len(cols)))
-        for k, col in enumerate(cols):
-            jac[:, k] = (col - m * float(np.sum(col))) / total
-        return m, jac
+            return theta, -self.sqrt_w * self.data, np.zeros((model.size, theta.size))
+        m = model / total
+        # dS/dx = slope*(rate_a - rate_b), by products: no bin-pair phase is formed.
+        rate_cols = [0.5 * visibility * self.smooth(slope * ra - slope * rb)
+                     for ra, rb in zip(rate_a, rate_b)]
+        cols = np.stack([rate_cols[0], 0.5 * (s - self.j), *rate_cols[1:]])
+        jac = (cols - np.sum(cols, axis=1, keepdims=True) * m) / total
+        return theta, self.sqrt_w * (m - self.data), (self.sqrt_w * jac).T
 
 
 def _estimate_weights(data: np.ndarray, kind: MapKind) -> np.ndarray:
@@ -218,7 +223,7 @@ def _estimate_weights(data: np.ndarray, kind: MapKind) -> np.ndarray:
 
 
 def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig):
-    """The fringe model, normalized data and square-root weights over the unmasked bins."""
+    """The fringe model with the normalized data and square-root weights of its bins."""
     if cmap.kind not in (MapKind.COVARIANCE, MapKind.PROBABILITY):
         raise ValueError(f"fit expects a covariance or probability map, got {cmap.kind.value}")
     if not (cmap.grid_p.is_close(jsa.grid_s) and cmap.grid_m.is_close(jsa.grid_i)):
@@ -235,26 +240,22 @@ def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
         raise DegenerateMap("unmasked bins sum to a non-positive total")
     data = data / total
     sqrt_w = np.sqrt(_estimate_weights(data, cmap.kind))
-    return _FringeModel(jsa, config, mask), data, sqrt_w
-
-
-def _weighted_residuals(model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray):
-    def weighted(theta: np.ndarray):
-        """Weighted residuals and their Jacobian, from one model evaluation."""
-        m, jac = model.normalized_model_and_jac(theta)
-        return sqrt_w * (m - data), sqrt_w[:, None] * jac
-
-    return weighted
+    return _FringeModel(jsa, config, mask, data, sqrt_w)
 
 
 def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig):
-    """Build the weighted least-squares pieces shared by fit and diagnostics.
+    """The weighted least-squares objective at a given visibility, for diagnostics.
 
-    Returns (residual_fn, jacobian_fn, cost_fn, gradient_fn, n_params); the
+    This is the fixed-V view of the evaluation fit refines with.  Returns
+    (residual_fn, jacobian_fn, cost_fn, gradient_fn, n_params); the
     parameter vector is [od, visibility, delay_fs] (delay omitted when not
     fitted).  Raises DegenerateMap when the map carries no usable signal.
     """
-    weighted = _weighted_residuals(*_weighted_problem(cmap, jsa, config))
+    model = _weighted_problem(cmap, jsa, config)
+
+    def weighted(theta: np.ndarray):
+        """Weighted residuals and their Jacobian, from one model evaluation."""
+        return model.evaluate(np.delete(theta, 1), theta[1])[1:]
 
     def cost(theta: np.ndarray) -> float:
         r, _ = weighted(theta)
@@ -289,11 +290,11 @@ class _Profile:
     their relative precision (1 - cos(phi) would cancel there).
     """
 
-    def __init__(self, model: _FringeModel, data: np.ndarray, sqrt_w: np.ndarray):
-        self.model = model
+    def __init__(self, model: _FringeModel):
+        self.model, sqrt_w = model, model.sqrt_w
         j = model.intensity[model.keep]
         u = j / float(np.sum(j))
-        a = sqrt_w * (u - data)
+        a = sqrt_w * (u - model.data)
         self.w = sqrt_w**2
         # b.a, b.b and sum(S) follow from products of S with these columns.
         self.products = np.stack((np.ones_like(u), sqrt_w * a, self.w * u), axis=1)
@@ -383,10 +384,9 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     with no effect there (od and delay at V = 0) has sigma inf.  ``converged``
     reports whether the refine met its tolerance; it is never an exception.
     """
-    model, data, sqrt_w = problem = _weighted_problem(cmap, jsa, config)
-    weighted = _weighted_residuals(*problem)
+    model = _weighted_problem(cmap, jsa, config)
     ods, delays = _scan_grid(model, config)
-    costs = _Profile(*problem).costs(ods, delays)
+    costs = _Profile(model).costs(ods, delays)
     i, k = np.unravel_index(np.argmin(costs), costs.shape)
 
     lower, upper = np.array(
@@ -395,8 +395,7 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     def reduced(x):  # theta with the best V at x = [od(, delay_fs)], its r, J, reduced J
         # Kaufman's variable-projection Jacobian: the od and delay columns less
         # their part along the visibility column, unless V sits on a bound.
-        theta = np.insert(x, 1, model.visibility(x, data, sqrt_w))
-        r, jac = weighted(theta)
+        theta, r, jac = model.evaluate(x)
         rest = np.delete(jac, 1, axis=1)
         if lower[1] < theta[1] < upper[1]:
             rest -= np.outer(jac[:, 1], jac[:, 1] @ rest / (jac[:, 1] @ jac[:, 1]))

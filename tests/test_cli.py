@@ -331,7 +331,7 @@ class TestFit:
         # The README: another BLAS thread count moves od_hat by under 1e-9
         # relative and iterations by a few.  With the fit's Levenberg-Marquardt
         # refine stopping on its step, t1 and t2 seeds 1-8 on a 2-core host kept
-        # iterations in all 16 fits and od_hat in 15, the other within 2.2e-16.
+        # iterations and od_hat in all 16 fits, and cost within 4.4e-16.
         cfg = str(CONFIG_DIR / "t2_174C.cfg")
         assert main(["simulate", "--config", cfg, "--frames", "1000000", "--seed", "1",
                      "--out", str(tmp_path)]) == 0

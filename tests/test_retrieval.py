@@ -5,12 +5,13 @@ import pytest
 
 from helpers import fringe_map
 from homspec import retrieval
-from homspec.constants import CODATA
+from homspec.constants import CODATA, RB87
 from homspec.detector import DetectionParams, covariance_map, simulate_frames
 from homspec.errors import DegenerateMap
 from homspec.interference import (
     CoincidenceMap,
     MapKind,
+    boxcar_matrix,
     coincidence_probability_cosine,
     phase_difference,
     port_spectra,
@@ -115,18 +116,20 @@ class TestNoiselessRoundTrip:
 
 
 class TestObjective:
-    def test_gradient_matches_central_differences(self):
-        data = fringe_map(300.0, 0.85, 5e-15, JSA, tau=TAU_86)
-        _, _, cost, gradient, n_params = prepare_objective(data, JSA, FitConfig(tau=TAU_86))
-        assert n_params == 3
+    @pytest.mark.parametrize("kernel_width,fit_delay", [(1, True), (3, True), (1, False)])
+    def test_gradient_matches_central_differences(self, kernel_width, fit_delay):
+        data = fringe_map(300.0, 0.85, 5e-15, JSA, tau=TAU_86, kernel_width=kernel_width)
+        config = FitConfig(tau=TAU_86, kernel_width=kernel_width, fit_delay=fit_delay)
+        _, _, cost, gradient, n_params = prepare_objective(data, JSA, config)
+        assert n_params == 2 + fit_delay
         rng = np.random.default_rng(42)
         for _ in range(5):
             theta = np.array(
                 [rng.uniform(10.0, 2e3), rng.uniform(0.3, 0.99), rng.uniform(-20.0, 20.0)]
-            )
+            )[:n_params]
             analytic = gradient(theta)
-            numeric = np.zeros(3)
-            for k in range(3):
+            numeric = np.zeros(n_params)
+            for k in range(n_params):
                 h = 1e-6 * max(abs(theta[k]), 1.0)
                 up, down = theta.copy(), theta.copy()
                 up[k] += h
@@ -145,12 +148,12 @@ class TestObjective:
         noisy = CoincidenceMap(GRID64, GRID64, data.values + noise, MapKind.COVARIANCE)
         config = FitConfig(tau=TAU_86, kernel_width=kernel_width)
         _, _, cost, _, _ = prepare_objective(noisy, JSA64, config)
-        model, data, sqrt_w = problem = _weighted_problem(noisy, JSA64, config)
+        model = _weighted_problem(noisy, JSA64, config)
         ods, delays = np.array([20.0, 150.0, 900.0]), np.array([-40.0, 5.0])
-        costs = _Profile(*problem).costs(ods, delays)
+        costs = _Profile(model).costs(ods, delays)
         for i, od in enumerate(ods):
             for k, delay in enumerate(delays):
-                vis = model.visibility(np.array([od, delay]), data, sqrt_w)
+                vis = model.evaluate(np.array([od, delay]))[0][1]
                 best = cost(np.array([od, vis, delay]))
                 if kernel_width == 1:
                     assert costs[i, k] == pytest.approx(best, rel=1e-9)
@@ -191,18 +194,29 @@ class TestObjective:
             fit(zero, JSA64, FitConfig(tau=TAU_86))
 
 
-def elementwise_costs(model, data, sqrt_w, ods, delays_fs):
-    """Costs minimized over V and the best visibilities of the model's
-    objective, from its smoothed S = 2*sin^2(phi/2)*J built bin pair by bin
-    pair.  The cost is expanded as the scan expands it, a.a + t*(2*b.a + t*b.b)."""
-    j = model.smooth(model.jsi)
+def elementwise_costs(model, config, ods, delays_fs):
+    """Costs minimized over V and the best visibilities of the objective on
+    the model's 64-bin data and weights, from the smoothed S = 2*sin^2(phi/2)*J
+    with phi from interference.phase_difference on every bin pair.  The cost
+    is expanded as the scan expands it, a.a + t*(2*b.a + t*b.b)."""
+    data, sqrt_w = model.data, model.sqrt_w
+    keep = ~resonance_mask(GRID64, GRID64, RB87.d1_wavelength, config.mask_radius)
+    box = boxcar_matrix(GRID64.n_bins, config.kernel_width)
+    jsi = JSA64.intensity()
+    phase_unit = phase_difference(DispersionModel(od=1.0, tau=config.tau), GRID64.centers)
+    delay_unit = phase_difference(DispersionModel(od=0.0, tau=config.tau), GRID64.centers, 1e-15)
+
+    def smooth(arr):
+        return (box @ arr @ box.T)[..., keep]
+
+    j = smooth(jsi)
     u = j / np.sum(j)
     a, w = sqrt_w * (u - data), sqrt_w**2
     costs = np.empty((ods.size, delays_fs.size))
     visibilities = np.empty_like(costs)
     for i, od in enumerate(ods):
-        phi = od * model.phase_unit + np.multiply.outer(delays_fs, model.delay_unit)
-        s = model.smooth(2.0 * np.sin(0.5 * phi) ** 2 * model.jsi)
+        phi = od * phase_unit + np.multiply.outer(delays_fs, delay_unit)
+        s = smooth(2.0 * np.sin(0.5 * phi) ** 2 * jsi)
         s_sum = np.sum(s, axis=-1)
         with np.errstate(invalid="ignore", divide="ignore"):
             p = s @ (sqrt_w * a) / s_sum - sqrt_w * a @ u
@@ -227,11 +241,12 @@ class TestScan:
         # noiseless kernel-1 maps leave the cost near zero at the truth.
         cmap = fringe_map(od_true, 0.8, delay, JSA64, tau=tau, kernel_width=kernel_width)
         config = FitConfig(tau=tau, kernel_width=kernel_width)
-        model, data, sqrt_w = problem = _weighted_problem(cmap, JSA64, config)
+        model = _weighted_problem(cmap, JSA64, config)
         ods, delays = _scan_grid(model, config)
-        costs = _Profile(*problem).costs(ods, delays)
-        unsmoothed = _weighted_problem(cmap, JSA64, FitConfig(tau=tau, kernel_width=1))
-        reference, _ = elementwise_costs(*unsmoothed, ods, delays)
+        costs = _Profile(model).costs(ods, delays)
+        unsmoothed = FitConfig(tau=tau, kernel_width=1)
+        reference, _ = elementwise_costs(_weighted_problem(cmap, JSA64, unsmoothed), unsmoothed,
+                                         ods, delays)
         finite = np.isfinite(reference)
         assert np.array_equal(np.isfinite(costs), finite)
         np.testing.assert_allclose(costs[finite], reference[finite], rtol=1e-9)
@@ -240,8 +255,8 @@ class TestScan:
         # against the direct evaluation of the smoothed model.
         i, k = np.unravel_index(np.argmin(costs), costs.shape)
         for od, delay_fs in ((ods[i], delays[k]), (od_true, delay / 1e-15)):
-            expected = elementwise_costs(*problem, np.array([od]), np.array([delay_fs]))[1]
-            np.testing.assert_allclose(model.visibility(np.array([od, delay_fs]), data, sqrt_w),
+            expected = elementwise_costs(model, config, np.array([od]), np.array([delay_fs]))[1]
+            np.testing.assert_allclose(model.evaluate(np.array([od, delay_fs]))[0][1],
                                        expected[0, 0], rtol=1e-12, atol=1e-14)
 
     def test_grid_does_not_depend_on_kernel(self):
@@ -250,7 +265,7 @@ class TestScan:
         data = fringe_map(2.6e3, 0.8, 10e-15, JSA64, tau=TAU_174)
         configs = [FitConfig(tau=TAU_174, kernel_width=kernel) for kernel in (1, 31)]
         (ods1, delays1), (ods31, delays31) = (
-            _scan_grid(_weighted_problem(data, JSA64, config)[0], config) for config in configs)
+            _scan_grid(_weighted_problem(data, JSA64, config), config) for config in configs)
         assert np.array_equal(ods1, ods31) and np.array_equal(delays1, delays31)
 
     def test_wide_boxcar_fit_finds_the_true_fringe(self):
