@@ -13,20 +13,19 @@ unmasked bins.  Normalizing both data and model removes the unknown
 detection prefactor, so only fringe shape is fit.
 
 The cost oscillates in od and delay (fringe aliasing), so a local solve
-from an arbitrary start lands in the wrong fringe.  For fixed (od, delay)
-the best visibility has a closed form (variable projection; Golub &
-Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so the fit scans this
-profile cost on an (od, delay) grid a quarter fringe apart at the fastest
-unmasked bin, then refines the best grid point on the profile with bounded
-Levenberg-Marquardt steps.  The phase separates per bin, theta_a - theta_b
-with theta_a = od*g_a + delay*h_a, so the scan evaluates its sums as
-bilinear forms over per-bin half-angle phasors: a block of grid points
-costs trig calls on (points x bins) arrays and matrix products, not trig
-on every bin pair.  The scan profiles the model without the boxcar at every
-kernel_width, since it only picks the starting fringe; the refine fits the
-smoothed model, so a wide kernel costs the scan nothing.  Each refine point
-is one evaluation: the same phasors give S, and S the best V, the model and
-its Jacobian.
+from an arbitrary start lands in the wrong fringe.  The phase separates per
+bin, dphi = theta_a - theta_b with theta_a = od*g_a + delay*h_a, so on the
+unmasked block data/J is a constant less a rank-2 matrix in
+(cos, sin)(theta_a): the map is a hologram of the per-bin phase, and the fit
+reads theta off it up to one offset and one sign.  It starts from the point
+of an (od, delay) grid, a quarter fringe apart at the fastest unmasked bin,
+whose phase best matches that hologram; the match separates into od and
+delay factors, so the grid costs trig on (od + delay values) x bins and
+one matrix product.  From there bounded Levenberg-Marquardt steps refine the
+smoothed model with the visibility profiled out: for fixed (od, delay) the
+best V has a closed form (variable projection; Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 413 (1973)).  Each refine point is one evaluation: per-bin
+half-angle phasors give S, and S the best V, the model and its Jacobian.
 tau is not fitted; it comes from the independently measured cell
 temperature.  Bins within mask_radius of the resonance on either axis are
 excluded: there the phase varies too fast for the bin grid and the boxcar
@@ -47,13 +46,10 @@ from .vapor import DispersionModel, spectral_phase
 FS = 1e-15
 
 _SCAN_OD_RANGE = (1.0, 1e5)  # scanned wherever the od bounds overlap it
-_SCAN_BLOCK = 512  # grid points per batched scan evaluation
-_MAX_SCAN = 1_000_000  # scan evaluations allowed: grid points + bins
-_COEF = (1.0, -2.0, 1.0)  # D^2 = s^2 c'^2 - 2 s c s' c' + c^2 s'^2 (see _Profile)
-# S^2 = 4*J^2 * sum over p, q of _COEF[p]*_COEF[q] * left[p]*left[q] x right[p]*right[q];
-# the (p, q) and (q, p) terms are equal, so each pair is kept once (p >= q).
-_SQUARE_TERMS = tuple((p, q, 4.0 * _COEF[p] * _COEF[q] * (1.0 if p == q else 2.0))
-                      for p in range(3) for q in range(p + 1))
+_SCAN_BLOCK = 512  # od or delay values per block of the scan
+_MAX_SCAN = 1_000_000  # grid points + bins allowed to the scan: bounds its scores and products
+_HOLOGRAM_ITERATIONS = 5  # EM steps of the rank-2 fit
+_HOLOGRAM_FLOOR = 1e-3  # J/max(J) below which a bin carries no weight in the hologram
 _VISIBILITY_BOUNDS = (0.0, 1.0)
 _TOL = 1e-12  # ftol and xtol of the profile refine
 _MAX_NFEV = 400  # function evaluations allowed to the profile refine
@@ -151,16 +147,15 @@ class _FringeModel:
         per_bin = np.stack((spectral_phase(DispersionModel(od=1.0, tau=config.tau), centers),
                             2.0 * math.pi * CODATA.c * FS / centers))
         self.bin_phase = per_bin - per_bin.mean(axis=1, keepdims=True)
-        rows, cols = (np.flatnonzero(np.any(self.keep, axis=axis)) for axis in (1, 0))
+        # The unmasked rows and columns: the unmasked bins are their block.
+        self.rows, self.cols = (np.flatnonzero(np.any(self.keep, axis=axis)) for axis in (1, 0))
         # Fastest fringe rates over the unmasked bins [rad per od, per fs].
-        phase_rows, phase_cols = self.bin_phase[:, rows], self.bin_phase[:, cols]
+        phase_rows, phase_cols = self.bin_phase[:, self.rows], self.bin_phase[:, self.cols]
         self.max_rates = np.maximum(phase_rows.max(axis=1) - phase_cols.min(axis=1),
                                     phase_cols.max(axis=1) - phase_rows.min(axis=1))
-        if self.kernel > 1:
-            rows = cols = np.arange(mask.shape[0])
-        self.pairs = np.ix_(rows, cols)
-        self.intensity = np.abs(jsa.amplitude) ** 2
-        self.jsi = self.intensity[self.pairs]
+        full = np.arange(mask.shape[0])
+        self.pairs = np.ix_(full, full) if self.kernel > 1 else np.ix_(self.rows, self.cols)
+        self.jsi = (np.abs(jsa.amplitude) ** 2)[self.pairs]
         self.data, self.sqrt_w = data, sqrt_w
         self.j = self.smooth(self.jsi)
         self.j_sum = float(np.sum(self.j))
@@ -268,90 +263,65 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     return lambda t: weighted(t)[0], lambda t: weighted(t)[1], cost, gradient, 2 + config.fit_delay
 
 
-class _Profile:
-    """The unsmoothed objective minimized over visibility in closed form.
+def _hologram(model: _FringeModel) -> np.ndarray:
+    """The phase of each unmasked row, read off the map up to one offset and one sign.
 
-    The scan only has to pick the fringe the refine starts in, so it fits
-    the model without the boxcar to the (possibly smoothed) data; the refine
-    carries kernel_width.  With u = J/sum(J) and v = S/sum(S), the weighted
-    residual is a + t*b with a = sqrt_w*(u - data) and b = sqrt_w*(v - u),
-    t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)).  V in [0, 1] is t in [0, 1],
-    so the best t is a clipped one-dimensional linear least-squares
-    solution, found from four sums: sum(S), S.(sqrt_w*a), S.(w*u) and
-    sum(w*S^2).
-
-    The scan takes those sums as bilinear forms over per-bin phasors.  With
-    s = sin(theta/2) and c = cos(theta/2) per bin, S_ab = 2*J_ab*D_ab^2 with
-    D_ab = s_a*c_b - c_a*s_b, so each linear sum is
-    2*(s^2' M c^2 + c^2' M s^2 - 2*(sc)' M (sc)) for a fixed bins x bins
-    matrix M, and sum(w*S^2) is a sum of six such forms over products of
-    s^2, sc and c^2 (_SQUARE_TERMS).  With theta less its mean over bins,
-    every term is as small as the phase differences, so low-od points keep
-    their relative precision (1 - cos(phi) would cancel there).
+    On the unmasked block, data/J = alpha - beta*cos(theta_a - theta_b): a
+    constant less the rank-2 matrix Y Y' with Y_a = sqrt(beta)*(cos, sin)(theta_a).
+    Y is fitted with weights J/max(J), zero below _HOLOGRAM_FLOOR, by EM
+    imputation (Srebro & Jaakkola, "Weighted low-rank approximations", ICML
+    2003): fill in the data with the current fit as the weights fall short of
+    1, take the top two eigenpairs of alpha less the filled block, then alpha
+    as the weighted mean of data/J + Y Y'.  Y's 2x2 orthogonal freedom is
+    exactly the offset and the sign of theta.
     """
+    shape = (model.rows.size, model.cols.size)
+    j = model.j.reshape(shape)
+    weight = j / j.max()
+    weight[weight < _HOLOGRAM_FLOOR] = 0.0
+    ratio = np.divide(model.data.reshape(shape), j, out=np.zeros(shape), where=weight > 0.0)
+    alpha, rank2 = np.sum(weight * ratio) / np.sum(weight), np.zeros(shape)
+    for _ in range(_HOLOGRAM_ITERATIONS):
+        gap = weight * (alpha - ratio) + (1.0 - weight) * rank2  # alpha less the filled block
+        values, vectors = np.linalg.eigh(0.5 * (gap + gap.T))
+        y = vectors[:, -2:] * np.sqrt(np.clip(values[-2:], 0.0, None))
+        rank2 = y @ y.T
+        alpha = np.sum(weight * (ratio + rank2)) / np.sum(weight)
+    return np.arctan2(y[:, -1], y[:, 0])  # a one-row block has one eigenpair
 
-    def __init__(self, model: _FringeModel):
-        self.model, sqrt_w = model, model.sqrt_w
-        j = model.intensity[model.keep]
-        u = j / float(np.sum(j))
-        a = sqrt_w * (u - model.data)
-        self.w = sqrt_w**2
-        # b.a, b.b and sum(S) follow from products of S with these columns.
-        self.products = np.stack((np.ones_like(u), sqrt_w * a, self.w * u), axis=1)
-        self.a_u, self.u_w_u, self.a_a = sqrt_w * a @ u, self.w * u @ u, a @ a
 
-        def on_grid(values):  # unmasked-bin values on the bins x bins grid, zero in the mask
-            out = np.zeros(model.keep.shape)
-            out[model.keep] = values
-            return out
+def _coherent_scores(model: _FringeModel, ods: np.ndarray, delays_fs: np.ndarray) -> np.ndarray:
+    """How well the phase od*g + delay*h matches the hologram, on the grid ods x delays_fs.
 
-        forms = [on_grid(col) * model.intensity for col in self.products.T]
-        self.linear_forms = np.hstack([m + m.T for m in forms])
-        self.square_form = on_grid(self.w) * model.intensity * model.intensity
-
-    def _tail(self, s_sum, s_a, s_u, s_w_s):
-        """Best t and cost from sum(S), S.(sqrt_w*a), S.(w*u) and sum(w*S^2)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p = s_a / s_sum - self.a_u  # b.a
-            q = s_w_s / s_sum**2 - 2.0 * s_u / s_sum + self.u_w_u  # b.b
-            t = np.clip(-p / q, 0.0, 1.0)
-            cost = self.a_a + t * (2.0 * p + t * q)
-        return t, np.where(s_sum > 0.0, cost, np.inf)
-
-    def _sums(self, theta: np.ndarray):
-        """The four sums for rows of per-bin phases theta."""
-        sin, cos = np.sin(0.5 * theta), np.cos(0.5 * theta)
-        left = (sin * sin, sin * cos, cos * cos)
-        right = left[::-1]  # D_ab^2 = sum over p of _COEF[p] * left[p]_a * right[p]_b
-        shape = (len(theta), 3, theta.shape[1])
-        s_sum, s_a, s_u = 2.0 * (
-            np.einsum("kxn,kn->xk", (left[0] @ self.linear_forms).reshape(shape), right[0])
-            - np.einsum("kxn,kn->xk", (left[1] @ self.linear_forms).reshape(shape), left[1]))
-        s_w_s = 0.0
-        for p, q, weight in _SQUARE_TERMS:
-            rows, cols = left[p] * left[q], right[p] * right[q]
-            s_w_s = s_w_s + weight * np.einsum("kn,kn->k", rows @ self.square_form, cols)
-        return s_sum, s_a, s_u, s_w_s
-
-    def costs(self, ods: np.ndarray, delays_fs: np.ndarray) -> np.ndarray:
-        """Profile cost on the grid ods x delays_fs; inf where the phases vanish."""
-        points = np.stack(np.meshgrid(ods, delays_fs, indexing="ij"), axis=-1).reshape(-1, 2)
-        out = np.empty(len(points))
-        for i in range(0, len(points), _SCAN_BLOCK):
-            theta = points[i:i + _SCAN_BLOCK] @ self.model.bin_phase
-            out[i:i + _SCAN_BLOCK] = self._tail(*self._sums(theta))[1]
-        return out.reshape(ods.size, delays_fs.size)
+    The smoothed row a has the phasor sum over n of B_an*exp(i*phase_n), so
+    the score is max over +- of |r' exp(-i*phase)| over all bins, with
+    r = B[rows]'(w*exp(+-i*theta)) and w the block's row sums of J; the sign
+    and |.| absorb the hologram's sign and offset.  The phase separates,
+    od*g + delay*h, so a block of grid points costs trig on its od and delay
+    values times the bins, and one matrix product.
+    """
+    phasors = np.exp(1j * np.multiply.outer((1.0, -1.0), _hologram(model)))
+    w = np.sum(model.j.reshape(model.rows.size, -1), axis=1)
+    r = (w * phasors) @ model.box[model.rows]
+    g, h = model.bin_phase
+    scores = np.empty((ods.size, delays_fs.size))
+    for k in range(0, delays_fs.size, _SCAN_BLOCK):
+        right = np.exp(-1j * np.multiply.outer(h, delays_fs[k:k + _SCAN_BLOCK]))
+        for i in range(0, ods.size, _SCAN_BLOCK):
+            left = r[:, None, :] * np.exp(-1j * np.multiply.outer(ods[i:i + _SCAN_BLOCK], g))
+            scores[i:i + _SCAN_BLOCK, k:k + _SCAN_BLOCK] = np.max(np.abs(left @ right), axis=0)
+    return scores
 
 
 def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
-    """od and delay values of the profile scan.
+    """od and delay values of the scan that picks the refine's start.
 
     od covers the od bounds within _SCAN_OD_RANGE, or all of the bounds
     where they lie outside it, in steps of 5% of od up to a quarter fringe
     (0.5*pi rad) of the fastest unmasked bin; delay spans its bounds a
     quarter fringe apart.  The bound on the scan is checked as each od point
     is added: ConfigError is raised as soon as the scan would exceed
-    _MAX_SCAN evaluations, before any delay array or profile is built.
+    _MAX_SCAN grid points and bins, before any delay array or score is built.
     """
     od_step, delay_step = (0.5 * math.pi / rate for rate in model.max_rates)
     (od_lo, od_hi), (range_lo, range_hi) = config.od_bounds, _SCAN_OD_RANGE
@@ -366,7 +336,7 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
         ods.append(ods[-1] + min(od_step, 0.05 * max(ods[-1], 1.0)))
         if len(ods) * n_delays + n_bins > _MAX_SCAN:
             raise ConfigError(
-                f"the profile scan needs over {_MAX_SCAN:.0e} evaluations; "
+                f"the start scan needs over {_MAX_SCAN:.0e} evaluations; "
                 f"narrow fit_od_min/fit_od_max or fit_delay_min/fit_delay_max")
     ods[-1] = hi
     delays = np.linspace(d_lo, d_hi, n_delays) if config.fit_delay else np.zeros(1)
@@ -376,18 +346,18 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
 def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) -> FitResult:
     """Bounded least-squares fit of {od, visibility, delay}.
 
-    The visibility-profiled cost of the unsmoothed model is scanned on an
-    (od, delay) grid, and its best point refined on the smoothed model's
-    profile by bounded Levenberg-Marquardt steps whose last accepted
-    evaluation gives the cost and the covariance.
-    ``iterations`` counts scan points and refine evaluations; a parameter
-    with no effect there (od and delay at V = 0) has sigma inf.  ``converged``
-    reports whether the refine met its tolerance; it is never an exception.
+    The grid point whose phase best matches the map's hologram starts
+    bounded Levenberg-Marquardt steps on the smoothed model's visibility
+    profile, and their last accepted evaluation gives the cost and the
+    covariance.  ``iterations`` counts grid points and refine evaluations;
+    a parameter with no effect there (od and delay at V = 0) has sigma inf.
+    ``converged`` reports whether the refine met its tolerance; it is never
+    an exception.
     """
     model = _weighted_problem(cmap, jsa, config)
     ods, delays = _scan_grid(model, config)
-    costs = _Profile(model).costs(ods, delays)
-    i, k = np.unravel_index(np.argmin(costs), costs.shape)
+    scores = _coherent_scores(model, ods, delays)
+    i, k = np.unravel_index(np.argmax(scores), scores.shape)
 
     lower, upper = np.array(
         [config.od_bounds, _VISIBILITY_BOUNDS, config.delay_bounds_fs][:2 + config.fit_delay]).T
@@ -444,7 +414,7 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         visibility_hat=float(theta[1]) + 0.0,  # + 0.0 turns a -0.0 from the profile into 0.0
         delay_fs=float(theta[2]) if config.fit_delay else 0.0,
         cost=cost,
-        iterations=int(costs.size + nfev),
+        iterations=int(scores.size + nfev),
         converged=converged,
         param_sigma=param_sigma,
         od_visibility_correlation=corr,

@@ -18,7 +18,8 @@ from homspec.interference import (
 )
 from homspec.retrieval import (
     FitConfig,
-    _Profile,
+    _coherent_scores,
+    _hologram,
     _scan_grid,
     _weighted_problem,
     fit,
@@ -27,7 +28,7 @@ from homspec.retrieval import (
     resonance_mask,
 )
 from homspec.spectra import WavelengthGrid, gaussian_jsa
-from homspec.vapor import DispersionModel, doppler_lifetime
+from homspec.vapor import DispersionModel, doppler_lifetime, spectral_phase
 
 GRID = WavelengthGrid.from_edges(790e-9, 803e-9, 140)
 JSA = gaussian_jsa(796.7e-9, 10e-9, -0.9, GRID)
@@ -140,23 +141,17 @@ class TestObjective:
 
     @pytest.mark.parametrize("kernel_width", [1, 3])
     def test_profile_matches_objective(self, kernel_width):
-        # The refine's visibility minimizes the objective over V, at any
-        # kernel; without a boxcar the scan's closed-form profile is the
-        # objective there.
+        # The refine's visibility minimizes the objective over V, at any kernel.
         data = fringe_map(150.0, 0.7, 5e-15, JSA64, tau=TAU_86, kernel_width=kernel_width)
         noise = 0.05 * data.values.max() * np.random.default_rng(3).standard_normal((64, 64))
         noisy = CoincidenceMap(GRID64, GRID64, data.values + noise, MapKind.COVARIANCE)
         config = FitConfig(tau=TAU_86, kernel_width=kernel_width)
         _, _, cost, _, _ = prepare_objective(noisy, JSA64, config)
         model = _weighted_problem(noisy, JSA64, config)
-        ods, delays = np.array([20.0, 150.0, 900.0]), np.array([-40.0, 5.0])
-        costs = _Profile(model).costs(ods, delays)
-        for i, od in enumerate(ods):
-            for k, delay in enumerate(delays):
+        for od in (20.0, 150.0, 900.0):
+            for delay in (-40.0, 5.0):
                 vis = model.evaluate(np.array([od, delay]))[0][1]
                 best = cost(np.array([od, vis, delay]))
-                if kernel_width == 1:
-                    assert costs[i, k] == pytest.approx(best, rel=1e-9)
                 for other in (0.0, 0.5 * vis, min(1.5 * vis, 1.0), 1.0):
                     assert cost(np.array([od, other, delay])) >= best * (1 - 1e-12)
 
@@ -194,11 +189,10 @@ class TestObjective:
             fit(zero, JSA64, FitConfig(tau=TAU_86))
 
 
-def elementwise_costs(model, config, ods, delays_fs):
-    """Costs minimized over V and the best visibilities of the objective on
-    the model's 64-bin data and weights, from the smoothed S = 2*sin^2(phi/2)*J
-    with phi from interference.phase_difference on every bin pair.  The cost
-    is expanded as the scan expands it, a.a + t*(2*b.a + t*b.b)."""
+def elementwise_visibility(model, config, od, delay_fs):
+    """The visibility that minimizes the objective on the model's 64-bin data
+    and weights, from the smoothed S = 2*sin^2(phi/2)*J with phi from
+    interference.phase_difference on every bin pair."""
     data, sqrt_w = model.data, model.sqrt_w
     keep = ~resonance_mask(GRID64, GRID64, RB87.d1_wavelength, config.mask_radius)
     box = boxcar_matrix(GRID64.n_bins, config.kernel_width)
@@ -212,19 +206,12 @@ def elementwise_costs(model, config, ods, delays_fs):
     j = smooth(jsi)
     u = j / np.sum(j)
     a, w = sqrt_w * (u - data), sqrt_w**2
-    costs = np.empty((ods.size, delays_fs.size))
-    visibilities = np.empty_like(costs)
-    for i, od in enumerate(ods):
-        phi = od * phase_unit + np.multiply.outer(delays_fs, delay_unit)
-        s = smooth(2.0 * np.sin(0.5 * phi) ** 2 * jsi)
-        s_sum = np.sum(s, axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p = s @ (sqrt_w * a) / s_sum - sqrt_w * a @ u
-            q = np.square(s) @ w / s_sum**2 - 2.0 * (s @ (w * u)) / s_sum + w * u @ u
-            t = np.clip(-p / q, 0.0, 1.0)
-            costs[i] = np.where(s_sum > 0.0, a @ a + t * (2.0 * p + t * q), np.inf)
-        visibilities[i] = t * np.sum(j) / ((1.0 - t) * s_sum + t * np.sum(j))
-    return costs, visibilities
+    s = smooth(2.0 * np.sin(0.5 * (od * phase_unit + delay_fs * delay_unit)) ** 2 * jsi)
+    s_sum = np.sum(s)
+    p = s @ (sqrt_w * a) / s_sum - sqrt_w * a @ u
+    q = np.square(s) @ w / s_sum**2 - 2.0 * (s @ (w * u)) / s_sum + w * u @ u
+    t = np.clip(-p / q, 0.0, 1.0)
+    return t * np.sum(j) / ((1.0 - t) * s_sum + t * np.sum(j))
 
 
 class TestScan:
@@ -236,32 +223,22 @@ class TestScan:
         for kernel in ((1, 3) if od in (1.0, 2.6e3) and delay else (1,))
     ])
     def test_matches_elementwise_reference(self, od_true, tau, delay, kernel_width):
-        # The whole scan grid, its low-od rows included, against the direct
-        # evaluation of the unsmoothed (kernel 1) profile of the same data;
-        # noiseless kernel-1 maps leave the cost near zero at the truth.
+        # The refine's visibility, at the scan's start and at the truth,
+        # against the direct evaluation of the smoothed model.
         cmap = fringe_map(od_true, 0.8, delay, JSA64, tau=tau, kernel_width=kernel_width)
         config = FitConfig(tau=tau, kernel_width=kernel_width)
         model = _weighted_problem(cmap, JSA64, config)
         ods, delays = _scan_grid(model, config)
-        costs = _Profile(model).costs(ods, delays)
-        unsmoothed = FitConfig(tau=tau, kernel_width=1)
-        reference, _ = elementwise_costs(_weighted_problem(cmap, JSA64, unsmoothed), unsmoothed,
-                                         ods, delays)
-        finite = np.isfinite(reference)
-        assert np.array_equal(np.isfinite(costs), finite)
-        np.testing.assert_allclose(costs[finite], reference[finite], rtol=1e-9)
-        assert np.argmin(costs) == np.argmin(reference)
-        # The refine's visibility, at the scan's best point and at the truth,
-        # against the direct evaluation of the smoothed model.
-        i, k = np.unravel_index(np.argmin(costs), costs.shape)
+        scores = _coherent_scores(model, ods, delays)
+        i, k = np.unravel_index(np.argmax(scores), scores.shape)
         for od, delay_fs in ((ods[i], delays[k]), (od_true, delay / 1e-15)):
-            expected = elementwise_costs(model, config, np.array([od]), np.array([delay_fs]))[1]
+            expected = elementwise_visibility(model, config, od, delay_fs)
             np.testing.assert_allclose(model.evaluate(np.array([od, delay_fs]))[0][1],
-                                       expected[0, 0], rtol=1e-12, atol=1e-14)
+                                       expected, rtol=1e-12, atol=1e-14)
 
     def test_grid_does_not_depend_on_kernel(self):
-        # The scan profiles the unsmoothed model, so neither its grid nor its
-        # bound grows with kernel_width.
+        # The grid steps follow the phase rates of the unmasked bins, so
+        # neither the grid nor its bound grows with kernel_width.
         data = fringe_map(2.6e3, 0.8, 10e-15, JSA64, tau=TAU_174)
         configs = [FitConfig(tau=TAU_174, kernel_width=kernel) for kernel in (1, 31)]
         (ods1, delays1), (ods31, delays31) = (
@@ -277,13 +254,36 @@ class TestScan:
         assert result.delay_fs == pytest.approx(10.0, rel=1e-6)
         assert result.converged
 
-    def test_boxcar_fit_at_dense_fringes(self):
-        data = fringe_map(2.6e3, 0.8, 10e-15, JSA64, tau=TAU_174, kernel_width=3)
-        result = fit(data, JSA64, FitConfig(tau=TAU_174, kernel_width=3))
+    @pytest.mark.parametrize("kernel_width", [3, 7])
+    def test_boxcar_fit_at_dense_fringes(self, kernel_width):
+        # At kernel 7 a start that ignored the boxcar ended at od 2012.
+        data = fringe_map(2.6e3, 0.8, 10e-15, JSA64, tau=TAU_174, kernel_width=kernel_width)
+        result = fit(data, JSA64, FitConfig(tau=TAU_174, kernel_width=kernel_width))
         assert result.od_hat == pytest.approx(2.6e3, rel=1e-6)
         assert result.visibility_hat == pytest.approx(0.8, rel=1e-6)
         assert result.delay_fs == pytest.approx(10.0, rel=1e-6)
         assert result.converged
+
+
+class TestHologram:
+    @pytest.mark.parametrize("visibility", [1.0, 0.8])
+    @pytest.mark.parametrize("od,tau", [(4.66e3, TAU_188), (2586.16, TAU_174)])
+    def test_reads_phase_off_noiseless_map(self, od, tau, visibility):
+        data = fringe_map(od, visibility, 0.0, JSA, tau=tau)
+        config = FitConfig(tau=tau)
+        model = _weighted_problem(data, JSA, config)
+        theta = _hologram(model)
+        truth = spectral_phase(DispersionModel(od=od, tau=tau), GRID.centers)[model.rows]
+        weight = np.sum(model.j.reshape(model.rows.size, -1), axis=1)
+        errors = []
+        for sign in (1.0, -1.0):  # the hologram holds the phase up to offset and sign
+            phasor = np.exp(1j * (theta - sign * truth))
+            offset = np.angle(weight @ phasor)
+            wrapped = np.angle(phasor * np.exp(-1j * offset))
+            errors.append(math.sqrt(weight @ wrapped**2 / np.sum(weight)))
+        assert min(errors) <= 0.5
+        result = fit(data, JSA, config)
+        assert result.od_hat == pytest.approx(od, rel=1e-9)
 
 
 @pytest.fixture(scope="module")
