@@ -85,18 +85,19 @@ def cmd_simulate(args) -> int:
         # The spectrometer blurs each photon, so the port spectra take the map's boxcar.
         box = interference.boxcar_matrix(jsa.grid_s.n_bins, cfg.kernel_width)
         marginals = tuple(box @ m for m in marginals)
+    # Every check runs here, before frames.zhf is opened; the chunks are
+    # drawn while the file is written.
     if args.uncorrelated:
-        batch = detector.simulate_uncorrelated_frames(
+        run = detector.simulate_uncorrelated_chunks(
             jsa.grid_s, jsa.grid_i, marginals, params, args.frames
         )
     else:
-        batch = detector.simulate_frames(_theory_map(cfg), marginals, params, args.frames)
+        run = detector.simulate_chunks(_theory_map(cfg), marginals, params, args.frames)
     path = out / "frames.zhf"
-    zhf.write_frames(batch, path)
-    mean_photons = batch.n_events / batch.n_frames if batch.n_frames else 0.0
+    n_events = zhf.write_frames(run, path)
+    mean_photons = n_events / run.n_frames if run.n_frames else 0.0
     print(f"R = {params.repetitions} repetitions per frame")
-    print(f"{batch.n_frames} frames, {batch.n_events} events, "
-          f"{mean_photons:.4g} photons/frame")
+    print(f"{run.n_frames} frames, {n_events} events, {mean_photons:.4g} photons/frame")
     print(f"wrote {path}")
     return 0
 

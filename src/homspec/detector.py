@@ -29,17 +29,23 @@ the subtraction is needed at all.
 Frames are simulated in chunks of FRAME_CHUNK.  Randomness is drawn from
 counter-based Philox streams keyed by (seed, frame-chunk index), and each
 chunk's events are sorted and deduplicated as the chunk is generated, so the
-output is bit-reproducible for a given seed and independent of how chunks
-would be scheduled.  The batch's own three fields are the only allocation
-that follows the event count: validation, the estimators and the ZHF1 reader
-and writer work through the events in blocks of about _BLOCK events, so
-every temporary is bounded by the block, not the events or the frames.  A
-run whose chunks would ask for more than MAX_CHUNK_EVENTS expected events is
-rejected with ConfigError.
+output is bit-reproducible for a given seed and independent of the order the
+chunks finish in on the thread pool that draws them (numpy's draws and sorts
+release the GIL).  zhf.write_frames writes each chunk as it arrives, so a
+simulated run never holds all its events; a joined or read batch holds its
+three fields, and validation, the estimators and the ZHF1 reader and writer
+work through them in blocks of about _BLOCK events.  Every other temporary
+is bounded by the block or the chunk window, not the events or the frames.
+A run whose chunks would ask for more than MAX_CHUNK_EVENTS expected events
+is rejected with ConfigError before any chunk is drawn.
 """
 
 import math
+import os
 import warnings
+from collections import deque
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +61,7 @@ _MAX_SLOTS = 1 << 62  # repetition slots per chunk; slot sums stay inside int64
 _BATCH_SIGMAS = 6.0  # a batch of gaps covers the mean successes plus this many sigma
 MARGINAL_TOL = 1e-6
 _BLOCK = 1 << 16  # events per block of the event-path loops
+_MAX_WORKERS = 4  # threads over frame chunks
 
 
 @dataclass(frozen=True)
@@ -220,27 +227,66 @@ def _canonical_chunk(codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, n
     )
 
 
-def _simulate_chunks(
-    n_frames: int, grid_plus: WavelengthGrid, grid_minus: WavelengthGrid, seed: int, chunk_codes
-) -> FrameBatch:
-    """Run ``chunk_codes(rng, start, size)`` over frame chunks into one batch.
+def _workers() -> int:
+    """Threads for the chunk pool: the CPUs this process may run on, capped."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(usable or 1, _MAX_WORKERS)
 
-    Chunks cover ascending, disjoint frame ranges, so canonicalizing each
-    chunk as it is generated and concatenating the results gives the
-    canonical order of the whole run without a global sort; memory follows
-    the events kept, not the frames or the candidates.  A run of zero frames
-    is one empty chunk.
+
+def _in_order(make: Callable, n: int):
+    """Yield make(0), ..., make(n - 1) in order, computed on a thread pool.
+
+    At most two calls per worker are pending, so memory follows the window,
+    not n.  When the consumer stops or a call raises, the calls not yet
+    started are cancelled.  ``make`` must call none of the functions that
+    pipebench/spans.py wraps: its open-span stack assumes one thread.
     """
-    chunks = [
-        _canonical_chunk(
-            chunk_codes(_chunk_rng(seed, index), start, min(FRAME_CHUNK, n_frames - start))
-        )
-        for index, start in enumerate(range(0, max(n_frames, 1), FRAME_CHUNK))
-    ]
-    fields = list(zip(*chunks))
-    del chunks  # each field's chunks are freed as soon as that field is joined
-    frames, regions, bins = (np.concatenate(fields.pop(0)) for _ in range(3))
-    return FrameBatch(n_frames, grid_plus, grid_minus, frames, regions, bins)
+    workers = _workers()
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for index in range(n):
+            pending.append(pool.submit(make, index))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@dataclass(frozen=True)
+class FrameChunks:
+    """A checked simulation run, drawn chunk by chunk as it is iterated.
+
+    ``chunk_codes(rng, start, size)`` gives a chunk's raw event codes.  The
+    chunks cover ascending, disjoint frame ranges, so each canonical chunk
+    (a FrameBatch over the run's n_frames) follows the one before it in
+    canonical order without a global sort.  Zero frames are one empty chunk.
+    """
+
+    n_frames: int
+    grid_plus: WavelengthGrid
+    grid_minus: WavelengthGrid
+    seed: int
+    chunk_codes: Callable
+
+    def __iter__(self):
+        starts = range(0, max(self.n_frames, 1), FRAME_CHUNK)
+
+        def chunk(index: int) -> FrameBatch:
+            size = min(FRAME_CHUNK, self.n_frames - starts[index])
+            fields = _canonical_chunk(
+                self.chunk_codes(_chunk_rng(self.seed, index), starts[index], size)
+            )
+            return FrameBatch(self.n_frames, self.grid_plus, self.grid_minus, *fields)
+
+        return _in_order(chunk, len(starts))
+
+    def join(self) -> FrameBatch:
+        """All chunks as one batch."""
+        fields = map(np.concatenate, zip(*((c.frames, c.regions, c.bins) for c in self)))
+        return FrameBatch(self.n_frames, self.grid_plus, self.grid_minus, *fields)
 
 
 def _validate_marginals(
@@ -287,6 +333,16 @@ def simulate_frames(
     params.seed.  Raises InconsistentMarginals when the spectra disagree
     with the map's row/column sums.
     """
+    return simulate_chunks(pc_map, marginals, params, n_frames).join()
+
+
+def simulate_chunks(
+    pc_map: CoincidenceMap,
+    marginals: tuple[np.ndarray, np.ndarray],
+    params: DetectionParams,
+    n_frames: int,
+) -> FrameChunks:
+    """simulate_frames' run, checked (errors and warning) before any chunk is drawn."""
     if pc_map.kind is not MapKind.PROBABILITY:
         raise ValueError(f"need a probability map, got kind={pc_map.kind.value}")
     if n_frames < 0:
@@ -370,7 +426,7 @@ def simulate_frames(
             ]
         return codes
 
-    return _simulate_chunks(n_frames, pc_map.grid_p, pc_map.grid_m, params.seed, chunk_codes)
+    return FrameChunks(n_frames, pc_map.grid_p, pc_map.grid_m, params.seed, chunk_codes)
 
 
 def simulate_uncorrelated_frames(
@@ -386,6 +442,17 @@ def simulate_uncorrelated_frames(
     pair before thinning) but carry no cross-port correlation, so the
     covariance map of the result is statistically zero.
     """
+    return simulate_uncorrelated_chunks(grid_plus, grid_minus, marginals, params, n_frames).join()
+
+
+def simulate_uncorrelated_chunks(
+    grid_plus: WavelengthGrid,
+    grid_minus: WavelengthGrid,
+    marginals: tuple[np.ndarray, np.ndarray],
+    params: DetectionParams,
+    n_frames: int,
+) -> FrameChunks:
+    """simulate_uncorrelated_frames' run as chunks, checked before any is drawn."""
     if n_frames < 0:
         raise ValueError("n_frames must be non-negative")
     reps = params.repetitions
@@ -402,7 +469,7 @@ def simulate_uncorrelated_frames(
                 codes.append(_dark_codes(rng, params.dark_rate, start, size, region, grid.n_bins))
         return codes
 
-    return _simulate_chunks(n_frames, grid_plus, grid_minus, params.seed, chunk_codes)
+    return FrameChunks(n_frames, grid_plus, grid_minus, params.seed, chunk_codes)
 
 
 def _require_frames(batch: FrameBatch):

@@ -68,7 +68,8 @@ def read_map_csv(path) -> tuple[np.ndarray, WavelengthGrid, WavelengthGrid]:
             f"{path}: {len(rows)} matrix rows, expected {grid_p.n_bins}"
         )
     try:
-        values = np.array([[float(v) for v in row.split(",")] for row in rows])
+        # numpy's C parser; a short row or a non-numeric cell raises ValueError.
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise DataFormatError(f"{path}: unparseable matrix row") from exc
     if values.shape != (grid_p.n_bins, grid_m.n_bins):

@@ -12,9 +12,12 @@ Layout (all little-endian):
     58      7*n   event records: frame u32, region u8 (0 plus / 1 minus), bin u16
 
 Events are stored in the batch's canonical order (frame, region, bin), so a
-batch round-trips byte-identically.  Records are written and read a block of
-events at a time, so neither side holds more than the batch's own fields and
-one block of records.
+batch round-trips byte-identically.  The writer also takes a simulation
+run's chunks (detector.FrameChunks) and writes each as it arrives, with an
+n_events placeholder that read_frames rejects until the end patches it; a
+write that fails part-way removes the file.  Records are written and read a
+block of events at a time, so neither side holds more than its chunks or
+the batch's own fields and one block of records.
 """
 
 import os
@@ -23,7 +26,7 @@ import struct
 import numpy as np
 
 from . import detector
-from .detector import FrameBatch
+from .detector import FrameBatch, FrameChunks
 from .errors import DataFormatError
 from .spectra import WavelengthGrid
 
@@ -31,32 +34,41 @@ MAGIC = b"ZHF1"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sH" + "ddH" * 2 + "QQ")
+_UNPATCHED = 2**64 - 1  # n_events while records are written: no file size matches it
 _RECORD_DTYPE = np.dtype([("frame", "<u4"), ("region", "u1"), ("bin", "<u2")])
 
 
-def write_frames(batch: FrameBatch, path) -> None:
-    """Write a frame batch as a ZHF1 file."""
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        batch.grid_plus.start,
-        batch.grid_plus.step,
-        batch.grid_plus.n_bins,
-        batch.grid_minus.start,
-        batch.grid_minus.step,
-        batch.grid_minus.n_bins,
-        batch.n_frames,
-        batch.n_events,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for lo in range(0, batch.n_events, detector._BLOCK):
-            block = slice(lo, lo + detector._BLOCK)
-            records = np.empty(batch.frames[block].size, dtype=_RECORD_DTYPE)
-            records["frame"] = batch.frames[block]
-            records["region"] = batch.regions[block]
-            records["bin"] = batch.bins[block]
-            fh.write(records.data)
+def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
+    """Write a frame batch, or a run's chunks as they are drawn, as a ZHF1 file.
+
+    Each chunk must follow the previous one in canonical order.  Returns the
+    number of events written.
+    """
+    grids = [v for g in (batch.grid_plus, batch.grid_minus) for v in (g.start, g.step, g.n_bins)]
+    n_events, last = 0, -1
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, batch.n_frames, _UNPATCHED))
+            for chunk in [batch] if isinstance(batch, FrameBatch) else batch:
+                fields = (chunk.frames, chunk.regions, chunk.bins)
+                if chunk.n_events:
+                    first, end = detector._event_codes(*(f[[0, -1]] for f in fields)).tolist()
+                    if first <= last:
+                        raise ValueError("a chunk does not follow the previous one in order")
+                    last = end
+                for lo in range(0, chunk.n_events, detector._BLOCK):
+                    records = np.empty(min(chunk.n_events - lo, detector._BLOCK), _RECORD_DTYPE)
+                    for name, field in zip(_RECORD_DTYPE.names, fields):
+                        records[name] = field[lo : lo + detector._BLOCK]
+                    fh.write(records.data)
+                n_events += chunk.n_events
+            fh.seek(0)
+            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, batch.n_frames, n_events))
+    except BaseException:
+        os.remove(path)
+        raise
+    return n_events
 
 
 def read_frames(path) -> FrameBatch:

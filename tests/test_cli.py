@@ -99,18 +99,38 @@ class TestSimulate:
         ["dark_rate = 1e19"],
         ["t_exp = 1e9 s"],
         ["chi = 0", "t_exp = 1e9 s"],  # no events, but slot indices past int64
+        ["chi = 1"],
     ])
     def test_unworkable_simulate_settings_exit_2(self, tmp_path, capsys, overrides,
                                                  uncorrelated):
-        # These pass validation; each chunk would ask for unbounded work.
+        # These pass validation; each chunk would ask for unbounded work.  The
+        # check runs before frames.zhf is opened, not when a chunk is drawn.
         args = [arg for option in ["grid_bins = 16", *overrides]
                 for arg in ("--override", option)]
         flag = ["--uncorrelated"] if uncorrelated else []
-        rc = main(["simulate", "--frames", "200", "--out", str(tmp_path), *args, *flag])
+        rc = main(["simulate", "--frames", "100000", "--out", str(tmp_path), *args, *flag])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: chi, dark_rate, f_rep and t_exp ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "frames.zhf").exists()
+
+    def test_failing_chunk_leaves_no_file(self, tmp_path, monkeypatch):
+        # The last of three chunks raises after the first ones may have been
+        # written: the error propagates and no file is left.
+        canonical = detector._canonical_chunk
+
+        def failing(codes):
+            fields = canonical(codes)
+            if fields[0].size and fields[0][0] >= 2 * detector.FRAME_CHUNK:
+                raise MemoryError("chunk 2")
+            return fields
+
+        monkeypatch.setattr(detector, "_canonical_chunk", failing)
+        with pytest.raises(MemoryError, match="chunk 2"):
+            main(["simulate", "--frames", str(2 * detector.FRAME_CHUNK + 7),
+                  "--out", str(tmp_path)])
+        assert not (tmp_path / "frames.zhf").exists()
 
     def test_wide_kernel_exits_0(self, tmp_path):
         # The port spectra take the map's boxcar, so no bin of the smoothed
@@ -207,6 +227,23 @@ class TestSeededOutputBytes:
             "accidental.csv": "6963a8255d5406446667129fc89fa6294515f445094a0f8ff1256f642ecc7cc2",
             "covariance.csv": "837be9e1c2b675d00a6116f86998beffcff61b9070d958cae11855bb656da7b5",
         }
+
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    @pytest.mark.parametrize("schedule", ["1 worker", "3 workers", "reversed"])
+    def test_events_independent_of_schedule(self, tmp_path, monkeypatch, schedule,
+                                            uncorrelated):
+        # The chunks of a run are written in frame order however many
+        # threads draw them and whichever finishes first.
+        flag = ["--uncorrelated"] if uncorrelated else []
+        assert main(["simulate", *self.SIMULATE, *flag, "--out", str(tmp_path / "a")]) == 0
+        if schedule == "reversed":
+            monkeypatch.setattr(detector, "_in_order", lambda make, n: reversed(
+                [make(index) for index in reversed(range(n))]))
+        else:
+            monkeypatch.setattr(detector, "_workers", lambda: int(schedule[0]))
+        assert main(["simulate", *self.SIMULATE, *flag, "--out", str(tmp_path / "b")]) == 0
+        assert self.digest(tmp_path / "b" / "frames.zhf") == self.digest(
+            tmp_path / "a" / "frames.zhf")
 
     def test_uncorrelated_events(self, tmp_path):
         assert main(["simulate", *self.SIMULATE, "--uncorrelated", "--out", str(tmp_path)]) == 0

@@ -146,8 +146,8 @@ class TestSimulateFrames:
     @pytest.mark.parametrize("dark_rate", [0.0, 0.7])
     @pytest.mark.parametrize("uncorrelated", [False, True])
     def test_batch_independent_of_chunk_order(self, monkeypatch, uncorrelated, dark_rate):
-        # Output would stay the same under parallel chunk scheduling:
-        # evaluating the chunks last to first, then putting them back in
+        # Output does not depend on the order the thread pool finishes the
+        # chunks in: evaluating them last to first, then handing them on in
         # frame order, gives the same batch.
         params = DetectionParams(**DEFAULTS, dark_rate=dark_rate, seed=22)
         n_frames = 3 * FRAME_CHUNK + 5
@@ -159,20 +159,12 @@ class TestSimulateFrames:
 
         calls = []
 
-        def reversed_chunks(n_frames, grid_plus, grid_minus, seed, chunk_codes):
-            starts = list(enumerate(range(0, max(n_frames, 1), FRAME_CHUNK)))
-            calls.append(len(starts))
-            chunks = [
-                detector._canonical_chunk(chunk_codes(
-                    detector._chunk_rng(seed, index), start, min(FRAME_CHUNK, n_frames - start)
-                ))
-                for index, start in reversed(starts)
-            ]
-            frames, regions, bins = (np.concatenate(field) for field in zip(*chunks[::-1]))
-            return FrameBatch(n_frames, grid_plus, grid_minus, frames, regions, bins)
+        def reversed_order(make, n):
+            calls.append(n)
+            return reversed([make(index) for index in reversed(range(n))])
 
         expected = simulate()
-        monkeypatch.setattr(detector, "_simulate_chunks", reversed_chunks)
+        monkeypatch.setattr(detector, "_in_order", reversed_order)
         batch = simulate()
         assert calls == [4]
         assert batch.n_events == expected.n_events > 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,21 @@ def test_shape_mismatch_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_map_csv(np.zeros((3, 3)), GRID_P, GRID_M, tmp_path / "bad.csv")
 
+
+@pytest.mark.parametrize("cell", ["abc", "", "1.0 2.0", None])  # None: drop the row's last cell
+def test_csv_bad_middle_row(tmp_path, cell):
+    values = sample_values()
+    path = tmp_path / "map.csv"
+    write_map_csv(values, GRID_P, GRID_M, path)
+    lines = path.read_text().splitlines()
+    row = lines[2 + GRID_P.n_bins // 2].split(",")
+    if cell is None:
+        row.pop()
+    else:
+        row[GRID_M.n_bins // 2] = cell
+    lines[2 + GRID_P.n_bins // 2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the parser's own complaint must not leak as a warning
+        with pytest.raises(DataFormatError, match="unparseable matrix row"):
+            read_map_csv(path)

@@ -50,6 +50,49 @@ def test_round_trip(tmp_path):
     assert np.array_equal(loaded.bins, batch.bins)
 
 
+class Chunks:
+    """Stands in for detector.FrameChunks: a header and the given chunks."""
+
+    grid_plus = grid_minus = GRID
+
+    def __init__(self, n_frames, chunks):
+        self.n_frames, self.chunks = n_frames, chunks
+
+    def __iter__(self):
+        return iter(self.chunks)
+
+
+def test_chunks_write_the_batch_bytes(tmp_path):
+    # A run's chunks, streamed, give the file of the joined batch, and the
+    # file stays unreadable until the last chunk is in.
+    pc = coincidence_probability_cosine(JSA, DispersionModel(od=2.6e3, tau=doppler_lifetime(447.15)))
+    params = DetectionParams(chi=4.5455e-4, eta=0.25, f_rep=80e6, t_exp=11e-6, dark_rate=0.3,
+                             seed=4)
+    run = detector.simulate_chunks(pc, port_spectra(JSA), params, 2 * detector.FRAME_CHUNK + 9)
+    streamed, joined = tmp_path / "streamed.zhf", tmp_path / "joined.zhf"
+    seen = []
+
+    def chunks():
+        for chunk in run:
+            with pytest.raises(DataFormatError):
+                read_frames(streamed)
+            seen.append(chunk.n_events)
+            yield chunk
+
+    assert write_frames(Chunks(run.n_frames, chunks()), streamed) == sum(seen)
+    assert write_frames(run.join(), joined) == sum(seen)
+    assert len(seen) == 3 and min(seen) > 0
+    assert streamed.read_bytes() == joined.read_bytes()
+
+
+def test_chunks_out_of_order_rejected(tmp_path):
+    batch = sample_batch(n_frames=200)
+    path = tmp_path / "frames.zhf"
+    with pytest.raises(ValueError, match="does not follow"):
+        write_frames(Chunks(batch.n_frames, [batch, batch]), path)
+    assert not path.exists()
+
+
 def test_write_is_deterministic(tmp_path):
     batch = sample_batch()
     p1, p2 = tmp_path / "a.zhf", tmp_path / "b.zhf"
