@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as config_mod
 from . import detector, interference, mapio, retrieval, zhf
 from .config import ExperimentConfig
@@ -103,19 +101,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    batch = zhf.read_frames(args.frame_file)
+    counts = detector.EventCounts(zhf.read_blocks(args.frame_file))
     out = _out_dir(args)
-    if batch.n_frames == 0:
-        # A frame-less file still yields well-formed (all-zero) matrices.
-        maps = [np.zeros((batch.grid_plus.n_bins, batch.grid_minus.n_bins))] * 3
-    else:
-        maps = [cmap.values for cmap in detector.estimate_maps(batch)]
-    for name, values in zip(("raw", "accidental", "covariance"), maps):
-        mapio.write_map_csv(values, batch.grid_plus, batch.grid_minus, out / f"{name}.csv")
+    for name, cmap in zip(("raw", "accidental", "covariance"), counts.maps()):
+        mapio.write_map_csv(cmap.values, cmap.grid_p, cmap.grid_m, out / f"{name}.csv")
         if args.binary:
-            mapio.write_map_binary(values, batch.grid_plus, batch.grid_minus, out / f"{name}.bin")
-    total_pairs = float(np.sum(maps[0])) * batch.n_frames
-    print(f"{batch.n_frames} frames, {total_pairs:.0f} coincidence pairs")
+            mapio.write_map_binary(cmap.values, cmap.grid_p, cmap.grid_m, out / f"{name}.bin")
+    events, pairs = counts.singles.sum(), counts.pairs.sum()
+    print(f"{counts.n_frames} frames, {events} events, {pairs} coincidence pairs")
     print(f"wrote {out / 'raw.csv'}, {out / 'accidental.csv'}, {out / 'covariance.csv'}")
     return 0
 

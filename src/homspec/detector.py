@@ -24,22 +24,23 @@ Estimators follow the frame-averaged definitions: the raw map is the mean
 cross-port product <n+(a) n-(b)>, the accidental map the product of means
 <n+(a)><n-(b)>, and their difference is the photon-number covariance.  Many
 repetitions per frame make the accidental term substantial, which is why
-the subtraction is needed at all.
+the subtraction is needed at all.  All three come from exact integer sums.
 
 Frames are simulated in chunks of FRAME_CHUNK.  Randomness is drawn from
 counter-based Philox streams keyed by (seed, frame-chunk index), and each
 chunk's events are sorted and deduplicated as the chunk is generated, so the
 output is bit-reproducible for a given seed and independent of the order the
 chunks finish in on the thread pool that draws them (numpy's draws and sorts
-release the GIL).  zhf.write_frames writes each chunk as it arrives, so a
-simulated run never holds all its events; a joined or read batch holds its
-three fields, and validation, the estimators and the ZHF1 reader and writer
-work through them in blocks of about _BLOCK events.  Every other temporary
-is bounded by the block or the chunk window, not the events or the frames.
+release the GIL).  zhf.write_frames writes each chunk as it arrives and
+zhf.read_blocks reads a file a block at a time, so neither side holds a
+whole run; a joined batch holds its three fields, and validation, the
+counts and the ZHF1 I/O work through them in blocks of about _BLOCK events.
+Every other temporary is bounded by the block or the chunk window.
 A run whose chunks would ask for more than MAX_CHUNK_EVENTS expected events
 is rejected with ConfigError before any chunk is drawn.
 """
 
+import itertools
 import math
 import os
 import warnings
@@ -137,7 +138,8 @@ class FrameBatch:
             if int(b.max()) >= min(n_plus, n_minus):
                 if np.any(b >= np.where(r == 0, n_plus, n_minus)):
                     raise ValueError("event bin index out of range")
-            if not np.all(np.diff(_event_codes(f, r, b)) > 0):
+            code = _event_codes(f, r, b)
+            if not np.all(code[1:] > code[:-1]):
                 raise ValueError("events must be in strictly increasing (frame, region, bin) order")
         for arr, name in ((frames, "frames"), (regions, "regions"), (bins, "bins")):
             arr.setflags(write=False)
@@ -283,10 +285,12 @@ class FrameChunks:
 
         return _in_order(chunk, len(starts))
 
-    def join(self) -> FrameBatch:
-        """All chunks as one batch."""
-        fields = map(np.concatenate, zip(*((c.frames, c.regions, c.bins) for c in self)))
-        return FrameBatch(self.n_frames, self.grid_plus, self.grid_minus, *fields)
+
+def join(batches) -> FrameBatch:
+    """A run's batches, at least one, in order, as one batch."""
+    batches = list(batches)
+    fields = map(np.concatenate, zip(*((b.frames, b.regions, b.bins) for b in batches)))
+    return FrameBatch(batches[0].n_frames, batches[0].grid_plus, batches[0].grid_minus, *fields)
 
 
 def _validate_marginals(
@@ -333,7 +337,7 @@ def simulate_frames(
     params.seed.  Raises InconsistentMarginals when the spectra disagree
     with the map's row/column sums.
     """
-    return simulate_chunks(pc_map, marginals, params, n_frames).join()
+    return join(simulate_chunks(pc_map, marginals, params, n_frames))
 
 
 def simulate_chunks(
@@ -429,22 +433,6 @@ def simulate_chunks(
     return FrameChunks(n_frames, pc_map.grid_p, pc_map.grid_m, params.seed, chunk_codes)
 
 
-def simulate_uncorrelated_frames(
-    grid_plus: WavelengthGrid,
-    grid_minus: WavelengthGrid,
-    marginals: tuple[np.ndarray, np.ndarray],
-    params: DetectionParams,
-    n_frames: int,
-) -> FrameBatch:
-    """Diagnostic generator: both ports fire independently.
-
-    Per-port rates match simulate_frames (one photon per port per generated
-    pair before thinning) but carry no cross-port correlation, so the
-    covariance map of the result is statistically zero.
-    """
-    return simulate_uncorrelated_chunks(grid_plus, grid_minus, marginals, params, n_frames).join()
-
-
 def simulate_uncorrelated_chunks(
     grid_plus: WavelengthGrid,
     grid_minus: WavelengthGrid,
@@ -452,7 +440,12 @@ def simulate_uncorrelated_chunks(
     params: DetectionParams,
     n_frames: int,
 ) -> FrameChunks:
-    """simulate_uncorrelated_frames' run as chunks, checked before any is drawn."""
+    """Diagnostic generator: both ports fire independently; checked before any chunk is drawn.
+
+    Per-port rates match simulate_frames (one photon per port per generated
+    pair before thinning) but carry no cross-port correlation, so the
+    covariance map of a run is statistically zero.
+    """
     if n_frames < 0:
         raise ValueError("n_frames must be non-negative")
     reps = params.repetitions
@@ -472,22 +465,12 @@ def simulate_uncorrelated_chunks(
     return FrameChunks(n_frames, grid_plus, grid_minus, params.seed, chunk_codes)
 
 
-def _require_frames(batch: FrameBatch):
-    if batch.n_frames == 0:
-        raise EmptyBatch("estimator needs at least one frame")
-    if batch.n_frames < 2:
-        warnings.warn(
-            "estimating coincidence statistics from a single frame; "
-            "accidental subtraction is essentially meaningless",
-            RuntimeWarning,
-        )
-
-
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ranges starts[i], ..., starts[i] + lengths[i] - 1."""
-    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    out += np.arange(out.size)
-    return out
+    """Concatenated ranges starts[i], ..., starts[i] + lengths[i] - 1, all lengths >= 1."""
+    out = np.ones(int(lengths.sum()), dtype=np.intp)
+    out[:1] = starts[:1]
+    out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    return np.cumsum(out, out=out)
 
 
 def _frame_blocks(frames: np.ndarray):
@@ -504,56 +487,78 @@ def _frame_blocks(frames: np.ndarray):
         lo = hi
 
 
-def raw_coincidences(batch: FrameBatch) -> CoincidenceMap:
-    """Raw coincidence map <n+(a) n-(b)>: per-frame cross-port products.
+class EventCounts:
+    """The exact integer sums behind the estimators, which add across frame ranges.
 
-    In canonical order each frame's events form one run, plus events first,
-    so the products are enumerated run by run, a block of whole frames at a
-    time: the exact integer counts add across blocks, and memory follows
-    the block, not the events or the frame count.
+    ``pairs`` counts the cross-port products n+(a) n-(b) per bin pair and
+    ``singles`` the events per port and bin, plus bins first.  A run is
+    counted a block at a time, so memory follows the block, not the run.
     """
-    _require_frames(batch)
-    n_bins_m = batch.grid_minus.n_bins
-    counts = np.zeros(batch.grid_plus.n_bins * n_bins_m, dtype=np.intp)
-    for block in _frame_blocks(batch.frames):
-        frames, bins = batch.frames[block], batch.bins[block]
-        starts = np.flatnonzero(np.concatenate(([True], frames[1:] != frames[:-1])))
-        n_minus = np.add.reduceat(batch.regions[block], starts, dtype=np.intp)
-        n_plus = np.diff(starts, append=frames.size) - n_minus
-        both = (n_plus > 0) & (n_minus > 0)
-        starts, n_plus, n_minus = starts[both], n_plus[both], n_minus[both]
-        # Each plus event of a run pairs with every minus event of that run.
-        per_plus = np.repeat(n_minus, n_plus)
-        flat = np.repeat(bins[_ranges(starts, n_plus)].astype(np.intp) * n_bins_m, per_plus)
-        flat += bins[_ranges(np.repeat(starts + n_plus, n_plus), per_plus)]
-        counts += np.bincount(flat, minlength=counts.size)
-    values = counts.reshape(batch.grid_plus.n_bins, n_bins_m) / batch.n_frames
-    return CoincidenceMap(batch.grid_plus, batch.grid_minus, values, MapKind.RAW)
+
+    def __init__(self, batches):
+        """Count a run's batches of whole frames, at least one, in one pass."""
+        batches = iter(batches)
+        batch = next(batches)
+        self.n_frames, self.grids = batch.n_frames, (batch.grid_plus, batch.grid_minus)
+        n_plus, n_minus = batch.grid_plus.n_bins, batch.grid_minus.n_bins
+        self.pairs = np.zeros(n_plus * n_minus, dtype=np.intp)
+        self.singles = np.zeros(n_plus + n_minus, dtype=np.intp)
+        for batch in itertools.chain([batch], batches):
+            for s in _frame_blocks(batch.frames):
+                frames, regions, bins = (f[s] for f in (batch.frames, batch.regions, batch.bins))
+                # Plus events count into [0, n_plus), minus events from n_plus on.
+                code = regions.astype(np.intp) * n_plus + bins
+                self.singles += np.bincount(code, minlength=self.singles.size)
+                # Runs of events of one frame and port begin at heads, which end with
+                # the block's end.  In canonical order a frame with events at both
+                # ports is a plus run followed by a minus run that opens no frame.
+                breaks = np.ones((2, frames.size + 1), dtype=bool)  # new frame, new port
+                np.not_equal(frames[1:], frames[:-1], out=breaks[0, 1:-1])
+                np.not_equal(regions[1:], regions[:-1], out=breaks[1, 1:-1])
+                heads = np.flatnonzero(breaks[0] | breaks[1])
+                minus = np.flatnonzero(~breaks[0, heads])
+                starts, first_minus = heads[minus - 1], heads[minus]
+                n_plus_run, n_minus_run = first_minus - starts, heads[minus + 1] - first_minus
+                # Each plus event of a frame pairs with every minus event of that frame.
+                per_plus = np.repeat(n_minus_run, n_plus_run)
+                plus = bins[_ranges(starts, n_plus_run)].astype(np.intp) * n_minus
+                flat = np.repeat(plus, per_plus)
+                flat += bins[_ranges(np.repeat(first_minus, n_plus_run), per_plus)]
+                self.pairs += np.bincount(flat, minlength=self.pairs.size)
+
+    def maps(self) -> tuple[CoincidenceMap, CoincidenceMap, CoincidenceMap]:
+        """Raw <n+(a) n-(b)>, accidental <n+(a)><n-(b)> and covariance maps, 0 for no frames."""
+        if self.n_frames == 1:
+            warnings.warn(
+                "estimating coincidence statistics from a single frame; "
+                "accidental subtraction is essentially meaningless",
+                RuntimeWarning,
+            )
+        n_plus, n_frames = self.grids[0].n_bins, max(self.n_frames, 1)
+        raw = self.pairs.reshape(n_plus, -1) / n_frames
+        accidental = np.outer(*np.split(self.singles / n_frames, [n_plus]))
+        return (
+            CoincidenceMap(*self.grids, raw, MapKind.RAW),
+            CoincidenceMap(*self.grids, accidental, MapKind.ACCIDENTAL),
+            CoincidenceMap(*self.grids, raw - accidental, MapKind.COVARIANCE),
+        )
+
+
+def estimate_maps(batch: FrameBatch) -> tuple[CoincidenceMap, CoincidenceMap, CoincidenceMap]:
+    """Raw, accidental and covariance maps of one batch, counted in one pass."""
+    if batch.n_frames == 0:
+        raise EmptyBatch("estimator needs at least one frame")
+    return EventCounts([batch]).maps()
+
+
+def raw_coincidences(batch: FrameBatch) -> CoincidenceMap:
+    """Raw coincidence map <n+(a) n-(b)>: per-frame cross-port products."""
+    return estimate_maps(batch)[0]
 
 
 def accidental_map(batch: FrameBatch) -> CoincidenceMap:
     """Accidental coincidence map <n+(a)><n-(b)>: outer product of means."""
-    _require_frames(batch)
-    n_plus = batch.grid_plus.n_bins
-    # Plus events count into [0, n_plus), minus events into [n_plus, n_plus + n_minus).
-    counts = np.zeros(n_plus + batch.grid_minus.n_bins, dtype=np.intp)
-    for block in _frame_blocks(batch.frames):
-        code = batch.regions[block].astype(np.intp) * n_plus + batch.bins[block]
-        counts += np.bincount(code, minlength=counts.size)
-    mean_plus, mean_minus = np.split(counts / batch.n_frames, [n_plus])
-    return CoincidenceMap(
-        batch.grid_plus, batch.grid_minus, np.outer(mean_plus, mean_minus), MapKind.ACCIDENTAL
-    )
-
-
-def estimate_maps(batch: FrameBatch) -> tuple[CoincidenceMap, CoincidenceMap, CoincidenceMap]:
-    """Raw, accidental and covariance maps of one batch, each computed once."""
-    raw = raw_coincidences(batch)
-    accidental = accidental_map(batch)
-    covariance = CoincidenceMap(
-        batch.grid_plus, batch.grid_minus, raw.values - accidental.values, MapKind.COVARIANCE
-    )
-    return raw, accidental, covariance
+    return estimate_maps(batch)[1]
 
 
 def covariance_map(batch: FrameBatch) -> CoincidenceMap:

@@ -14,10 +14,9 @@ Layout (all little-endian):
 Events are stored in the batch's canonical order (frame, region, bin), so a
 batch round-trips byte-identically.  The writer also takes a simulation
 run's chunks (detector.FrameChunks) and writes each as it arrives, with an
-n_events placeholder that read_frames rejects until the end patches it; a
-write that fails part-way removes the file.  Records are written and read a
-block of events at a time, so neither side holds more than its chunks or
-the batch's own fields and one block of records.
+n_events placeholder that the reader rejects until the end patches it; a
+write that fails part-way removes the file.  read_blocks hands on checked
+blocks of whole frames, one at a time; read_frames joins them.
 """
 
 import os
@@ -38,6 +37,15 @@ _UNPATCHED = 2**64 - 1  # n_events while records are written: no file size match
 _RECORD_DTYPE = np.dtype([("frame", "<u4"), ("region", "u1"), ("bin", "<u2")])
 
 
+def _after(batch: FrameBatch, last: int) -> int:
+    """The code of the batch's last event, once its first is checked to follow ``last``."""
+    ends = (np.append(f[:1], f[-1:]) for f in (batch.frames, batch.regions, batch.bins))
+    codes = detector._event_codes(*ends).tolist()  # none for an empty batch
+    if codes and codes[0] <= last:
+        raise ValueError("a block does not follow the previous one in order")
+    return codes[-1] if codes else last
+
+
 def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
     """Write a frame batch, or a run's chunks as they are drawn, as a ZHF1 file.
 
@@ -51,12 +59,8 @@ def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
         with fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, *grids, batch.n_frames, _UNPATCHED))
             for chunk in [batch] if isinstance(batch, FrameBatch) else batch:
+                last = _after(chunk, last)
                 fields = (chunk.frames, chunk.regions, chunk.bins)
-                if chunk.n_events:
-                    first, end = detector._event_codes(*(f[[0, -1]] for f in fields)).tolist()
-                    if first <= last:
-                        raise ValueError("a chunk does not follow the previous one in order")
-                    last = end
                 for lo in range(0, chunk.n_events, detector._BLOCK):
                     records = np.empty(min(chunk.n_events - lo, detector._BLOCK), _RECORD_DTYPE)
                     for name, field in zip(_RECORD_DTYPE.names, fields):
@@ -71,11 +75,14 @@ def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
     return n_events
 
 
-def read_frames(path) -> FrameBatch:
-    """Read a ZHF1 file, validating magic, version, size and field bounds.
+def read_blocks(path):
+    """Read a ZHF1 file as FrameBatch blocks of whole frames, in order.
 
-    The body size is checked against the header before any record is read,
-    and the records are read into the batch's fields a block at a time.
+    Magic, version and size are checked before any record is read.  Records
+    are read detector._BLOCK at a time into one buffer; the last frame read
+    is read again with the next block, and the buffer grows while one frame
+    fills it.  Each block is checked as a FrameBatch and against the one
+    before.  A file of no events is one empty block.
     """
     size = os.stat(path).st_size
     if size < _HEADER.size:
@@ -90,16 +97,31 @@ def read_frames(path) -> FrameBatch:
         expected = n_events * _RECORD_DTYPE.itemsize
         if body != expected:
             raise DataFormatError(f"{path}: event section is {body} bytes, expected {expected}")
-        fields = [np.empty(n_events, dtype=_RECORD_DTYPE[name]) for name in _RECORD_DTYPE.names]
         try:
-            for lo in range(0, n_events, detector._BLOCK):
-                block = slice(lo, lo + detector._BLOCK)
-                # A file cut short since the size check fails the assignment.
-                records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=fields[0][block].size)
-                for field, name in zip(fields, _RECORD_DTYPE.names):
-                    field[block] = records[name]
-            return FrameBatch(
-                int(n_frames), WavelengthGrid(*grids[:3]), WavelengthGrid(*grids[3:]), *fields
-            )
+            grid_plus, grid_minus = WavelengthGrid(*grids[:3]), WavelengthGrid(*grids[3:])
+            records, left, last = np.empty(detector._BLOCK, _RECORD_DTYPE), n_events, -1
+            while True:
+                n = min(left, records.size)
+                if fh.readinto(records[:n]) != n * records.itemsize:
+                    raise ValueError("file cut short while reading")
+                # The last frame read may go on past the records read: read it again.
+                frames = records["frame"][:n]
+                cut = int(np.searchsorted(frames, frames[-1])) if n < left else n
+                fh.seek((cut - n) * records.itemsize, os.SEEK_CUR)
+                if n < left and cut == 0:  # one frame fills the buffer
+                    records = np.empty(2 * records.size, _RECORD_DTYPE)
+                    continue
+                left -= cut
+                fields = (records[name][:cut].copy() for name in _RECORD_DTYPE.names)
+                block = FrameBatch(n_frames, grid_plus, grid_minus, *fields)
+                last = _after(block, last)
+                yield block
+                if not left:
+                    return
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def read_frames(path) -> FrameBatch:
+    """Read a whole ZHF1 file as one batch: its blocks, joined."""
+    return detector.join(read_blocks(path))

@@ -16,8 +16,9 @@ from homspec.cli import main
 from homspec.detector import (
     DetectionParams,
     covariance_map,
+    join,
     simulate_frames,
-    simulate_uncorrelated_frames,
+    simulate_uncorrelated_chunks,
 )
 from homspec.interference import (
     bunching_probability,
@@ -139,7 +140,7 @@ def test_criterion_07_statistics_round_trip():
     noiseless = fit(pc, JSA64, FitConfig(tau=tau))
     clean_err = abs(noiseless.od_hat / od_true - 1.0)
 
-    control = simulate_uncorrelated_frames(GRID64, GRID64, marginals, params, 1_000_000)
+    control = join(simulate_uncorrelated_chunks(GRID64, GRID64, marginals, params, 1_000_000))
     control_cov = covariance_map(control).values.sum()
     occ_p = np.bincount(control.frames[control.regions == 0], minlength=control.n_frames)
     occ_m = np.bincount(control.frames[control.regions == 1], minlength=control.n_frames)

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homspec import detector, retrieval
+from homspec import detector, retrieval, zhf
 from homspec.cli import main
 from homspec.config import _PARSERS, _REMOVED_KEYS
+from homspec.interference import coincidence_probability_cosine, port_spectra
 from homspec.mapio import read_map_binary, read_map_csv, write_map_binary, write_map_csv
 from homspec.retrieval import FitResult
+from homspec.spectra import WavelengthGrid, gaussian_jsa
+from homspec.vapor import DispersionModel, doppler_lifetime
 from homspec.zhf import read_frames
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -159,15 +163,55 @@ class TestEstimate:
         cov, _, _ = read_map_csv(tmp_path / "covariance.csv")
         assert np.array_equal(cov, raw - acc)
 
-    def test_each_map_computed_once(self, tmp_path, monkeypatch):
+    def test_event_file_read_once(self, tmp_path, monkeypatch):
+        # One pass: the file's blocks are read once, each of its events
+        # once, and the three maps come from that pass.
         assert main(["simulate", "--frames", "20000", "--out", str(tmp_path), *FAST]) == 0
-        calls = []
-        for name in ("raw_coincidences", "accidental_map"):
-            original = getattr(detector, name)
-            monkeypatch.setattr(detector, name,
-                                lambda batch, f=original, n=name: calls.append(n) or f(batch))
-        assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
-        assert sorted(calls) == ["accidental_map", "raw_coincidences"]
+        path = tmp_path / "frames.zhf"
+        passes, events = [], []
+        original = zhf.read_blocks
+
+        def counted(path):
+            passes.append(path)
+            for block in original(path):
+                events.append(block.n_events)
+                yield block
+
+        monkeypatch.setattr(zhf, "read_blocks", counted)
+        assert main(["estimate", str(path), "--out", str(tmp_path)]) == 0
+        assert passes == [str(path)]
+        assert sum(events) == int.from_bytes(path.read_bytes()[50:58], "little") > 0
+
+    def test_memory_follows_the_block(self, tmp_path):
+        # `estimate` holds one block of events, not the file: its traced peak,
+        # less the three maps it writes, must not grow from a file of about 4
+        # blocks of events to one of about 16.  The events are dense, about 8
+        # a frame and 2 pair products an event.
+        grid = WavelengthGrid.from_edges(790e-9, 803e-9, 64)
+        jsa = gaussian_jsa(796.7e-9, 10e-9, -0.9, grid)
+        pc = coincidence_probability_cosine(
+            jsa, DispersionModel(od=2.6e3, tau=doppler_lifetime(447.15)))
+        params = detector.DetectionParams(chi=0.01, eta=0.5, f_rep=80e6, t_exp=11e-6, seed=5)
+        n_frames = 125_000
+        whole = detector.simulate_frames(pc, port_spectra(jsa), params, n_frames)
+        cut = int(np.searchsorted(whole.frames, n_frames // 4))
+        quarter = detector.FrameBatch(n_frames // 4, grid, grid, whole.frames[:cut],
+                                      whole.regions[:cut], whole.bins[:cut])
+        assert quarter.n_events > 3.5 * detector._BLOCK
+        assert whole.n_events > 15.5 * detector._BLOCK
+
+        def traced_peak(batch, name):
+            path = tmp_path / f"{name}.zhf"
+            zhf.write_frames(batch, path)
+            tracemalloc.start()
+            try:
+                assert main(["estimate", str(path), "--out", str(tmp_path / name)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 3 * np.zeros((grid.n_bins, grid.n_bins)).nbytes
+
+        assert traced_peak(whole, "whole") <= 1.5 * traced_peak(quarter, "quarter")
 
     def test_empty_file_gives_zero_maps(self, tmp_path):
         assert main(["simulate", "--frames", "100", "--out", str(tmp_path), *FAST,

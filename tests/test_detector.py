@@ -14,9 +14,10 @@ from homspec.detector import (
     accidental_map,
     covariance_map,
     estimate_maps,
+    join,
     raw_coincidences,
     simulate_frames,
-    simulate_uncorrelated_frames,
+    simulate_uncorrelated_chunks,
 )
 from homspec.errors import EmptyBatch, InconsistentMarginals
 from homspec.interference import (
@@ -132,7 +133,7 @@ class TestSimulateFrames:
 
         def simulate(n_frames):
             if uncorrelated:
-                return simulate_uncorrelated_frames(GRID, GRID, MARGINALS, params, n_frames)
+                return join(simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, n_frames))
             return simulate_frames(PC, MARGINALS, params, n_frames)
 
         short = simulate(FRAME_CHUNK)
@@ -154,7 +155,7 @@ class TestSimulateFrames:
 
         def simulate():
             if uncorrelated:
-                return simulate_uncorrelated_frames(GRID, GRID, MARGINALS, params, n_frames)
+                return join(simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, n_frames))
             return simulate_frames(PC, MARGINALS, params, n_frames)
 
         calls = []
@@ -275,7 +276,7 @@ class TestLaw:
         params = DetectionParams(chi=0.3, eta=0.5, f_rep=3.0, t_exp=1.0, dark_rate=0.05, seed=13)
         n = 200_000
         if uncorrelated:
-            library = simulate_uncorrelated_frames(grid, grid, marginals, params, n)
+            library = join(simulate_uncorrelated_chunks(grid, grid, marginals, params, n))
         else:
             library = simulate_frames(pc, marginals, params, n)
         reference = brute_force_frames(
@@ -408,7 +409,7 @@ class TestEstimators:
     def test_uncorrelated_covariance_consistent_with_zero(self):
         params = DetectionParams(chi=1.893939e-4, eta=0.6, f_rep=80e6, t_exp=11e-6,
                                  seed=20260808)
-        batch = simulate_uncorrelated_frames(GRID, GRID, MARGINALS, params, 200_000)
+        batch = join(simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, 200_000))
         cov_total = covariance_map(batch).values.sum()
         occ_p = np.bincount(batch.frames[batch.regions == 0], minlength=batch.n_frames)
         occ_m = np.bincount(batch.frames[batch.regions == 1], minlength=batch.n_frames)

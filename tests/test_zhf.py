@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import last_block_bad_bin_events, seam_repeat_events
-from homspec import detector
+from homspec import detector, zhf
 from homspec.cli import main
 from homspec.detector import DetectionParams, FrameBatch, simulate_frames
 from homspec.errors import DataFormatError
 from homspec.interference import coincidence_probability_cosine, port_spectra
+from homspec.mapio import read_map_csv
 from homspec.spectra import WavelengthGrid, gaussian_jsa
 from homspec.vapor import DispersionModel, doppler_lifetime
 from homspec.zhf import read_frames, write_frames
@@ -80,7 +81,7 @@ def test_chunks_write_the_batch_bytes(tmp_path):
             yield chunk
 
     assert write_frames(Chunks(run.n_frames, chunks()), streamed) == sum(seen)
-    assert write_frames(run.join(), joined) == sum(seen)
+    assert write_frames(detector.join(run), joined) == sum(seen)
     assert len(seen) == 3 and min(seen) > 0
     assert streamed.read_bytes() == joined.read_bytes()
 
@@ -242,3 +243,60 @@ def test_invalid_events_in_blocks_exit_3(tmp_path, monkeypatch, capsys, grid_min
     assert main(["estimate", str(path), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and match in err and err.count("\n") == 1
+    # The error surfaces part-way through the stream, before any map is written.
+    assert not any((tmp_path / f"{name}.csv").exists()
+                   for name in ("raw", "accidental", "covariance"))
+
+
+def events_with_a_large_frame():
+    """Frames 0, 2 and 3 of one (plus, minus) pair each; frame 1 of 6 plus and 5 minus events."""
+    frames = np.repeat(np.uint32([0, 1, 2, 3]), [2, 11, 2, 2])
+    regions = np.uint8([0, 1] + [0] * 6 + [1] * 5 + [0, 1] * 2)
+    bins = np.uint16([3, 7, 1, 2, 5, 8, 9, 60, 0, 2, 7, 8, 63, 4, 4, 63, 0])
+    return frames, regions, bins
+
+
+def test_blocks_cut_at_frame_ends(tmp_path, monkeypatch):
+    # Read in blocks of 4 events, no frame is split between blocks, not even
+    # the frame of 11 events, and the blocks join to the file's events.
+    monkeypatch.setattr(detector, "_BLOCK", 4)
+    fields = events_with_a_large_frame()
+    path = tmp_path / "frames.zhf"
+    write_by_hand(path, 5, GRID, GRID, *fields)
+    blocks = list(zhf.read_blocks(path))
+    assert len(blocks) > 1
+    assert all(a.frames[-1] < b.frames[0] for a, b in zip(blocks, blocks[1:]))
+    joined = detector.join(blocks)
+    for got, want in zip((joined.frames, joined.regions, joined.bins), fields):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_events", [0, 1, 4, 5, "large frame"])
+def test_estimate_exact_at_block_cuts(tmp_path, monkeypatch, capsys, n_events):
+    # `homspec estimate` counts the file a block of 4 events at a time: with
+    # no block, a partial one, exactly one, one event more and a frame larger
+    # than a block, the maps equal the dense references P^T M / n_frames and
+    # outer(means), with P and M the frames x bins occupancies of the ports,
+    # and it prints the exact event and pair counts.
+    monkeypatch.setattr(detector, "_BLOCK", 4)
+    if n_events == "large frame":
+        fields = events_with_a_large_frame()
+    else:
+        index = np.arange(n_events)
+        fields = ((index // 2).astype(np.uint32), (index % 2).astype(np.uint8),
+                  (index * 7 % 64).astype(np.uint16))
+    n_frames = int(fields[0].max(initial=0)) + 2
+    path = tmp_path / "frames.zhf"
+    write_by_hand(path, n_frames, GRID, GRID, *fields)
+    assert main(["estimate", str(path), "--out", str(tmp_path)]) == 0
+
+    occ = np.zeros((2, n_frames, GRID.n_bins))
+    occ[fields[1], fields[0], fields[2]] = 1.0
+    raw = occ[0].T @ occ[1] / n_frames
+    accidental = np.outer(*occ.sum(axis=1) / n_frames)
+    for name, want in (("raw", raw), ("accidental", accidental),
+                       ("covariance", raw - accidental)):
+        assert np.array_equal(read_map_csv(tmp_path / f"{name}.csv")[0], want)
+    pairs = int((occ[0].T @ occ[1]).sum())
+    assert f"{n_frames} frames, {fields[0].size} events, {pairs} coincidence pairs\n" in (
+        capsys.readouterr().out)
