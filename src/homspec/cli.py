@@ -60,7 +60,7 @@ def cmd_theory(args) -> int:
     with open(out / "phase_profile.csv", "w", encoding="utf-8") as fh:
         fh.write("lambda_nm,phase_mod_2pi\n")
         for row in zip(grid.centers_nm.tolist(), profile.tolist()):
-            fh.write(",".join(map(repr, row)) + "\n")
+            fh.write("%r,%r\n" % row)
     if args.binary:
         mapio.write_map_binary(cmap.values, grid, grid, out / "pc_map.bin")
         mapio.write_map_binary(dphi, grid, grid, out / "phase_map.bin")

@@ -35,7 +35,11 @@ release the GIL).  zhf.write_frames writes each chunk as it arrives and
 zhf.read_blocks reads a file a block at a time, so neither side holds a
 whole run; a joined batch holds its three fields, and validation, the
 counts and the ZHF1 I/O work through them in blocks of about _BLOCK events.
-Every other temporary is bounded by the block or the chunk window.
+Drawing one chunk holds at most 3x its events' int64 codes at once, its
+output fields included (2.3x measured on a dense chunk): each pair's draws
+shrink to one-byte flags before the next is drawn, and the codes are
+sorted, deduplicated and split into fields in place.  So a worker's scratch
+follows its chunk, and the simulation's memory follows the chunk window.
 A run whose chunks would ask for more than MAX_CHUNK_EVENTS expected events
 is rejected with ConfigError before any chunk is drawn.
 """
@@ -166,7 +170,7 @@ def _bernoulli_slots(rng: np.random.Generator, p: float, n_slots: int) -> np.nda
     The successes are drawn as geometric gaps between them, so the cost
     follows the successes, not the trials.
     """
-    parts = [np.zeros(0, dtype=np.int64)]
+    parts = []
     last = -1  # the latest success so far
     while p > 0.0 and last < n_slots - 1:
         remaining = n_slots - 1 - last  # the largest gap sum that stays inside
@@ -175,14 +179,15 @@ def _bernoulli_slots(rng: np.random.Generator, p: float, n_slots: int) -> np.nda
         # A gap past the end ends the run.  Clipped to remaining + 1, the sums
         # stay exact up to the first one past the end; later ones may wrap.
         np.minimum(gaps, remaining + 1, out=gaps)
-        sums = np.cumsum(gaps)
+        sums = np.cumsum(gaps, out=gaps)  # in place: no gap is needed again
         past = sums > remaining
         inside = int(np.argmax(past)) if past.any() else sums.size
-        parts.append(sums[:inside] + last)
+        sums[:inside] += last
+        parts.append(sums[:inside])
         if inside < sums.size:
             break
-        last += int(sums[-1])
-    return np.concatenate(parts)
+        last = int(sums[-1])
+    return parts[0] if len(parts) == 1 else np.concatenate([np.zeros(0, np.int64), *parts])
 
 
 def _dark_codes(
@@ -215,18 +220,24 @@ def _canonical_chunk(codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, n
     """Sort one chunk's event codes, drop repeats and split them into fields.
 
     Dropping repeats is the binary-pixel saturation: a pixel clicks at most
-    once per frame however many photons reach it.
+    once per frame however many photons reach it.  The list is emptied, so
+    its arrays are freed as soon as they are joined.
     """
     code = np.concatenate(codes)
+    codes.clear()
     code.sort()
     keep = np.ones(code.size, dtype=bool)
     np.not_equal(code[1:], code[:-1], out=keep[1:])
+    # A boolean index, not np.compress, which first builds an index of the
+    # kept events as large as the codes.
     code = code[keep]
-    return (
-        (code >> 17).astype(np.uint32),
-        (code >> 16 & 1).astype(np.uint8),
-        (code & 0xFFFF).astype(np.uint16),
-    )
+    # The fields are read off by shifting the one code array in place.
+    bins = code.astype(np.uint16)  # a cast keeps the low 16 bits
+    code >>= 16
+    regions = code.astype(np.uint8)
+    regions &= 1
+    code >>= 1
+    return code.astype(np.uint32), regions, bins
 
 
 def _workers() -> int:
@@ -395,33 +406,42 @@ def simulate_chunks(
     n_bins_m = pc_map.grid_m.n_bins
 
     def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
-        frames = start + _bernoulli_slots(rng, q, size * reps) // reps
+        frames = _bernoulli_slots(rng, q, size * reps)
+        frames //= reps
+        frames += start
+        frames = frames.astype(np.uint32)  # the batch's frame type, half the pairs' scratch
+        # One kind per pair: 0 coincidence, 1 plus double, 2 minus double.
         branch = rng.random(frames.size)
+        kind = (branch >= t_coinc).view(np.uint8)
+        kind += branch >= t_plus
+        del branch
         pattern = rng.random(frames.size)
         first = pattern < t_first  # the plus-side photon of a coincidence
         second = (pattern < t_both) | ~first
-        is_coinc = branch < t_coinc
-        is_plus = ~is_coinc & (branch < t_plus)
-        is_minus = branch >= t_plus
+        del pattern
 
         codes = []
         if coinc_alias is not None:
-            both = frames[is_coinc & first & second]
+            coinc = kind == 0
+            both = np.compress(coinc & first & second, frames)
+            only_a = np.compress(coinc & first & ~second, frames)
+            only_b = np.compress(coinc & ~first & second, frames)
             bin_a, bin_b = np.divmod(coinc_alias.draw(rng, both.size), n_bins_m)
-            only_a = frames[is_coinc & first & ~second]
-            only_b = frames[is_coinc & ~first & second]
             codes += [
                 _event_codes(both, 0, bin_a),
                 _event_codes(both, 1, bin_b),
                 _event_codes(only_a, 0, row_alias.draw(rng, only_a.size)),
                 _event_codes(only_b, 1, col_alias.draw(rng, only_b.size)),
             ]
+            del coinc, both, only_a, only_b, bin_a, bin_b
+        photons = first.view(np.uint8) + second
+        del first, second
         # Rounding can push a sliver of branch mass onto a port with an empty
         # residual spectrum; those pairs are dropped instead of sampling nothing.
-        for region, is_double, alias in ((0, is_plus, plus_alias), (1, is_minus, minus_alias)):
+        for region, alias in ((0, plus_alias), (1, minus_alias)):
             if alias is not None:
-                photons = first[is_double].astype(np.intp) + second[is_double]
-                double = np.repeat(frames[is_double], photons)
+                is_double = kind == region + 1
+                double = np.repeat(np.compress(is_double, frames), np.compress(is_double, photons))
                 codes.append(_event_codes(double, region, alias.draw(rng, double.size)))
         if params.dark_rate > 0.0:
             codes += [
@@ -456,7 +476,9 @@ def simulate_uncorrelated_chunks(
     def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
         codes = []
         for region, grid in ((0, grid_plus), (1, grid_minus)):
-            frames = start + _bernoulli_slots(rng, p_detect, size * reps) // reps
+            frames = _bernoulli_slots(rng, p_detect, size * reps)
+            frames //= reps
+            frames += start
             codes.append(_event_codes(frames, region, aliases[region].draw(rng, frames.size)))
             if params.dark_rate > 0.0:
                 codes.append(_dark_codes(rng, params.dark_rate, start, size, region, grid.n_bins))

@@ -21,7 +21,7 @@ _BIN_HEADER = struct.Struct("<4sH" + "ddH" * 2)
 
 
 def _grid_header_line(label: str, grid: WavelengthGrid) -> str:
-    centers = ",".join(map(repr, grid.centers_nm.tolist()))
+    centers = ",".join(["%r"] * grid.n_bins) % tuple(grid.centers_nm.tolist())
     return f"# {label}_nm: {centers}\n"
 
 
@@ -43,8 +43,9 @@ def write_map_csv(values: np.ndarray, grid_p: WavelengthGrid, grid_m: Wavelength
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_grid_header_line("axis_plus", grid_p))
         fh.write(_grid_header_line("axis_minus", grid_m))
+        line = ",".join(["%r"] * grid_m.n_bins) + "\n"
         for row in values.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+            fh.write(line % tuple(row))
 
 
 def read_map_csv(path) -> tuple[np.ndarray, WavelengthGrid, WavelengthGrid]:

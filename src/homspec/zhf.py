@@ -54,6 +54,7 @@ def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
     """
     grids = [v for g in (batch.grid_plus, batch.grid_minus) for v in (g.start, g.step, g.n_bins)]
     n_events, last = 0, -1
+    records = np.empty(detector._BLOCK, _RECORD_DTYPE)
     fh = open(path, "wb")
     try:
         with fh:
@@ -62,10 +63,10 @@ def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
                 last = _after(chunk, last)
                 fields = (chunk.frames, chunk.regions, chunk.bins)
                 for lo in range(0, chunk.n_events, detector._BLOCK):
-                    records = np.empty(min(chunk.n_events - lo, detector._BLOCK), _RECORD_DTYPE)
+                    n = min(chunk.n_events - lo, detector._BLOCK)
                     for name, field in zip(_RECORD_DTYPE.names, fields):
-                        records[name] = field[lo : lo + detector._BLOCK]
-                    fh.write(records.data)
+                        records[name][:n] = field[lo : lo + n]
+                    fh.write(records[:n].data)
                 n_events += chunk.n_events
             fh.seek(0)
             fh.write(_HEADER.pack(MAGIC, VERSION, *grids, batch.n_frames, n_events))

@@ -136,6 +136,29 @@ class TestSimulate:
                   "--out", str(tmp_path)])
         assert not (tmp_path / "frames.zhf").exists()
 
+    def test_memory_follows_the_chunk_window(self, tmp_path, monkeypatch):
+        # `simulate` writes each chunk as it is drawn, so it holds the chunks
+        # in flight, not the run: its traced peak must not grow from a run of
+        # 4 chunks to one of 16.  One worker fixes the window on any host.
+        # About 2 events a frame: the 16-chunk run's fields alone are 14 MB.
+        monkeypatch.setattr(detector, "_workers", lambda: 1)
+
+        def traced_peak(n_chunks):
+            out = tmp_path / str(n_chunks)
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--frames", str(n_chunks * detector.FRAME_CHUNK),
+                             "--out", str(out), *FAST, "--override", "chi = 2e-3"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            with open(out / "frames.zhf", "rb") as fh:
+                n_events = int.from_bytes(fh.read(58)[50:], "little")
+            assert n_events > 1.8 * n_chunks * detector.FRAME_CHUNK
+            return peak
+
+        assert traced_peak(16) <= 1.5 * traced_peak(4)
+
     def test_wide_kernel_exits_0(self, tmp_path):
         # The port spectra take the map's boxcar, so no bin of the smoothed
         # map holds more coincidences than its port spectrum has photons.

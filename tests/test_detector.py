@@ -16,6 +16,7 @@ from homspec.detector import (
     estimate_maps,
     join,
     raw_coincidences,
+    simulate_chunks,
     simulate_frames,
     simulate_uncorrelated_chunks,
 )
@@ -172,6 +173,29 @@ class TestSimulateFrames:
         assert np.array_equal(batch.frames, expected.frames)
         assert np.array_equal(batch.regions, expected.regions)
         assert np.array_equal(batch.bins, expected.bins)
+
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    def test_chunk_scratch_bounded_by_its_codes(self, monkeypatch, uncorrelated):
+        # A worker holds about three event-length arrays at once.  The traced
+        # peak of drawing one dense chunk (about 8 events a frame) through
+        # FrameChunks on one worker, its output fields included, stays within
+        # 3x the chunk's int64 event codes.  Measured: 2.3x correlated and
+        # 2.7x uncorrelated; a kernel that held the pairs' float draws and
+        # copied the codes twice took 5.5x and 4.1x.
+        monkeypatch.setattr(detector, "_workers", lambda: 1)
+        params = DetectionParams(chi=0.01, eta=0.5, f_rep=80e6, t_exp=11e-6, seed=5)
+        if uncorrelated:
+            run = simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, FRAME_CHUNK)
+        else:
+            run = simulate_chunks(PC, MARGINALS, params, FRAME_CHUNK)
+        tracemalloc.start()
+        try:
+            (chunk,) = run
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunk.n_events > 7 * FRAME_CHUNK
+        assert peak <= 3.0 * chunk.n_events * np.dtype(np.int64).itemsize
 
     def test_saturation_warning(self):
         params = DetectionParams(chi=0.5, eta=1.0, f_rep=80e6, t_exp=11e-6, seed=5)
