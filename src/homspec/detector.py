@@ -26,22 +26,26 @@ cross-port product <n+(a) n-(b)>, the accidental map the product of means
 repetitions per frame make the accidental term substantial, which is why
 the subtraction is needed at all.  All three come from exact integer sums.
 
-Frames are simulated in chunks of FRAME_CHUNK.  Randomness is drawn from
-counter-based Philox streams keyed by (seed, frame-chunk index), and each
-chunk's events are sorted and deduplicated as the chunk is generated, so the
-output is bit-reproducible for a given seed and independent of the order the
-chunks finish in on the thread pool that draws them (numpy's draws and sorts
-release the GIL).  zhf.write_frames writes each chunk as it arrives and
-zhf.read_blocks reads a file a block at a time, so neither side holds a
-whole run; a joined batch holds its three fields, and validation, the
-counts and the ZHF1 I/O work through them in blocks of about _BLOCK events.
-Drawing one chunk holds at most 3x its events' int64 codes at once, its
-output fields included (2.3x measured on a dense chunk): each pair's draws
-shrink to one-byte flags before the next is drawn, and the codes are
-sorted, deduplicated and split into fields in place.  So a worker's scratch
-follows its chunk, and the simulation's memory follows the chunk window.
-A run whose chunks would ask for more than MAX_CHUNK_EVENTS expected events
-is rejected with ConfigError before any chunk is drawn.
+Frames are simulated in chunks of about CHUNK_EVENTS expected events: a
+run's chunk length in frames follows its expected events a frame, so dense
+and sparse runs draw chunks of the same size.  The length depends on the
+settings alone, never on the run length or the thread count.  Randomness is
+drawn from counter-based Philox streams keyed by (seed, chunk index), and
+each chunk's events are sorted and deduplicated as the chunk is generated,
+so the output is bit-reproducible for a given seed and independent of the
+order the chunks finish in on the thread pool that draws them (numpy's
+draws and sorts release the GIL).  zhf.write_frames writes each chunk as it
+arrives and zhf.read_blocks reads a file a block at a time, so neither side
+holds a whole run; a joined batch holds its three fields, and validation,
+the counts and the ZHF1 I/O work through them in blocks of about _BLOCK
+events.  Drawing one chunk holds at most 3x its events' int64 codes at
+once, its output fields included (2.3x measured on a dense chunk): each
+pair's draws shrink to one-byte flags before the next is drawn, and the
+codes are sorted, deduplicated and split into fields in place.  So a
+worker's scratch follows its chunk, and the simulation's memory follows the
+chunk window.  A run that would ask for more than MAX_FRAME_EVENTS expected
+events or 2^46 repetitions a frame, or for 2^32 frames or more, is rejected
+with ConfigError before any chunk is drawn.
 """
 
 import itertools
@@ -60,9 +64,12 @@ from .interference import CoincidenceMap, MapKind
 from .sampling import AliasTable
 from .spectra import WavelengthGrid
 
-FRAME_CHUNK = 1 << 16
-MAX_CHUNK_EVENTS = 1 << 23  # expected events one chunk may ask for
+CHUNK_EVENTS = 1 << 16  # expected events per chunk; a run's chunk length follows
+MAX_FRAME_EVENTS = 128  # expected events a frame may ask for
+_LIMIT_FRAMES = 1 << 16  # a shorter run may ask for as many events in all as this many frames
 _MAX_SLOTS = 1 << 62  # repetition slots per chunk; slot sums stay inside int64
+_MAX_FRAME_REPS = _MAX_SLOTS // _LIMIT_FRAMES  # repetitions a frame may ask for
+_MAX_FRAMES = 1 << 32  # frames per run: frame indices are uint32
 _BATCH_SIGMAS = 6.0  # a batch of gaps covers the mean successes plus this many sigma
 MARGINAL_TOL = 1e-6
 _BLOCK = 1 << 16  # events per block of the event-path loops
@@ -203,17 +210,41 @@ def _dark_codes(
     return _event_codes(frames, region, rng.integers(0, n_bins, size=total))
 
 
-def _check_work(params: DetectionParams, n_frames: int, events_per_frame: float) -> None:
-    """Reject runs whose chunks would ask for unbounded work or memory."""
-    size = min(FRAME_CHUNK, n_frames)
-    events = events_per_frame * size
-    if params.repetitions * FRAME_CHUNK >= _MAX_SLOTS or events > MAX_CHUNK_EVENTS:
+def _check_frames(n_frames: int) -> None:
+    """Reject a frame count the run cannot index: negative, or past uint32."""
+    if n_frames < 0:
+        raise ValueError("n_frames must be non-negative")
+    if n_frames >= _MAX_FRAMES:
         raise ConfigError(
-            f"chi, dark_rate, f_rep and t_exp ask for {events:.3g} expected events in a "
-            f"chunk of {size} frames at {params.repetitions} repetitions per frame; "
-            f"the limits are {MAX_CHUNK_EVENTS} events and {_MAX_SLOTS // FRAME_CHUNK} "
-            "repetitions"
+            f"--frames must be below {_MAX_FRAMES} (frame indices are 32-bit), got {n_frames}"
         )
+
+
+def _chunk_frames(params: DetectionParams, n_frames: int, events_per_frame: float) -> int:
+    """A run's chunk length in frames, once its work is checked to be bounded.
+
+    The run is rejected for more than MAX_FRAME_EVENTS expected events a
+    frame, where a run of fewer than _LIMIT_FRAMES frames may ask for as many
+    in all as that many frames would, or for _MAX_FRAME_REPS repetitions a
+    frame.  A chunk holds about CHUNK_EVENTS expected events and at least one
+    frame, and is capped so that its repetition slots stay below _MAX_SLOTS
+    and its frame indices inside uint32.  The length follows the settings,
+    not n_frames, so the (seed, chunk index) streams fix the output.
+    """
+    reps = params.repetitions
+    if reps >= _MAX_FRAME_REPS or (
+        events_per_frame * min(n_frames, _LIMIT_FRAMES) > MAX_FRAME_EVENTS * _LIMIT_FRAMES
+    ):
+        raise ConfigError(
+            f"chi, dark_rate, f_rep and t_exp ask for {events_per_frame:.3g} expected events "
+            f"and {reps} repetitions a frame; the limits are {MAX_FRAME_EVENTS} events a frame "
+            f"({MAX_FRAME_EVENTS * _LIMIT_FRAMES} in all for a run of fewer than "
+            f"{_LIMIT_FRAMES} frames) and fewer than {_MAX_FRAME_REPS} repetitions"
+        )
+    cap = min((_MAX_SLOTS - 1) // reps, _MAX_FRAMES)
+    if events_per_frame * cap <= CHUNK_EVENTS:
+        return cap
+    return max(1, int(CHUNK_EVENTS / events_per_frame))
 
 
 def _canonical_chunk(codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,7 +303,8 @@ def _in_order(make: Callable, n: int):
 class FrameChunks:
     """A checked simulation run, drawn chunk by chunk as it is iterated.
 
-    ``chunk_codes(rng, start, size)`` gives a chunk's raw event codes.  The
+    ``chunk_codes(rng, start, size)`` gives the raw event codes of a chunk
+    of ``size`` frames, at most ``chunk_frames``, from ``start`` on.  The
     chunks cover ascending, disjoint frame ranges, so each canonical chunk
     (a FrameBatch over the run's n_frames) follows the one before it in
     canonical order without a global sort.  Zero frames are one empty chunk.
@@ -282,13 +314,14 @@ class FrameChunks:
     grid_plus: WavelengthGrid
     grid_minus: WavelengthGrid
     seed: int
+    chunk_frames: int
     chunk_codes: Callable
 
     def __iter__(self):
-        starts = range(0, max(self.n_frames, 1), FRAME_CHUNK)
+        starts = range(0, max(self.n_frames, 1), self.chunk_frames)
 
         def chunk(index: int) -> FrameBatch:
-            size = min(FRAME_CHUNK, self.n_frames - starts[index])
+            size = min(self.chunk_frames, self.n_frames - starts[index])
             fields = _canonical_chunk(
                 self.chunk_codes(_chunk_rng(self.seed, index), starts[index], size)
             )
@@ -360,8 +393,7 @@ def simulate_chunks(
     """simulate_frames' run, checked (errors and warning) before any chunk is drawn."""
     if pc_map.kind is not MapKind.PROBABILITY:
         raise ValueError(f"need a probability map, got kind={pc_map.kind.value}")
-    if n_frames < 0:
-        raise ValueError("n_frames must be non-negative")
+    _check_frames(n_frames)
     res_plus, res_minus = _validate_marginals(pc_map, marginals)
 
     reps = params.repetitions
@@ -382,7 +414,7 @@ def simulate_chunks(
     q = params.chi * (1.0 - (1.0 - eta) ** 2)
     t_both = eta / (2.0 - eta)
     t_first = 0.5 * (1.0 + t_both)
-    _check_work(params, n_frames, reps * q + 2.0 * params.dark_rate)
+    chunk_frames = _chunk_frames(params, n_frames, reps * q + 2.0 * params.dark_rate)
 
     peak_bin = max(
         float(np.max(marginals[0])) * pc_map.grid_p.step_nm,
@@ -450,7 +482,9 @@ def simulate_chunks(
             ]
         return codes
 
-    return FrameChunks(n_frames, pc_map.grid_p, pc_map.grid_m, params.seed, chunk_codes)
+    return FrameChunks(
+        n_frames, pc_map.grid_p, pc_map.grid_m, params.seed, chunk_frames, chunk_codes
+    )
 
 
 def simulate_uncorrelated_chunks(
@@ -466,11 +500,10 @@ def simulate_uncorrelated_chunks(
     pair before thinning) but carry no cross-port correlation, so the
     covariance map of a run is statistically zero.
     """
-    if n_frames < 0:
-        raise ValueError("n_frames must be non-negative")
+    _check_frames(n_frames)
     reps = params.repetitions
     p_detect = params.chi * params.eta
-    _check_work(params, n_frames, 2.0 * (reps * p_detect + params.dark_rate))
+    chunk_frames = _chunk_frames(params, n_frames, 2.0 * (reps * p_detect + params.dark_rate))
     aliases = (AliasTable(marginals[0]), AliasTable(marginals[1]))
 
     def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
@@ -484,7 +517,7 @@ def simulate_uncorrelated_chunks(
                 codes.append(_dark_codes(rng, params.dark_rate, start, size, region, grid.n_bins))
         return codes
 
-    return FrameChunks(n_frames, grid_plus, grid_minus, params.seed, chunk_codes)
+    return FrameChunks(n_frames, grid_plus, grid_minus, params.seed, chunk_frames, chunk_codes)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from .vapor import DispersionModel, spectral_phase
 FS = 1e-15
 
 _SCAN_OD_RANGE = (1.0, 1e5)  # scanned wherever the od bounds overlap it
-_SCAN_BLOCK = 512  # od or delay values per block of the scan
+_SCAN_BLOCK = 128  # od or delay values per block of the scan
 _MAX_SCAN = 1_000_000  # grid points + bins allowed to the scan: bounds its scores and products
 _HOLOGRAM_ITERATIONS = 5  # EM steps of the rank-2 fit
 _HOLOGRAM_FLOOR = 1e-3  # J/max(J) below which a bin carries no weight in the hologram

@@ -51,5 +51,8 @@ class AliasTable:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` outcome indices; consumes exactly two RNG vectors."""
         idx = rng.integers(0, self.n_outcomes, size=size)
-        keep = rng.random(size) < self._prob[idx]
-        return np.where(keep, idx, self._alias[idx])
+        # Only the rejected draws are gathered and replaced by their alias.  An
+        # index, not a boolean mask: masked gathers and stores are slower.
+        rejected = np.flatnonzero(rng.random(size) >= self._prob[idx])
+        idx[rejected] = self._alias[idx[rejected]]
+        return idx

@@ -35,6 +35,15 @@ FAST = [
 ]
 
 
+def chunk_frames(monkeypatch, tmp_path, *args):
+    """Frames per chunk of a `simulate` run with these arguments; nothing is drawn or written."""
+    runs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(zhf, "write_frames", lambda run, path: runs.append(run) or 0)
+        assert main(["simulate", "--frames", "0", "--out", str(tmp_path), *args]) == 0
+    return runs[0].chunk_frames
+
+
 def write_cfg(tmp_path, text):
     path = tmp_path / "exp.cfg"
     path.write_text(text, encoding="utf-8")
@@ -119,42 +128,57 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not (tmp_path / "frames.zhf").exists()
 
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    def test_frames_past_uint32_exit_2(self, tmp_path, capsys, uncorrelated):
+        # Frame indices are 32-bit: the run is refused before any chunk is
+        # drawn, even one with nothing to draw.
+        flag = ["--uncorrelated"] if uncorrelated else []
+        rc = main(["simulate", "--frames", str(2**32), "--out", str(tmp_path),
+                   "--override", "chi = 0", "--override", "dark_rate = 0", *flag])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --frames must be below 4294967296")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "frames.zhf").exists()
+
     def test_failing_chunk_leaves_no_file(self, tmp_path, monkeypatch):
         # The last of three chunks raises after the first ones may have been
         # written: the error propagates and no file is left.
+        chunk = chunk_frames(monkeypatch, tmp_path)
         canonical = detector._canonical_chunk
 
         def failing(codes):
             fields = canonical(codes)
-            if fields[0].size and fields[0][0] >= 2 * detector.FRAME_CHUNK:
+            if fields[0].size and fields[0][0] >= 2 * chunk:
                 raise MemoryError("chunk 2")
             return fields
 
         monkeypatch.setattr(detector, "_canonical_chunk", failing)
         with pytest.raises(MemoryError, match="chunk 2"):
-            main(["simulate", "--frames", str(2 * detector.FRAME_CHUNK + 7),
-                  "--out", str(tmp_path)])
+            main(["simulate", "--frames", str(2 * chunk + 7), "--out", str(tmp_path)])
         assert not (tmp_path / "frames.zhf").exists()
 
     def test_memory_follows_the_chunk_window(self, tmp_path, monkeypatch):
         # `simulate` writes each chunk as it is drawn, so it holds the chunks
         # in flight, not the run: its traced peak must not grow from a run of
         # 4 chunks to one of 16.  One worker fixes the window on any host.
-        # About 2 events a frame: the 16-chunk run's fields alone are 14 MB.
+        # About 2 events a frame: the 16-chunk run's fields alone are 10 MB.
         monkeypatch.setattr(detector, "_workers", lambda: 1)
+        args = [*FAST, "--override", "chi = 2e-3"]
+        chunk = chunk_frames(monkeypatch, tmp_path, *args)
 
         def traced_peak(n_chunks):
             out = tmp_path / str(n_chunks)
             tracemalloc.start()
             try:
-                assert main(["simulate", "--frames", str(n_chunks * detector.FRAME_CHUNK),
-                             "--out", str(out), *FAST, "--override", "chi = 2e-3"]) == 0
+                assert main(["simulate", "--frames", str(n_chunks * chunk),
+                             "--out", str(out), *args]) == 0
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             with open(out / "frames.zhf", "rb") as fh:
                 n_events = int.from_bytes(fh.read(58)[50:], "little")
-            assert n_events > 1.8 * n_chunks * detector.FRAME_CHUNK
+            assert n_events > 1.8 * n_chunks * chunk
             return peak
 
         assert traced_peak(16) <= 1.5 * traced_peak(4)
@@ -271,10 +295,11 @@ class TestEstimate:
 class TestSeededOutputBytes:
     """Pinned sha256 of seeded outputs, so a change to them is deliberate.
 
-    150 001 frames is not a multiple of the simulation's frame chunk, and
-    dark counts exercise every draw of both generators.  The digests follow
-    numpy's Philox and distribution streams; a numpy release that changes
-    those streams calls for new digests, not a code change.
+    150 001 frames is not a multiple of either generator's chunk length
+    (about 41 000 frames at this density), and dark counts exercise every
+    draw of both generators.  The digests follow numpy's Philox and
+    distribution streams; a numpy release that changes those streams calls
+    for new digests, not a code change.
     """
 
     SIMULATE = ["--config", str(CONFIG_DIR / "t2_174C.cfg"), "--override", "dark_rate = 0.7",
@@ -289,11 +314,17 @@ class TestSeededOutputBytes:
         assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
         assert {name: self.digest(tmp_path / name) for name in (
             "frames.zhf", "raw.csv", "accidental.csv", "covariance.csv")} == {
-            "frames.zhf": "4bdbafd9ad4182735cb33810b2ca42c7a87e31b4bb4721f332c7d2a57a15add5",
-            "raw.csv": "93715c06d0d40ee6517d81ec3329faa731e24cba7c4b0f0e2ad80f2c994c9c50",
-            "accidental.csv": "6963a8255d5406446667129fc89fa6294515f445094a0f8ff1256f642ecc7cc2",
-            "covariance.csv": "837be9e1c2b675d00a6116f86998beffcff61b9070d958cae11855bb656da7b5",
+            "frames.zhf": "82a43b1a83b4bdeea323602aca10ffade47f043c3c69c03c2969c5e1846c1627",
+            "raw.csv": "e8565f8817f510b3b54b2e737eb8088c09f558670b894dc9e878f18e717f54e1",
+            "accidental.csv": "b4e2488e5bb21448834ac9575259c494a532caba27154ce81b1a826d4274183b",
+            "covariance.csv": "524fdb6d4f668e02929a99c1686443c9e4d38e9e83e22c959c6accfe7559dcdf",
         }
+
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    def test_runs_end_in_a_partial_chunk(self, tmp_path, monkeypatch, uncorrelated):
+        flag = ["--uncorrelated"] if uncorrelated else []
+        chunk = chunk_frames(monkeypatch, tmp_path, *self.SIMULATE[:-2], *flag)
+        assert 150_001 // chunk >= 3 and 150_001 % chunk > 0
 
     @pytest.mark.parametrize("uncorrelated", [False, True])
     @pytest.mark.parametrize("schedule", ["1 worker", "3 workers", "reversed"])
@@ -315,7 +346,7 @@ class TestSeededOutputBytes:
     def test_uncorrelated_events(self, tmp_path):
         assert main(["simulate", *self.SIMULATE, "--uncorrelated", "--out", str(tmp_path)]) == 0
         assert self.digest(tmp_path / "frames.zhf") == (
-            "3564d8d7caace6070bf1b6c3d43fb64dc4cd27148506696e9b5fde4e6434a22c"
+            "af94848f6bb57f8167a388f185f4fa8dca1a4e864ad68484feeee944fb4b15e4"
         )
 
 

@@ -7,7 +7,7 @@ import pytest
 from helpers import brute_force_frames, last_block_bad_bin_events, seam_repeat_events
 from homspec import detector
 from homspec.detector import (
-    FRAME_CHUNK,
+    CHUNK_EVENTS,
     DetectionParams,
     FrameBatch,
     _bernoulli_slots,
@@ -36,6 +36,13 @@ PC = coincidence_probability_cosine(JSA, DispersionModel(od=2.6e3, tau=TAU))
 MARGINALS = port_spectra(JSA)
 
 DEFAULTS = dict(chi=4.5455e-4, eta=0.25, f_rep=80e6, t_exp=11e-6)
+
+
+def run(uncorrelated, params, n_frames):
+    """A checked run of either generator on the test map, not yet drawn."""
+    if uncorrelated:
+        return simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, n_frames)
+    return simulate_chunks(PC, MARGINALS, params, n_frames)
 
 
 def empty_batch(n_frames=0):
@@ -131,15 +138,10 @@ class TestSimulateFrames:
         # canonicalized on its own, so a chunk's events do not depend on how
         # many chunks follow it.
         params = DetectionParams(**DEFAULTS, dark_rate=dark_rate, seed=21)
-
-        def simulate(n_frames):
-            if uncorrelated:
-                return join(simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, n_frames))
-            return simulate_frames(PC, MARGINALS, params, n_frames)
-
-        short = simulate(FRAME_CHUNK)
-        long = simulate(3 * FRAME_CHUNK + 5)
-        head = long.frames < FRAME_CHUNK
+        chunk = run(uncorrelated, params, 0).chunk_frames
+        short = join(run(uncorrelated, params, chunk))
+        long = join(run(uncorrelated, params, 3 * chunk + 5))
+        head = long.frames < chunk
         assert short.n_events > 0
         assert np.array_equal(long.frames[head], short.frames)
         assert np.array_equal(long.regions[head], short.regions)
@@ -152,12 +154,10 @@ class TestSimulateFrames:
         # chunks in: evaluating them last to first, then handing them on in
         # frame order, gives the same batch.
         params = DetectionParams(**DEFAULTS, dark_rate=dark_rate, seed=22)
-        n_frames = 3 * FRAME_CHUNK + 5
+        n_frames = 3 * run(uncorrelated, params, 0).chunk_frames + 5
 
         def simulate():
-            if uncorrelated:
-                return join(simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, n_frames))
-            return simulate_frames(PC, MARGINALS, params, n_frames)
+            return join(run(uncorrelated, params, n_frames))
 
         calls = []
 
@@ -184,18 +184,29 @@ class TestSimulateFrames:
         # copied the codes twice took 5.5x and 4.1x.
         monkeypatch.setattr(detector, "_workers", lambda: 1)
         params = DetectionParams(chi=0.01, eta=0.5, f_rep=80e6, t_exp=11e-6, seed=5)
-        if uncorrelated:
-            run = simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, FRAME_CHUNK)
-        else:
-            run = simulate_chunks(PC, MARGINALS, params, FRAME_CHUNK)
+        one_chunk = run(uncorrelated, params, run(uncorrelated, params, 0).chunk_frames)
         tracemalloc.start()
         try:
-            (chunk,) = run
+            (chunk,) = one_chunk
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert chunk.n_events > 7 * FRAME_CHUNK
+        assert chunk.n_events > 7 * one_chunk.chunk_frames
         assert peak <= 3.0 * chunk.n_events * np.dtype(np.int64).itemsize
+
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    def test_chunks_hold_about_chunk_events(self, uncorrelated):
+        # A chunk's length follows the run's density: at 0.2 and at about 8
+        # events a frame one chunk holds about CHUNK_EVENTS events (a little
+        # more for the correlated generator, whose expected events count the
+        # pairs seen, not their photons).
+        sizes = []
+        for chi, eta in ((4.5455e-4, 0.25), (0.01, 0.5)):
+            params = DetectionParams(chi=chi, eta=eta, f_rep=80e6, t_exp=11e-6, seed=8)
+            (chunk,) = run(uncorrelated, params, run(uncorrelated, params, 0).chunk_frames)
+            assert 0.9 * CHUNK_EVENTS < chunk.n_events < 1.4 * CHUNK_EVENTS
+            sizes.append(chunk.n_frames)
+        assert sizes[0] > 30 * sizes[1]
 
     def test_saturation_warning(self):
         params = DetectionParams(chi=0.5, eta=1.0, f_rep=80e6, t_exp=11e-6, seed=5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,21 @@ class TestScan:
         assert result.visibility_hat == pytest.approx(0.8, rel=1e-6)
         assert result.delay_fs == pytest.approx(10.0, rel=1e-6)
         assert result.converged
+
+
+    @pytest.mark.parametrize("od,tau", [(4.66e3, TAU_188), (2586.16, TAU_174)])
+    def test_fit_memory_on_a_140_bin_map(self, od, tau):
+        # The scan's complex blocks set the fit's traced peak.  Measured on
+        # these maps: 4.5 MB with blocks of 128 grid values, 5.8 MB with 512.
+        data = fringe_map(od, 0.8, 10e-15, JSA, tau=tau)
+        tracemalloc.start()
+        try:
+            result = fit(data, JSA, FitConfig(tau=tau))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.od_hat == pytest.approx(od, rel=1e-9)
+        assert peak <= 5.0e6
 
 
 class TestHologram:

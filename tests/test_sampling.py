@@ -49,6 +49,21 @@ def test_deterministic_for_fixed_stream():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2024])
+@pytest.mark.parametrize("size", [0, 1, 977, 100_003])
+def test_draw_matches_the_full_select(seed, size):
+    # draw replaces only the rejected draws by their alias; that gives the
+    # numbers of a select over every draw, from the same two RNG vectors.
+    table = AliasTable(np.random.default_rng(seed).random(500) ** 3)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, table.n_outcomes, size=size)
+    keep = rng.random(size) < table._prob[idx]
+    expected = np.where(keep, idx, table._alias[idx])
+    stream = np.random.default_rng(seed)
+    assert np.array_equal(table.draw(stream, size), expected)
+    assert stream.random() == rng.random()
+
+
 def test_matrix_weights_flattened():
     weights = np.array([[1.0, 0.0], [0.0, 3.0]])
     table = AliasTable(weights)

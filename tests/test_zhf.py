@@ -69,7 +69,8 @@ def test_chunks_write_the_batch_bytes(tmp_path):
     pc = coincidence_probability_cosine(JSA, DispersionModel(od=2.6e3, tau=doppler_lifetime(447.15)))
     params = DetectionParams(chi=4.5455e-4, eta=0.25, f_rep=80e6, t_exp=11e-6, dark_rate=0.3,
                              seed=4)
-    run = detector.simulate_chunks(pc, port_spectra(JSA), params, 2 * detector.FRAME_CHUNK + 9)
+    chunk = detector.simulate_chunks(pc, port_spectra(JSA), params, 0).chunk_frames
+    run = detector.simulate_chunks(pc, port_spectra(JSA), params, 2 * chunk + 9)
     streamed, joined = tmp_path / "streamed.zhf", tmp_path / "joined.zhf"
     seen = []
 
