@@ -18,7 +18,8 @@ only for the detected photons: the joint coincidence table for both photons
 of a coincidence, its row or column marginal for one, the residual spectrum
 for the photons of a double.  Dark counts are one Poisson total per region
 spread uniformly over the chunk's frames.  No draw is made per frame or per
-undetected photon, so the cost follows the detected events.
+undetected photon, so the cost follows the detected events.  The
+uncorrelated control is the same generator on the ports' product map.
 
 Estimators follow the frame-averaged definitions: the raw map is the mean
 cross-port product <n+(a) n-(b)>, the accidental map the product of means
@@ -39,13 +40,14 @@ arrives and zhf.read_blocks reads a file a block at a time, so neither side
 holds a whole run; a joined batch holds its three fields, and validation,
 the counts and the ZHF1 I/O work through them in blocks of about _BLOCK
 events.  Drawing one chunk holds at most 3x its events' int64 codes at
-once, its output fields included (2.3x measured on a dense chunk): each
-pair's draws shrink to one-byte flags before the next is drawn, and the
-codes are sorted, deduplicated and split into fields in place.  So a
-worker's scratch follows its chunk, and the simulation's memory follows the
-chunk window.  A run that would ask for more than MAX_FRAME_EVENTS expected
-events or 2^46 repetitions a frame, or for 2^32 frames or more, is rejected
-with ConfigError before any chunk is drawn.
+once, its output fields included (2.2x measured on a dense chunk, 2.4x
+for the uncorrelated control): each pair's draws shrink to one-byte flags
+before the next is drawn, the pairs' arrays are freed before any bin is
+drawn, and the codes are sorted, deduplicated and split into fields in
+place.  So a worker's scratch follows its chunk, and the simulation's
+memory follows the chunk window.  A run that would ask for more than
+MAX_FRAME_EVENTS expected events or 2^46 repetitions a frame, or for 2^32
+frames or more, is rejected with ConfigError before any chunk is drawn.
 """
 
 import itertools
@@ -55,7 +57,7 @@ import warnings
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,29 +199,6 @@ def _bernoulli_slots(rng: np.random.Generator, p: float, n_slots: int) -> np.nda
     return parts[0] if len(parts) == 1 else np.concatenate([np.zeros(0, np.int64), *parts])
 
 
-def _dark_codes(
-    rng: np.random.Generator, rate: float, start: int, size: int, region: int, n_bins: int
-) -> np.ndarray:
-    """Poisson dark events of one region, uniform over its frames and bins.
-
-    A Poisson total spread uniformly over the frames is the same process as
-    one Poisson count per frame.
-    """
-    total = rng.poisson(rate * size)
-    frames = rng.integers(start, start + size, size=total)
-    return _event_codes(frames, region, rng.integers(0, n_bins, size=total))
-
-
-def _check_frames(n_frames: int) -> None:
-    """Reject a frame count the run cannot index: negative, or past uint32."""
-    if n_frames < 0:
-        raise ValueError("n_frames must be non-negative")
-    if n_frames >= _MAX_FRAMES:
-        raise ConfigError(
-            f"--frames must be below {_MAX_FRAMES} (frame indices are 32-bit), got {n_frames}"
-        )
-
-
 def _chunk_frames(params: DetectionParams, n_frames: int, events_per_frame: float) -> int:
     """A run's chunk length in frames, once its work is checked to be bounded.
 
@@ -337,6 +316,14 @@ def join(batches) -> FrameBatch:
     return FrameBatch(batches[0].n_frames, batches[0].grid_plus, batches[0].grid_minus, *fields)
 
 
+def _check_lengths(
+    grid_p: WavelengthGrid, grid_m: WavelengthGrid, marginals: tuple[np.ndarray, np.ndarray]
+) -> None:
+    """Reject port spectra whose lengths do not match the grids of their ports."""
+    if np.shape(marginals[0]) != (grid_p.n_bins,) or np.shape(marginals[1]) != (grid_m.n_bins,):
+        raise InconsistentMarginals("marginal lengths do not match the map grids")
+
+
 def _validate_marginals(
     pc_map: CoincidenceMap, marginals: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -350,8 +337,7 @@ def _validate_marginals(
     m_minus = np.asarray(marginals[1], dtype=float)
     step_p = pc_map.grid_p.step_nm
     step_m = pc_map.grid_m.step_nm
-    if m_plus.shape != (pc_map.grid_p.n_bins,) or m_minus.shape != (pc_map.grid_m.n_bins,):
-        raise InconsistentMarginals("marginal lengths do not match the map grids")
+    _check_lengths(pc_map.grid_p, pc_map.grid_m, (m_plus, m_minus))
     for name, marg, step in (("plus", m_plus, step_p), ("minus", m_minus, step_m)):
         total = float(np.sum(marg)) * step
         if abs(total - 1.0) > MARGINAL_TOL:
@@ -393,22 +379,22 @@ def simulate_chunks(
     """simulate_frames' run, checked (errors and warning) before any chunk is drawn."""
     if pc_map.kind is not MapKind.PROBABILITY:
         raise ValueError(f"need a probability map, got kind={pc_map.kind.value}")
-    _check_frames(n_frames)
+    if n_frames < 0:
+        raise ValueError("n_frames must be non-negative")
+    if n_frames >= _MAX_FRAMES:
+        raise ConfigError(
+            f"--frames must be below {_MAX_FRAMES} (frame indices are 32-bit), got {n_frames}"
+        )
     res_plus, res_minus = _validate_marginals(pc_map, marginals)
 
     reps = params.repetitions
     eta = params.eta
-    area = pc_map.area_nm2
-    w_coinc = min(float(np.sum(pc_map.values)) * area, 1.0)
     sum_res_plus = float(np.sum(res_plus)) * pc_map.grid_p.step_nm
     sum_res_minus = float(np.sum(res_minus)) * pc_map.grid_m.step_nm
-    w_bunch_plus = 0.5 * sum_res_plus
-    w_bunch_minus = 0.5 * sum_res_minus
-    # Branch thresholds for a single uniform draw per detected pair.
-    t_coinc = w_coinc
-    t_plus = w_coinc + w_bunch_plus / max(w_bunch_plus + w_bunch_minus, 1e-300) * (
-        1.0 - w_coinc
-    )
+    # Branch thresholds for one uniform draw per detected pair: a coincidence below
+    # t_coinc, else a double, on a port in proportion to its residual spectrum's total.
+    t_coinc = min(pc_map.total(), 1.0)
+    t_plus = t_coinc + sum_res_plus / max(sum_res_plus + sum_res_minus, 1e-300) * (1.0 - t_coinc)
     # A pair is seen when at least one of its photons is detected.  Given that,
     # both are with probability eta / (2 - eta); else each alone is equally likely.
     q = params.chi * (1.0 - (1.0 - eta) ** 2)
@@ -429,7 +415,7 @@ def simulate_chunks(
         )
 
     coinc_alias = row_alias = col_alias = None
-    if w_coinc > 0.0:
+    if t_coinc > 0.0:
         coinc_alias = AliasTable(pc_map.values)
         row_alias = AliasTable(np.sum(pc_map.values, axis=1))
         col_alias = AliasTable(np.sum(pc_map.values, axis=0))
@@ -452,34 +438,43 @@ def simulate_chunks(
         second = (pattern < t_both) | ~first
         del pattern
 
-        codes = []
-        if coinc_alias is not None:
-            coinc = kind == 0
-            both = np.compress(coinc & first & second, frames)
-            only_a = np.compress(coinc & first & ~second, frames)
-            only_b = np.compress(coinc & ~first & second, frames)
-            bin_a, bin_b = np.divmod(coinc_alias.draw(rng, both.size), n_bins_m)
-            codes += [
-                _event_codes(both, 0, bin_a),
-                _event_codes(both, 1, bin_b),
-                _event_codes(only_a, 0, row_alias.draw(rng, only_a.size)),
-                _event_codes(only_b, 1, col_alias.draw(rng, only_b.size)),
-            ]
-            del coinc, both, only_a, only_b, bin_a, bin_b
+        # The frames of every draw are selected first, so that the pairs' arrays
+        # are freed before any bin is drawn: both photons of a coincidence, its
+        # plus photon alone, its minus photon alone, then each port's doubles.
+        coinc = kind == 0
+        both = np.compress(coinc & first & second, frames)
+        selections = deque([
+            (np.compress(coinc & first & ~second, frames), 0, row_alias),
+            (np.compress(coinc & ~first & second, frames), 1, col_alias),
+        ])
+        del coinc
         photons = first.view(np.uint8) + second
         del first, second
-        # Rounding can push a sliver of branch mass onto a port with an empty
-        # residual spectrum; those pairs are dropped instead of sampling nothing.
         for region, alias in ((0, plus_alias), (1, minus_alias)):
+            is_double = kind == region + 1
+            double = np.repeat(np.compress(is_double, frames), np.compress(is_double, photons))
+            selections.append((double, region, alias))
+        del kind, frames, photons, is_double, double
+
+        # Bins are drawn in that order, each selection dropped once it is encoded.
+        codes = []
+        if coinc_alias is not None:
+            plus, minus = np.divmod(coinc_alias.draw(rng, both.size), n_bins_m)
+            codes += [_event_codes(both, 0, plus), _event_codes(both, 1, minus)]
+            del plus, minus
+        del both
+        while selections:
+            selected, region, alias = selections.popleft()
+            # Rounding can push a sliver of branch mass onto a port with an empty
+            # residual spectrum; those pairs are dropped instead of sampling nothing.
             if alias is not None:
-                is_double = kind == region + 1
-                double = np.repeat(np.compress(is_double, frames), np.compress(is_double, photons))
-                codes.append(_event_codes(double, region, alias.draw(rng, double.size)))
-        if params.dark_rate > 0.0:
-            codes += [
-                _dark_codes(rng, params.dark_rate, start, size, region, grid.n_bins)
-                for region, grid in ((0, pc_map.grid_p), (1, pc_map.grid_m))
-            ]
+                codes.append(_event_codes(selected, region, alias.draw(rng, selected.size)))
+        # A Poisson total of dark events spread uniformly over the chunk's frames
+        # is the same process as one Poisson count per frame.
+        for region, grid in ((0, pc_map.grid_p), (1, pc_map.grid_m)):
+            total = rng.poisson(params.dark_rate * size)
+            dark = rng.integers(start, start + size, size=total)
+            codes.append(_event_codes(dark, region, rng.integers(0, grid.n_bins, size=total)))
         return codes
 
     return FrameChunks(
@@ -498,26 +493,20 @@ def simulate_uncorrelated_chunks(
 
     Per-port rates match simulate_frames (one photon per port per generated
     pair before thinning) but carry no cross-port correlation, so the
-    covariance map of a run is statistically zero.
+    covariance map of a run is statistically zero.  That is simulate_chunks
+    on the ports' product map with a pair every repetition (chi = 1), each
+    photon detected with probability chi * eta: every pair is a coincidence,
+    and its photons are detected independently.
     """
-    _check_frames(n_frames)
-    reps = params.repetitions
+    _check_lengths(grid_plus, grid_minus, marginals)  # before the product map is built
+    values = np.outer(*marginals)
+    # At most one pair in all, so the marginal check, not the map's, judges the spectra.
+    values /= max(float(np.sum(values)) * grid_plus.step_nm * grid_minus.step_nm, 1.0)
+    product = CoincidenceMap(grid_plus, grid_minus, values, MapKind.PROBABILITY)
     p_detect = params.chi * params.eta
-    chunk_frames = _chunk_frames(params, n_frames, 2.0 * (reps * p_detect + params.dark_rate))
-    aliases = (AliasTable(marginals[0]), AliasTable(marginals[1]))
-
-    def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
-        codes = []
-        for region, grid in ((0, grid_plus), (1, grid_minus)):
-            frames = _bernoulli_slots(rng, p_detect, size * reps)
-            frames //= reps
-            frames += start
-            codes.append(_event_codes(frames, region, aliases[region].draw(rng, frames.size)))
-            if params.dark_rate > 0.0:
-                codes.append(_dark_codes(rng, params.dark_rate, start, size, region, grid.n_bins))
-        return codes
-
-    return FrameChunks(n_frames, grid_plus, grid_minus, params.seed, chunk_frames, chunk_codes)
+    # DetectionParams needs eta > 0, so no photon at all is chi = 0 instead.
+    thinned = replace(params, chi=1.0, eta=p_detect) if p_detect else replace(params, chi=0.0)
+    return simulate_chunks(product, marginals, thinned, n_frames)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

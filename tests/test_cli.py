@@ -346,7 +346,7 @@ class TestSeededOutputBytes:
     def test_uncorrelated_events(self, tmp_path):
         assert main(["simulate", *self.SIMULATE, "--uncorrelated", "--out", str(tmp_path)]) == 0
         assert self.digest(tmp_path / "frames.zhf") == (
-            "af94848f6bb57f8167a388f185f4fa8dca1a4e864ad68484feeee944fb4b15e4"
+            "01365274eb57def82c7cb0bb5789775dda968fe7df111cc92d8fc1672e496535"
         )
 
 

@@ -8,6 +8,7 @@ from helpers import brute_force_frames, last_block_bad_bin_events, seam_repeat_e
 from homspec import detector
 from homspec.detector import (
     CHUNK_EVENTS,
+    MARGINAL_TOL,
     DetectionParams,
     FrameBatch,
     _bernoulli_slots,
@@ -38,11 +39,11 @@ MARGINALS = port_spectra(JSA)
 DEFAULTS = dict(chi=4.5455e-4, eta=0.25, f_rep=80e6, t_exp=11e-6)
 
 
-def run(uncorrelated, params, n_frames):
+def run(uncorrelated, params, n_frames, marginals=MARGINALS):
     """A checked run of either generator on the test map, not yet drawn."""
     if uncorrelated:
-        return simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, n_frames)
-    return simulate_chunks(PC, MARGINALS, params, n_frames)
+        return simulate_uncorrelated_chunks(GRID, GRID, marginals, params, n_frames)
+    return simulate_chunks(PC, marginals, params, n_frames)
 
 
 def empty_batch(n_frames=0):
@@ -179,8 +180,8 @@ class TestSimulateFrames:
         # A worker holds about three event-length arrays at once.  The traced
         # peak of drawing one dense chunk (about 8 events a frame) through
         # FrameChunks on one worker, its output fields included, stays within
-        # 3x the chunk's int64 event codes.  Measured: 2.3x correlated and
-        # 2.7x uncorrelated; a kernel that held the pairs' float draws and
+        # 3x the chunk's int64 event codes.  Measured: 2.2x correlated and
+        # 2.4x uncorrelated; a kernel that held the pairs' float draws and
         # copied the codes twice took 5.5x and 4.1x.
         monkeypatch.setattr(detector, "_workers", lambda: 1)
         params = DetectionParams(chi=0.01, eta=0.5, f_rep=80e6, t_exp=11e-6, seed=5)
@@ -198,8 +199,8 @@ class TestSimulateFrames:
     def test_chunks_hold_about_chunk_events(self, uncorrelated):
         # A chunk's length follows the run's density: at 0.2 and at about 8
         # events a frame one chunk holds about CHUNK_EVENTS events (a little
-        # more for the correlated generator, whose expected events count the
-        # pairs seen, not their photons).
+        # more, since both generators' expected events count the pairs seen,
+        # not their photons).
         sizes = []
         for chi, eta in ((4.5455e-4, 0.25), (0.01, 0.5)):
             params = DetectionParams(chi=chi, eta=eta, f_rep=80e6, t_exp=11e-6, seed=8)
@@ -208,10 +209,23 @@ class TestSimulateFrames:
             sizes.append(chunk.n_frames)
         assert sizes[0] > 30 * sizes[1]
 
-    def test_saturation_warning(self):
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    def test_saturation_warning(self, uncorrelated):
         params = DetectionParams(chi=0.5, eta=1.0, f_rep=80e6, t_exp=11e-6, seed=5)
         with pytest.warns(RuntimeWarning, match="occupancy"):
-            simulate_frames(PC, MARGINALS, params, 50)
+            join(run(uncorrelated, params, 50))
+
+    def test_uncorrelated_without_photons_gives_dark_counts_only(self):
+        # chi * eta = 0 runs the control with chi = 0: it draws the dark counts
+        # alone, the very events of a correlated run without pairs.
+        params = DetectionParams(chi=0.0, eta=1.0, f_rep=1.0, t_exp=1.0,
+                                 dark_rate=0.05, seed=6)
+        control = join(run(True, params, 50_000))
+        dark = join(run(False, params, 50_000))
+        assert control.n_events / (2 * control.n_frames) == pytest.approx(0.05, rel=0.1)
+        assert np.array_equal(control.frames, dark.frames)
+        assert np.array_equal(control.regions, dark.regions)
+        assert np.array_equal(control.bins, dark.bins)
 
     def test_dark_counts_fill_empty_frames(self):
         params = DetectionParams(chi=0.0, eta=1.0, f_rep=1.0, t_exp=1.0,
@@ -220,11 +234,15 @@ class TestSimulateFrames:
         per_region_rate = batch.n_events / (2 * batch.n_frames)
         assert per_region_rate == pytest.approx(0.05, rel=0.1)
 
-    def test_marginals_must_normalize(self):
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    @pytest.mark.parametrize("bad", [(MARGINALS[0] * 1.2, MARGINALS[1]),
+                                     (MARGINALS[0][:-1], MARGINALS[1])], ids=["scaled", "short"])
+    def test_marginals_must_normalize(self, uncorrelated, bad):
         params = DetectionParams(**DEFAULTS, seed=7)
-        bad = (MARGINALS[0] * 1.2, MARGINALS[1])
         with pytest.raises(InconsistentMarginals):
-            simulate_frames(PC, bad, params, 10)
+            join(run(uncorrelated, params, 10, bad))
+        # Both generators take spectra within MARGINAL_TOL of one photon.
+        run(uncorrelated, params, 10, (MARGINALS[0] * (1 + 0.5 * MARGINAL_TOL), MARGINALS[1]))
 
     def test_marginals_must_cover_coincidence_rate(self):
         params = DetectionParams(**DEFAULTS, seed=8)
