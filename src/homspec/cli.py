@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="histogram an event file into maps")
-    add_common(p)
+    p.add_argument("--out", help="output directory")  # the event file holds the run
     p.add_argument("frame_file", help="ZHF1 event file")
     p.add_argument("--binary", action="store_true", help="also write binary matrices")
     p.set_defaults(func=cmd_estimate)

@@ -12,13 +12,14 @@ The simulation draws only what the camera sees.  A pair with at least one
 detected photon is a Bernoulli(q) event per repetition, q = chi * (1 - (1 -
 eta)^2), so the chunk's repetition slots are thinned to those events
 directly, by geometric gaps between them (Devroye, Non-Uniform Random
-Variate Generation, 1986, ch. X).  Each event then draws its branch and
-which of its photons were detected, conditioned on at least one, and bins
-only for the detected photons: the joint coincidence table for both photons
-of a coincidence, its row or column marginal for one, the residual spectrum
-for the photons of a double.  Dark counts are one Poisson total per region
-spread uniformly over the chunk's frames.  No draw is made per frame or per
-undetected photon, so the cost follows the detected events.  The
+Variate Generation, 1986, ch. X).  Each event then draws its outcome by
+inversion of one uniform over seven probabilities (ibid., ch. III): a
+coincidence or a double on either port, with one or both photons seen.  Bins
+are drawn only for the seen photons: the joint coincidence table for both
+photons of a coincidence, its row or column marginal for one, the residual
+spectrum for the photons of a double.  Dark counts are one Poisson total per
+region spread uniformly over the chunk's frames.  No draw is made per frame
+or per undetected photon, so the cost follows the detected events.  The
 uncorrelated control is the same generator on the ports' product map.
 
 Estimators follow the frame-averaged definitions: the raw map is the mean
@@ -41,13 +42,13 @@ holds a whole run; a joined batch holds its three fields, and validation,
 the counts and the ZHF1 I/O work through them in blocks of about _BLOCK
 events.  Drawing one chunk holds at most 3x its events' int64 codes at
 once, its output fields included (2.2x measured on a dense chunk, 2.4x
-for the uncorrelated control): each pair's draws shrink to one-byte flags
-before the next is drawn, the pairs' arrays are freed before any bin is
-drawn, and the codes are sorted, deduplicated and split into fields in
-place.  So a worker's scratch follows its chunk, and the simulation's
-memory follows the chunk window.  A run that would ask for more than
-MAX_FRAME_EVENTS expected events or 2^46 repetitions a frame, or for 2^32
-frames or more, is rejected with ConfigError before any chunk is drawn.
+for the uncorrelated control): each pair's uniform shrinks to a one-byte
+outcome, the pairs' arrays are freed before any bin is drawn, and the
+codes are sorted, deduplicated and split into fields in place.  So a
+worker's scratch follows its chunk, and the simulation's memory follows the
+chunk window.  A run that would ask for more than MAX_FRAME_EVENTS expected
+events or 2^46 repetitions a frame, or for 2^32 frames or more, is rejected
+with ConfigError before any chunk is drawn.
 """
 
 import itertools
@@ -391,15 +392,15 @@ def simulate_chunks(
     eta = params.eta
     sum_res_plus = float(np.sum(res_plus)) * pc_map.grid_p.step_nm
     sum_res_minus = float(np.sum(res_minus)) * pc_map.grid_m.step_nm
-    # Branch thresholds for one uniform draw per detected pair: a coincidence below
-    # t_coinc, else a double, on a port in proportion to its residual spectrum's total.
-    t_coinc = min(pc_map.total(), 1.0)
-    t_plus = t_coinc + sum_res_plus / max(sum_res_plus + sum_res_minus, 1e-300) * (1.0 - t_coinc)
+    # A pair is a coincidence with probability p_c, else a double, on a port in
+    # proportion to its residual spectrum's total.
+    p_c = min(pc_map.total(), 1.0)
+    p_plus = sum_res_plus / max(sum_res_plus + sum_res_minus, 1e-300) * (1.0 - p_c)
+    p_minus = 1.0 - p_c - p_plus
     # A pair is seen when at least one of its photons is detected.  Given that,
     # both are with probability eta / (2 - eta); else each alone is equally likely.
     q = params.chi * (1.0 - (1.0 - eta) ** 2)
-    t_both = eta / (2.0 - eta)
-    t_first = 0.5 * (1.0 + t_both)
+    both = eta / (2.0 - eta)
     chunk_frames = _chunk_frames(params, n_frames, reps * q + 2.0 * params.dark_rate)
 
     peak_bin = max(
@@ -415,60 +416,54 @@ def simulate_chunks(
         )
 
     coinc_alias = row_alias = col_alias = None
-    if t_coinc > 0.0:
+    if p_c > 0.0:
         coinc_alias = AliasTable(pc_map.values)
         row_alias = AliasTable(np.sum(pc_map.values, axis=1))
         col_alias = AliasTable(np.sum(pc_map.values, axis=0))
     plus_alias = AliasTable(res_plus) if sum_res_plus > 0.0 else None
     minus_alias = AliasTable(res_minus) if sum_res_minus > 0.0 else None
     n_bins_m = pc_map.grid_m.n_bins
+    # The outcomes of a seen pair: (probability, region, alias table, photons seen).
+    outcomes = (
+        (p_c * both, None, coinc_alias, 2),
+        (p_c * (1.0 - both) / 2.0, 0, row_alias, 1),
+        (p_c * (1.0 - both) / 2.0, 1, col_alias, 1),
+        (p_plus * (1.0 - both), 0, plus_alias, 1),
+        (p_plus * both, 0, plus_alias, 2),
+        (p_minus * (1.0 - both), 1, minus_alias, 1),
+        (p_minus * both, 1, minus_alias, 2),
+    )
+    bounds = np.cumsum([p for p, *_ in outcomes[:-1]]).tolist()
 
     def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
         frames = _bernoulli_slots(rng, q, size * reps)
         frames //= reps
         frames += start
         frames = frames.astype(np.uint32)  # the batch's frame type, half the pairs' scratch
-        # One kind per pair: 0 coincidence, 1 plus double, 2 minus double.
-        branch = rng.random(frames.size)
-        kind = (branch >= t_coinc).view(np.uint8)
-        kind += branch >= t_plus
-        del branch
-        pattern = rng.random(frames.size)
-        first = pattern < t_first  # the plus-side photon of a coincidence
-        second = (pattern < t_both) | ~first
-        del pattern
+        # One uniform per pair, inverted over the outcomes' cumulative bounds.
+        uniform = rng.random(frames.size)
+        outcome = (uniform >= bounds[0]).view(np.uint8)
+        for bound in bounds[1:]:
+            outcome += uniform >= bound
+        del uniform
+        # The frames of every outcome are selected first, so that the pairs'
+        # arrays are freed before any bin is drawn.
+        selected = [np.compress(outcome == k, frames) for k in range(len(outcomes))]
+        del outcome, frames
 
-        # The frames of every draw are selected first, so that the pairs' arrays
-        # are freed before any bin is drawn: both photons of a coincidence, its
-        # plus photon alone, its minus photon alone, then each port's doubles.
-        coinc = kind == 0
-        both = np.compress(coinc & first & second, frames)
-        selections = deque([
-            (np.compress(coinc & first & ~second, frames), 0, row_alias),
-            (np.compress(coinc & ~first & second, frames), 1, col_alias),
-        ])
-        del coinc
-        photons = first.view(np.uint8) + second
-        del first, second
-        for region, alias in ((0, plus_alias), (1, minus_alias)):
-            is_double = kind == region + 1
-            double = np.repeat(np.compress(is_double, frames), np.compress(is_double, photons))
-            selections.append((double, region, alias))
-        del kind, frames, photons, is_double, double
-
-        # Bins are drawn in that order, each selection dropped once it is encoded.
+        # Bins are drawn outcome by outcome, each selection dropped once it is encoded.
         codes = []
-        if coinc_alias is not None:
-            plus, minus = np.divmod(coinc_alias.draw(rng, both.size), n_bins_m)
-            codes += [_event_codes(both, 0, plus), _event_codes(both, 1, minus)]
-            del plus, minus
-        del both
-        while selections:
-            selected, region, alias = selections.popleft()
-            # Rounding can push a sliver of branch mass onto a port with an empty
-            # residual spectrum; those pairs are dropped instead of sampling nothing.
-            if alias is not None:
-                codes.append(_event_codes(selected, region, alias.draw(rng, selected.size)))
+        for _, region, alias, photons in outcomes:
+            chosen = selected.pop(0)
+            if alias is None:  # a rounding sliver on an empty residual spectrum: dropped
+                continue
+            if region is None:  # both photons of a coincidence, from the joint table
+                plus, minus = np.divmod(alias.draw(rng, chosen.size), n_bins_m)
+                codes += [_event_codes(chosen, 0, plus), _event_codes(chosen, 1, minus)]
+                del plus, minus
+            else:
+                chosen = np.repeat(chosen, photons)
+                codes.append(_event_codes(chosen, region, alias.draw(rng, chosen.size)))
         # A Poisson total of dark events spread uniformly over the chunk's frames
         # is the same process as one Poisson count per frame.
         for region, grid in ((0, pc_map.grid_p), (1, pc_map.grid_m)):

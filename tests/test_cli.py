@@ -291,6 +291,17 @@ class TestEstimate:
         assert main(["estimate", str(bad), "--out", str(tmp_path)]) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--config", "absent.cfg"], ["--override", "bogus = 1"],
+                                        ["--seed", "5"]], ids=["config", "override", "seed"])
+    def test_rejects_options_it_never_reads(self, tmp_path, capsys, option):
+        # The event file alone fixes the maps, so a config, override or seed is an error.
+        assert main(["simulate", "--frames", "10", "--out", str(tmp_path), *FAST]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path), *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: homspec") and f"unrecognized arguments: {option[0]}" in err
+
 
 class TestSeededOutputBytes:
     """Pinned sha256 of seeded outputs, so a change to them is deliberate.
@@ -314,10 +325,10 @@ class TestSeededOutputBytes:
         assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
         assert {name: self.digest(tmp_path / name) for name in (
             "frames.zhf", "raw.csv", "accidental.csv", "covariance.csv")} == {
-            "frames.zhf": "82a43b1a83b4bdeea323602aca10ffade47f043c3c69c03c2969c5e1846c1627",
-            "raw.csv": "e8565f8817f510b3b54b2e737eb8088c09f558670b894dc9e878f18e717f54e1",
-            "accidental.csv": "b4e2488e5bb21448834ac9575259c494a532caba27154ce81b1a826d4274183b",
-            "covariance.csv": "524fdb6d4f668e02929a99c1686443c9e4d38e9e83e22c959c6accfe7559dcdf",
+            "frames.zhf": "6413e511b1ac0d06ac4461ddf984dcf641de17a613f05dfabdc2a904ef4517fc",
+            "raw.csv": "78aec7d5fd73abb0e1b23fb31634c4a01ac4a3da296a764d7a1401359fadd2f5",
+            "accidental.csv": "d7baa8b4f024d4410128a83a9ac7315d9e8040e1c8f0c423c6b3ac15ff5581a8",
+            "covariance.csv": "01fe3ad97629b66c99b63f7b0644f9194143d66db1f7c998415b19db65f237c3",
         }
 
     @pytest.mark.parametrize("uncorrelated", [False, True])
@@ -346,7 +357,7 @@ class TestSeededOutputBytes:
     def test_uncorrelated_events(self, tmp_path):
         assert main(["simulate", *self.SIMULATE, "--uncorrelated", "--out", str(tmp_path)]) == 0
         assert self.digest(tmp_path / "frames.zhf") == (
-            "01365274eb57def82c7cb0bb5789775dda968fe7df111cc92d8fc1672e496535"
+            "238022515d0a78045c0c21f841d0a10eb55d2623078c59761a19c0ed2c3501fd"
         )
 
 

@@ -23,6 +23,7 @@ from homspec.detector import (
 )
 from homspec.errors import EmptyBatch, InconsistentMarginals
 from homspec.interference import (
+    CoincidenceMap,
     MapKind,
     coincidence_probability_cosine,
     port_spectra,
@@ -316,16 +317,30 @@ class TestLaw:
             found += len(expected)
         assert found > 0
 
-    @pytest.mark.parametrize("uncorrelated", [False, True])
-    def test_matches_brute_force_reference(self, uncorrelated):
+    @pytest.mark.parametrize(
+        "uncorrelated, asymmetric",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["False", "True", "False-asymmetric", "True-asymmetric"],
+    )
+    def test_matches_brute_force_reference(self, uncorrelated, asymmetric):
         # The thinned, event-driven draw against a reference that draws every
         # repetition, bin and detection flag: 8 bins, R = 3, many same-frame
         # photons and doubles, and dark counts.  Two-sample z-score for each
-        # per-frame indicator; 5 sigma over about 100 of them.
+        # per-frame indicator; 5 sigma over about 100 of them.  The asymmetric
+        # cases tell the ports apart: the map tilted toward plus bins above
+        # minus bins (halved, so that the spectra still cover it), or for the
+        # control a minus spectrum rolled by two bins.
         grid = WavelengthGrid.from_edges(790e-9, 803e-9, 8)
         jsa = gaussian_jsa(796.7e-9, 6e-9, -0.7, grid)
         pc = coincidence_probability_cosine(jsa, DispersionModel(od=400.0, tau=TAU))
         marginals = port_spectra(jsa)
+        if asymmetric and uncorrelated:
+            minus = np.roll(marginals[1], 2)
+            marginals = (marginals[0], minus / (minus.sum() * grid.step_nm))
+        elif asymmetric:
+            a, b = np.indices(pc.values.shape)
+            tilted = pc.values * (1.0 + np.tanh(a - b)) / 2.0
+            pc = CoincidenceMap(grid, grid, tilted, MapKind.PROBABILITY)
         params = DetectionParams(chi=0.3, eta=0.5, f_rep=3.0, t_exp=1.0, dark_rate=0.05, seed=13)
         n = 200_000
         if uncorrelated:
@@ -394,17 +409,19 @@ class TestEstimators:
         # The estimators count a block of whole frames at a time, and integer
         # counts add exactly, so any block size must give the dense-occupancy
         # reference P^T M / n_frames and the accidental recount bit for bit.
-        # The batch ends with a frame of 24 events, more than any block here.
+        # The batch ends with two frames of 24 events, more than any block here.
+        # A block that reaches the first of them ends at its end, so the last
+        # frame starts a block whatever the events before it.
         params = DetectionParams(chi=0.002, eta=0.5, f_rep=80e6, t_exp=11e-6,
                                  dark_rate=0.3, seed=41)
         sim = simulate_frames(PC, MARGINALS, params, 3_000)
         batch = FrameBatch(
-            n_frames=sim.n_frames + 1,
+            n_frames=sim.n_frames + 2,
             grid_plus=GRID,
             grid_minus=GRID,
-            frames=np.append(sim.frames, np.full(24, sim.n_frames)),
-            regions=np.append(sim.regions, np.repeat([0, 1], 12)),
-            bins=np.append(sim.bins, np.tile(np.arange(0, 60, 5), 2)),
+            frames=np.append(sim.frames, np.repeat([sim.n_frames, sim.n_frames + 1], 24)),
+            regions=np.append(sim.regions, np.tile(np.repeat([0, 1], 12), 2)),
+            bins=np.append(sim.bins, np.tile(np.arange(0, 60, 5), 4)),
         )
         monkeypatch.setattr(detector, "_BLOCK", block)
         blocks = list(detector._frame_blocks(batch.frames))
