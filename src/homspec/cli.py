@@ -184,11 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_help="output directory"):
+    def add_common(p, out_help="output directory", seed=False):
         p.add_argument("--config", help="experiment config file")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-        p.add_argument("--seed", type=int, help="override the RNG seed")
+        if seed:  # only simulate draws with it, and write-config prints it
+            p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", help=out_help)
 
     p = sub.add_parser("theory", help="write predicted coincidence and phase maps")
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("simulate", help="run the camera Monte Carlo")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--frames", type=int, default=100_000, help="number of camera frames")
     p.add_argument("--uncorrelated", action="store_true",
                    help="diagnostic generator with independent ports")
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("write-config", help="print the effective configuration")
-    add_common(p, out_help="output file (stdout when omitted)")
+    add_common(p, out_help="output file (stdout when omitted)", seed=True)
     p.set_defaults(func=cmd_write_config)
 
     return parser

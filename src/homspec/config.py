@@ -1,10 +1,12 @@
 """Declarative experiment configuration.
 
 Flat ``key = value`` text files with unit suffixes ("temperature = 188 C",
-"t_exp = 11 us").  Unknown keys are rejected with the offending line number,
-as are duplicates and malformed values.  write-config emits the effective
-settings in canonical SI units; parsing that output reproduces the exact
-same configuration (repr round trip).
+"t_exp = 11 us"), one ``_KEYS`` entry per key.  Unknown keys, duplicates
+and malformed values are rejected with the offending line, naming the key.
+write-config emits the effective settings, each quantity in its canonical
+unit; parsing that output reproduces the exact same configuration (repr
+round trip).  ``--seed``, which only simulate and write-config take,
+overrides the ``seed`` key.
 
 Defaults are the published three-temperature setup: a 5 cm cell, a 10 nm
 filter centered at 796.7 nm, an 80 MHz source integrated for 11 us per
@@ -13,7 +15,7 @@ frame (880 repetitions), and a 140-bin spectrometer axis spanning
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,10 +26,6 @@ from .retrieval import FitConfig
 from .spectra import JointSpectralAmplitude, WavelengthGrid, gaussian_jsa
 from .vapor import (PRESSURE_MODEL_T_MAX, PRESSURE_MODEL_T_MIN, DispersionModel, VaporCell,
                     doppler_lifetime, optical_depth, spectral_phase)
-
-_LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "µm": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0}
-_TIME_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "us": 1e-6, "µs": 1e-6, "ms": 1e-3, "s": 1.0}
-_FREQUENCY_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 
 CELSIUS_OFFSET = 273.15
 
@@ -168,88 +166,67 @@ def _check_range(low_key: str, high_key: str, low: float, high: float, nonnegati
     _require(low < high, f"{low_key} must lie below {high_key}", (low, high))
 
 
-def _parse_unit_value(raw: str, units: dict[str, float], what: str, where: str) -> float:
-    parts = raw.split()
-    try:
-        if len(parts) == 1:
-            return float(parts[0])
-        if len(parts) == 2 and parts[1] in units:
-            return float(parts[0]) * units[parts[1]]
-    except ValueError:
-        pass
-    known = "/".join(units)
-    raise ConfigError(f"{where}: expected {what} as '<number> [{known}]', got {raw!r}")
+_LENGTH_UNITS = {"m": 1.0, "nm": 1e-9, "um": 1e-6, "µm": 1e-6, "mm": 1e-3, "cm": 1e-2}
+_TIME_UNITS = {"s": 1.0, "fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "us": 1e-6, "µs": 1e-6, "ms": 1e-3}
+_FREQUENCY_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
+_TEMPERATURE_UNITS = {"K": 1.0, "C": 1.0}  # C also adds CELSIUS_OFFSET
+# The other kinds are named by what a value must be.
+_NUMBER, _INTEGER, _NUMBER_OR_AUTO = "a number", "an integer", "a number or 'auto'"
+_BOOLEAN = "true/false (or yes/no, on/off, 1/0)"
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
 
-
-def _parse_temperature(raw: str, where: str) -> float:
-    parts = raw.split()
-    try:
-        if len(parts) == 2 and parts[1] == "C":
-            return float(parts[0]) + CELSIUS_OFFSET
-        if len(parts) == 2 and parts[1] == "K":
-            return float(parts[0])
-        if len(parts) == 1:
-            return float(parts[0])  # bare value reads as kelvin
-    except ValueError:
-        pass
-    raise ConfigError(f"{where}: expected temperature as '<number> C|K', got {raw!r}")
-
-
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
-
-
-def _parse_bool(raw: str, where: str) -> bool:
-    if raw in ("true", "yes", "on", "1"):
-        return True
-    if raw in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{where}: expected true/false, got {raw!r}")
-
-
-def _parse_od(raw: str, where: str):
-    if raw == "auto":
-        return None
-    return _parse_float(raw, where)
-
-
-_PARSERS = {
-    "temperature": ("temperature_k", _parse_temperature),
-    "cell_length": ("cell_length_m", lambda r, w: _parse_unit_value(r, _LENGTH_UNITS, "a length", w)),
-    "od": ("od_override", _parse_od),
-    "filter_center": ("filter_center_m", lambda r, w: _parse_unit_value(r, _LENGTH_UNITS, "a length", w)),
-    "jsa_fwhm": ("jsa_fwhm_m", lambda r, w: _parse_unit_value(r, _LENGTH_UNITS, "a length", w)),
-    "jsa_correlation": ("jsa_correlation", _parse_float),
-    "grid_start": ("grid_start_m", lambda r, w: _parse_unit_value(r, _LENGTH_UNITS, "a length", w)),
-    "grid_stop": ("grid_stop_m", lambda r, w: _parse_unit_value(r, _LENGTH_UNITS, "a length", w)),
-    "grid_bins": ("grid_bins", _parse_int),
-    "visibility": ("visibility", _parse_float),
-    "kernel_width": ("kernel_width", _parse_int),
-    "chi": ("chi", _parse_float),
-    "eta": ("eta", _parse_float),
-    "f_rep": ("f_rep_hz", lambda r, w: _parse_unit_value(r, _FREQUENCY_UNITS, "a frequency", w)),
-    "t_exp": ("t_exp_s", lambda r, w: _parse_unit_value(r, _TIME_UNITS, "a time", w)),
-    "dark_rate": ("dark_rate", _parse_float),
-    "seed": ("seed", _parse_int),
-    "fit_od_min": ("fit_od_min", _parse_float),
-    "fit_od_max": ("fit_od_max", _parse_float),
-    "fit_delay": ("fit_delay", _parse_bool),
-    "fit_delay_min": ("fit_delay_min_s", lambda r, w: _parse_unit_value(r, _TIME_UNITS, "a time", w)),
-    "fit_delay_max": ("fit_delay_max_s", lambda r, w: _parse_unit_value(r, _TIME_UNITS, "a time", w)),
-    "mask_radius": ("mask_radius", _parse_int),
+# key: (field, kind).  A quantity's kind is its units, each with its SI
+# scale and the canonical unit first; a bare number is in that unit.
+_KEYS = {
+    "temperature": ("temperature_k", _TEMPERATURE_UNITS),
+    "cell_length": ("cell_length_m", _LENGTH_UNITS),
+    "od": ("od_override", _NUMBER_OR_AUTO),
+    "filter_center": ("filter_center_m", _LENGTH_UNITS),
+    "jsa_fwhm": ("jsa_fwhm_m", _LENGTH_UNITS),
+    "jsa_correlation": ("jsa_correlation", _NUMBER),
+    "grid_start": ("grid_start_m", _LENGTH_UNITS),
+    "grid_stop": ("grid_stop_m", _LENGTH_UNITS),
+    "grid_bins": ("grid_bins", _INTEGER),
+    "visibility": ("visibility", _NUMBER),
+    "kernel_width": ("kernel_width", _INTEGER),
+    "chi": ("chi", _NUMBER),
+    "eta": ("eta", _NUMBER),
+    "f_rep": ("f_rep_hz", _FREQUENCY_UNITS),
+    "t_exp": ("t_exp_s", _TIME_UNITS),
+    "dark_rate": ("dark_rate", _NUMBER),
+    "seed": ("seed", _INTEGER),
+    "fit_od_min": ("fit_od_min", _NUMBER),
+    "fit_od_max": ("fit_od_max", _NUMBER),
+    "fit_delay": ("fit_delay", _BOOLEAN),
+    "fit_delay_min": ("fit_delay_min_s", _TIME_UNITS),
+    "fit_delay_max": ("fit_delay_max_s", _TIME_UNITS),
+    "mask_radius": ("mask_radius", _INTEGER),
 }
 
-_FIELD_TO_KEY = {field: key for key, (field, _) in _PARSERS.items()}
+
+def _parse(key: str, raw: str, where: str):
+    """The value of ``key`` that ``raw`` spells; a malformed one is an error naming the key."""
+    kind = _KEYS[key][1]
+    try:
+        if kind == _BOOLEAN:
+            return _BOOLS[raw]
+        if kind == _INTEGER:
+            return int(raw)
+        if kind == _NUMBER_OR_AUTO and raw == "auto":
+            return None
+        if not isinstance(kind, dict):
+            return float(raw)
+        parts = raw.split()
+        unit = parts[1] if len(parts) == 2 else next(iter(kind))
+        if len(parts) in (1, 2) and unit in kind:
+            value = float(parts[0]) * kind[unit]
+            return value + CELSIUS_OFFSET if unit == "C" else value
+    except (KeyError, ValueError):
+        pass
+    expected = f"'<number> [{'/'.join(kind)}]'" if isinstance(kind, dict) else kind
+    raise ConfigError(f"{where}: {key} must be {expected}, got {raw!r}")
+
 
 # Keys that older versions wrote; naming them is an error that says why.
 _REMOVED_KEYS = {
@@ -278,13 +255,12 @@ def _parse_updates(text: str, source: str) -> dict:
         raw = raw.strip()
         if key in _REMOVED_KEYS:
             raise ConfigError(f"{where}: key {key!r} was removed ({_REMOVED_KEYS[key]})")
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{where}: duplicate key {key!r} (first on line {seen[key]})")
         seen[key] = lineno
-        field_name, parser = _PARSERS[key]
-        updates[field_name] = parser(raw, where)
+        updates[_KEYS[key][0]] = _parse(key, raw, where)
     return updates
 
 
@@ -315,28 +291,18 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
 
 
 def format_config(config: ExperimentConfig) -> str:
-    """Serialize the effective settings in canonical SI units.
+    """Serialize the effective settings, each quantity in its canonical unit.
 
-    The output parses back to the identical configuration: floats are
-    written with repr, temperatures in K, lengths in m, times in s.
+    Floats are written with repr, so the text parses back to the identical configuration.
     """
     lines = ["# effective settings, canonical SI units"]
-    for f in fields(ExperimentConfig):
-        key = _FIELD_TO_KEY[f.name]
-        value = getattr(config, f.name)
-        if f.name == "temperature_k":
-            rendered = f"{value!r} K"
-        elif f.name.endswith("_m"):
-            rendered = f"{value!r} m"
-        elif f.name.endswith("_s"):
-            rendered = f"{value!r} s"
-        elif f.name.endswith("_hz"):
-            rendered = f"{value!r} Hz"
-        elif f.name == "od_override":
-            rendered = "auto" if value is None else repr(value)
-        elif isinstance(value, bool):
+    for key, (field, kind) in _KEYS.items():
+        value = getattr(config, field)
+        if isinstance(kind, dict):
+            rendered = f"{value!r} {next(iter(kind))}"
+        elif kind == _BOOLEAN:
             rendered = "true" if value else "false"
         else:
-            rendered = repr(value)
+            rendered = "auto" if value is None else repr(value)
         lines.append(f"{key} = {rendered}")
     return "\n".join(lines) + "\n"

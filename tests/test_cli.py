@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from homspec import detector, retrieval, zhf
 from homspec.cli import main
-from homspec.config import _PARSERS, _REMOVED_KEYS
+from homspec.config import _KEYS, _REMOVED_KEYS, ExperimentConfig, format_config, parse_config
 from homspec.interference import coincidence_probability_cosine, port_spectra
 from homspec.mapio import read_map_binary, read_map_csv, write_map_binary, write_map_csv
 from homspec.retrieval import FitResult
@@ -541,6 +541,35 @@ class TestConfigHandling:
         assert main(["theory", "--config", str(out_cfg), "--out", str(tmp_path)]) == 0
         assert "od = 20.2" in capsys.readouterr().out
 
+    def test_write_config_text_is_pinned(self, capsys):
+        assert main(["write-config", "--config", str(CONFIG_DIR / "t2_174C.cfg")]) == 0
+        assert capsys.readouterr().out == """\
+# effective settings, canonical SI units
+temperature = 447.15 K
+cell_length = 0.05 m
+od = auto
+filter_center = 7.967000000000001e-07 m
+jsa_fwhm = 1e-08 m
+jsa_correlation = -0.9
+grid_start = 7.900000000000001e-07 m
+grid_stop = 8.030000000000001e-07 m
+grid_bins = 140
+visibility = 1.0
+kernel_width = 1
+chi = 0.00045455
+eta = 0.25
+f_rep = 80000000.0 Hz
+t_exp = 1.1e-05 s
+dark_rate = 0.0
+seed = 12345
+fit_od_min = 0.0
+fit_od_max = 1000000.0
+fit_delay = true
+fit_delay_min = -1e-13 s
+fit_delay_max = 1e-13 s
+mask_radius = 2
+"""
+
     def test_write_config_stdout(self, capsys):
         assert main(["write-config"]) == 0
         text = capsys.readouterr().out
@@ -571,6 +600,29 @@ class TestConfigHandling:
         assert err.startswith("config error: " + option.split()[0])
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        *((key, "warm") for key in _KEYS),
+        *((key, "5 parsec") for key, (_, kind) in _KEYS.items() if isinstance(kind, dict)),
+        *((key, "1.5") for key, (field, _) in _KEYS.items()
+          if type(getattr(ExperimentConfig(), field)) is int),
+        ("fit_delay", "maybe"),
+    ])
+    def test_malformed_value_exits_2_naming_key(self, capsys, key, value):
+        assert main(["write-config", "--override", f"{key} = {value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: override 1:1: {key} must be ")
+        assert err.endswith(f", got {value!r}\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["theory"], ["fit", "covariance.csv"]],
+                             ids=["theory", "fit"])
+    def test_seed_only_where_it_is_read(self, tmp_path, capsys, command):
+        # Only simulate draws with the seed, so theory and fit refuse --seed.
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(tmp_path), "--seed", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: homspec") and "unrecognized arguments: --seed" in err
+
     def test_unsampled_jsa_exits_2(self, tmp_path, capsys):
         # Passes the O(1) checks; building the JSA finds that no bin samples it.
         assert main(["theory", "--override", "grid_stop = 1 m", "--out", str(tmp_path)]) == 2
@@ -579,7 +631,7 @@ class TestConfigHandling:
         assert err.count("\n") == 1
 
     @settings(max_examples=300, deadline=None)
-    @given(key=st.sampled_from(sorted([*_PARSERS, *_REMOVED_KEYS])), value=OVERRIDE_VALUES)
+    @given(key=st.sampled_from(sorted([*_KEYS, *_REMOVED_KEYS])), value=OVERRIDE_VALUES)
     def test_any_single_override_exits_0_or_2(self, key, value):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -587,6 +639,8 @@ class TestConfigHandling:
         assert rc in (0, 2)
         if rc == 0:
             assert err.getvalue() == ""
+            text = out.getvalue()
+            assert format_config(parse_config(text)) == text
         else:
             assert err.getvalue().startswith("config error: ")
             assert err.getvalue().count("\n") == 1

@@ -1,6 +1,12 @@
+import math
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from homspec.config import (
+    _KEYS,
     ExperimentConfig,
     apply_overrides,
     format_config,
@@ -100,7 +106,42 @@ class TestParsing:
             parse_config("fit_delay = maybe\n")
 
 
+DEFAULT_TEXT = """\
+# effective settings, canonical SI units
+temperature = 461.15 K
+cell_length = 0.05 m
+od = auto
+filter_center = 7.967e-07 m
+jsa_fwhm = 1e-08 m
+jsa_correlation = -0.9
+grid_start = 7.9e-07 m
+grid_stop = 8.03e-07 m
+grid_bins = 140
+visibility = 1.0
+kernel_width = 1
+chi = 0.00045455
+eta = 0.25
+f_rep = 80000000.0 Hz
+t_exp = 1.1e-05 s
+dark_rate = 0.0
+seed = 12345
+fit_od_min = 0.0
+fit_od_max = 1000000.0
+fit_delay = true
+fit_delay_min = -1e-13 s
+fit_delay_max = 1e-13 s
+mask_radius = 2
+"""
+
+
 class TestRoundTrip:
+    def test_defaults_text_is_pinned(self):
+        assert format_config(ExperimentConfig()) == DEFAULT_TEXT
+
+    def test_every_field_has_one_key(self):
+        assert sorted(field for field, _ in _KEYS.values()) == sorted(
+            f.name for f in fields(ExperimentConfig))
+
     def test_defaults_round_trip_exactly(self):
         cfg = ExperimentConfig()
         assert parse_config(format_config(cfg)) == cfg
@@ -142,3 +183,22 @@ class TestOverrides:
     def test_bad_override_reports_source(self):
         with pytest.raises(ConfigError, match="override 1"):
             apply_overrides(ExperimentConfig(), ["bogus = 1"])
+
+
+class TestReadmeKeyTable:
+    ROWS = re.findall(r"^\| `(\w+)` \| ([^|]+) \| `([^`]+)` \|",
+                      (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8"),
+                      re.MULTILINE)
+
+    def test_names_every_key_once(self):
+        assert [key for key, _, _ in self.ROWS] == list(_KEYS)
+
+    def test_units_and_defaults(self):
+        defaults = ExperimentConfig()
+        for key, units, default in self.ROWS:
+            field, kind = _KEYS[key]
+            if isinstance(kind, dict):
+                assert units == ", ".join(kind), key
+            want = getattr(defaults, field)
+            got = getattr(parse_config(f"{key} = {default}"), field)
+            assert got == want or math.isclose(got, want, rel_tol=1e-15), key
