@@ -61,9 +61,6 @@ def cmd_theory(args) -> int:
         fh.write("lambda_nm,phase_mod_2pi\n")
         for row in zip(grid.centers_nm.tolist(), profile.tolist()):
             fh.write("%r,%r\n" % row)
-    if args.binary:
-        mapio.write_map_binary(cmap.values, grid, grid, out / "pc_map.bin")
-        mapio.write_map_binary(dphi, grid, grid, out / "phase_map.bin")
 
     print(f"od = {model.od:.6g}, tau = {model.tau * 1e12:.4g} ps")
     print(f"coincidence total = {cmap.total():.6g}")
@@ -105,8 +102,6 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     for name, cmap in zip(("raw", "accidental", "covariance"), counts.maps()):
         mapio.write_map_csv(cmap.values, cmap.grid_p, cmap.grid_m, out / f"{name}.csv")
-        if args.binary:
-            mapio.write_map_binary(cmap.values, cmap.grid_p, cmap.grid_m, out / f"{name}.bin")
     events, pairs = counts.singles.sum(), counts.pairs.sum()
     print(f"{counts.n_frames} frames, {events} events, {pairs} coincidence pairs")
     print(f"wrote {out / 'raw.csv'}, {out / 'accidental.csv'}, {out / 'covariance.csv'}")
@@ -116,15 +111,11 @@ def cmd_estimate(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _effective_config(args)
     out = _out_dir(args)
-    path = Path(args.map_file)
-    if path.suffix == ".bin":
-        values, grid_p, grid_m = mapio.read_map_binary(path)
-    else:
-        values, grid_p, grid_m = mapio.read_map_csv(path)
+    values, grid_p, grid_m = mapio.read_map_csv(args.map_file)
     try:
         cmap = CoincidenceMap(grid_p, grid_m, values, MapKind(args.kind))
     except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+        raise DataFormatError(f"{args.map_file}: {exc}") from exc
 
     jsa = cfg.jsa()
     if not (grid_p.is_close(jsa.grid_s) and grid_m.is_close(jsa.grid_i)):
@@ -194,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="write predicted coincidence and phase maps")
     add_common(p)
-    p.add_argument("--binary", action="store_true", help="also write binary matrices")
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("simulate", help="run the camera Monte Carlo")
@@ -207,12 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="histogram an event file into maps")
     p.add_argument("--out", help="output directory")  # the event file holds the run
     p.add_argument("frame_file", help="ZHF1 event file")
-    p.add_argument("--binary", action="store_true", help="also write binary matrices")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("fit", help="fit od/visibility/delay to a map file")
     add_common(p)
-    p.add_argument("map_file", help="matrix file (.csv or .bin)")
+    p.add_argument("map_file", help="map CSV file, as theory or estimate writes it")
     p.add_argument("--kind", choices=["covariance", "probability"],
                    default="covariance", help="how to interpret the map")
     p.set_defaults(func=cmd_fit)

@@ -271,10 +271,16 @@ def parse_config(text: str, base: ExperimentConfig | None = None, source: str = 
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line the bad byte is on, counted as _parse_updates counts lines.
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
     return parse_config(text, source=str(path))
 
 

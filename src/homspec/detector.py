@@ -107,6 +107,8 @@ class DetectionParams:
             raise ValueError(f"dark_rate must be non-negative and finite, got {self.dark_rate}")
         if not self.f_rep * self.t_exp < np.inf or self.repetitions < 1:
             raise ValueError("f_rep * t_exp must be finite and round to at least one repetition")
+        if not 0 <= self.seed < 2**64:  # a Philox key word
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def repetitions(self) -> int:
@@ -165,7 +167,7 @@ class FrameBatch:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

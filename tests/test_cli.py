@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from homspec import detector, retrieval, zhf
 from homspec.cli import main
 from homspec.config import _KEYS, _REMOVED_KEYS, ExperimentConfig, format_config, parse_config
 from homspec.interference import coincidence_probability_cosine, port_spectra
-from homspec.mapio import read_map_binary, read_map_csv, write_map_binary, write_map_csv
+from homspec.mapio import read_map_csv, write_map_csv
 from homspec.retrieval import FitResult
 from homspec.spectra import WavelengthGrid, gaussian_jsa
 from homspec.vapor import DispersionModel, doppler_lifetime
@@ -75,10 +76,13 @@ class TestTheory:
         values, _, _ = read_map_csv(tmp_path / "pc_map.csv")
         assert np.all(values == 0.0)
 
-    def test_binary_output(self, tmp_path):
-        rc = main(["theory", "--out", str(tmp_path), "--binary"])
-        assert rc == 0
-        assert (tmp_path / "pc_map.bin").exists()
+    def test_has_no_binary_option(self, tmp_path, capsys):
+        # Maps have one file format, the CSV.
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "--out", str(tmp_path), "--binary"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: homspec") and "unrecognized arguments: --binary" in err
 
 
 class TestSimulate:
@@ -190,6 +194,18 @@ class TestSimulate:
                    "--override", "kernel_width = 7", "--out", str(tmp_path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("seed,rc", [("-1", 2), (str(2**64), 2), (str(2**64 - 1), 0)])
+    def test_seed_is_one_64_bit_key_word(self, tmp_path, capsys, seed, rc):
+        # Philox takes the seed as one 64-bit word; a seed outside it is refused, not wrapped.
+        assert main(["simulate", "--frames", "100", "--seed", seed, "--out", str(tmp_path),
+                     "--override", "grid_bins = 16"]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith(f"config error: seed must lie in [0, 2**64), got {seed}")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("exposure", ["11 us", "8e5 s"])
     def test_vanishing_chi_gives_empty_frames(self, tmp_path, exposure):
         # The geometric gaps between events overflow int64; they must end the
@@ -292,9 +308,11 @@ class TestEstimate:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", [["--config", "absent.cfg"], ["--override", "bogus = 1"],
-                                        ["--seed", "5"]], ids=["config", "override", "seed"])
+                                        ["--seed", "5"], ["--binary"]],
+                             ids=["config", "override", "seed", "binary"])
     def test_rejects_options_it_never_reads(self, tmp_path, capsys, option):
-        # The event file alone fixes the maps, so a config, override or seed is an error.
+        # The event file alone fixes the maps, so a config, override or seed is an
+        # error; maps have one file format, so --binary is too.
         assert main(["simulate", "--frames", "10", "--out", str(tmp_path), *FAST]) == 0
         with pytest.raises(SystemExit) as exc:
             main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path), *option])
@@ -396,34 +414,57 @@ class TestFit:
                    "--out", str(tmp_path)])
         assert rc == 3
 
-    @pytest.mark.parametrize("kind,suffix,value,header", [
-        pytest.param("covariance", ".csv", math.nan, None, id="nan-value"),
-        pytest.param("covariance", ".bin", math.inf, None, id="inf-value-binary"),
-        pytest.param("probability", ".csv", -1e-3, None, id="negative-probability"),
-        pytest.param("probability", ".csv", 1e9, None, id="probability-total-above-1"),
-        pytest.param("probability", ".bin", None, {"n_bins": 1}, id="one-bin-binary-axes"),
-        pytest.param("probability", ".bin", None, {"step": -1e-11}, id="negative-binary-step"),
+    @pytest.mark.parametrize("kind,value,axis", [
+        pytest.param("covariance", math.nan, None, id="nan-value"),
+        pytest.param("covariance", math.inf, None, id="inf-value"),
+        pytest.param("probability", -1e-3, None, id="negative-probability"),
+        pytest.param("probability", 1e9, None, id="probability-total-above-1"),
+        pytest.param("probability", None, [796.0], id="one-bin-axes"),
+        pytest.param("probability", None, [795.0, 796.0, 798.0], id="uneven-axes"),
+        pytest.param("probability", None, [797.0, 796.0, 795.0], id="descending-axes"),
+        pytest.param("probability", None, [795.0, math.nan, 797.0], id="nan-axes"),
     ])
-    def test_malformed_map_exits_3(self, tmp_path, capsys, kind, suffix, value, header):
-        # The file parses; one of its values, or its ZHM1 grid header, is invalid.
+    def test_malformed_map_exits_3(self, tmp_path, capsys, kind, value, axis):
+        # The file parses; one of its values, or its axis header, is invalid.
         small = ["--override", "grid_bins = 32"]
-        assert main(["theory", "--binary", "--out", str(tmp_path), *small]) == 0
-        capsys.readouterr()
-        values, grid_p, grid_m = read_map_binary(tmp_path / "pc_map.bin")
-        path = tmp_path / f"bad{suffix}"
-        if header is None:
+        path = tmp_path / "bad.csv"
+        if axis is None:
+            assert main(["theory", "--out", str(tmp_path), *small]) == 0
+            capsys.readouterr()
+            values, grid_p, grid_m = read_map_csv(tmp_path / "pc_map.csv")
             values[3, 5] = value
-            (write_map_csv if suffix == ".csv" else write_map_binary)(values, grid_p, grid_m, path)
+            write_map_csv(values, grid_p, grid_m, path)
         else:
-            n_bins, step = header.get("n_bins", grid_p.n_bins), header.get("step", grid_p.step)
-            # ZHM1 header: magic, version, then start, step and n_bins of each axis
-            head = struct.pack("<4sH" + "ddH" * 2, b"ZHM1", 1, *(grid_p.start, step, n_bins) * 2)
-            path.write_bytes(head + np.zeros(n_bins * n_bins).tobytes())
+            centers = ",".join(map(repr, axis))
+            path.write_text(f"# axis_plus_nm: {centers}\n# axis_minus_nm: {centers}\n"
+                            + (",".join(["0.0"] * len(axis)) + "\n") * len(axis))
         rc = main(["fit", str(path), "--kind", kind, "--out", str(tmp_path), *small])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(path) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", ["latin-1", "zhm1"])
+    def test_map_that_is_not_utf8_exits_3(self, tmp_path, capsys, content):
+        # A map is UTF-8 text.  A Latin-1 byte in a row, or a map in the
+        # retired ZHM1 binary format, is a data error naming the file.
+        small = ["--override", "grid_bins = 32"]
+        assert main(["theory", "--out", str(tmp_path), *small]) == 0
+        capsys.readouterr()
+        path = tmp_path / "bad.csv"
+        if content == "latin-1":
+            lines = (tmp_path / "pc_map.csv").read_bytes().splitlines(keepends=True)
+            lines[5] = lines[5].replace(b",", b",\xe9", 1)
+            path.write_bytes(b"".join(lines))
+        else:
+            grid = read_map_csv(tmp_path / "pc_map.csv")[1]
+            # ZHM1 header: magic, version, then start, step and n_bins of each axis
+            head = struct.pack("<4sH" + "ddH" * 2, b"ZHM1", 1, *(grid.start, grid.step, 32) * 2)
+            path.write_bytes(head + np.zeros(32 * 32).tobytes())
+        rc = main(["fit", str(path), "--kind", "probability", "--out", str(tmp_path), *small])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
 
     def test_grid_mismatch_exits_2(self, tmp_path, capsys):
         assert main(["theory", "--out", str(tmp_path), *FAST]) == 0
@@ -623,6 +664,13 @@ mask_radius = 2
         err = capsys.readouterr().err
         assert err.startswith("usage: homspec") and "unrecognized arguments: --seed" in err
 
+    def test_config_that_is_not_utf8_exits_2_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"grid_bins = 16\n# caf\xe9 settings\nchi = 1e-4\n")
+        assert main(["write-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:2: ") and err.count("\n") == 1
+
     def test_unsampled_jsa_exits_2(self, tmp_path, capsys):
         # Passes the O(1) checks; building the JSA finds that no bin samples it.
         assert main(["theory", "--override", "grid_stop = 1 m", "--out", str(tmp_path)]) == 2
@@ -650,3 +698,74 @@ mask_radius = 2
             rc = main(["write-config", "--config", str(CONFIG_DIR / name),
                        "--out", str(tmp_path / ("eff_" + name))])
             assert rc == 0
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` truncated, or with 1-3 bytes overwritten, 1-8 inserted or up to 39 deleted."""
+    data = bytearray(data)
+    at = draw(st.integers(0, len(data) - 1))
+    edit = draw(st.sampled_from(["truncate", "overwrite", "insert", "delete"]))
+    if edit == "truncate":
+        del data[at:]
+    elif edit == "overwrite":
+        for where in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=3)):
+            data[where] = draw(st.integers(0, 255))
+    elif edit == "insert":
+        data[at:at] = draw(st.binary(min_size=1, max_size=8))
+    else:
+        del data[at : at + draw(st.integers(1, 39))]
+    return bytes(data)
+
+
+class TestMutatedInputFiles:
+    """Every input file, its bytes mutated, gives a documented exit code and
+    one stderr line, never a traceback or a warning."""
+
+    SMALL = ["--override", "grid_bins = 16"]
+    EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True)
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("base")
+        assert main(["simulate", "--frames", "3000", "--seed", "1", "--out", str(base),
+                     *self.SMALL]) == 0
+        assert main(["estimate", str(base / "frames.zhf"), "--out", str(base)]) == 0
+        (base / "mutated").mkdir()
+        return base
+
+    @staticmethod
+    def exits(data, source, work, argv, codes):
+        """Run ``argv(path)`` on a mutation of ``source`` written to ``path`` in ``work``."""
+        path = work / source.name
+        path.write_bytes(data.draw(mutated(source.read_bytes())))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv(str(path)))
+        assert rc in codes
+        if rc:
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+
+    @EXAMPLES
+    @given(data=st.data())
+    def test_config_file(self, base, data):
+        self.exits(data, CONFIG_DIR / "t2_174C.cfg", base / "mutated",
+                   lambda path: ["write-config", "--config", path], (0, 2))
+
+    @EXAMPLES
+    @given(data=st.data())
+    def test_map_csv(self, base, data):
+        work = base / "mutated"
+        self.exits(data, base / "covariance.csv", work,
+                   lambda path: ["fit", path, "--out", str(work), *self.SMALL], (0, 2, 3, 4))
+
+    @EXAMPLES
+    @given(data=st.data())
+    def test_event_file(self, base, data):
+        work = base / "mutated"
+        self.exits(data, base / "frames.zhf", work,
+                   lambda path: ["estimate", path, "--out", str(work)], (0, 3))
