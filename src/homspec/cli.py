@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 data-format error,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -48,12 +49,12 @@ def _theory_map(cfg: ExperimentConfig) -> CoincidenceMap:
 
 def cmd_theory(args) -> int:
     cfg = _effective_config(args)
-    out = _out_dir(args)
     model = cfg.dispersion_model()
     grid = cfg.grid()
     cmap = _theory_map(cfg)
     dphi = interference.phase_difference(model, grid.centers)
     profile = retrieval.phase_profile_mod_2pi(model.od, model.tau, model.lambda0, grid)
+    out = _out_dir(args)
 
     mapio.write_map_csv(cmap.values, grid, grid, out / "pc_map.csv")
     mapio.write_map_csv(dphi, grid, grid, out / "phase_map.csv")
@@ -70,9 +71,6 @@ def cmd_theory(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _effective_config(args)
-    if args.frames < 0:
-        raise ConfigError(f"--frames must be non-negative, got {args.frames}")
-    out = _out_dir(args)
     params = cfg.detection_params()
     jsa = cfg.jsa()
     marginals = interference.port_spectra(jsa)
@@ -88,7 +86,7 @@ def cmd_simulate(args) -> int:
         )
     else:
         run = detector.simulate_chunks(_theory_map(cfg), marginals, params, args.frames)
-    path = out / "frames.zhf"
+    path = _out_dir(args) / "frames.zhf"
     n_events = zhf.write_frames(run, path)
     mean_photons = n_events / run.n_frames if run.n_frames else 0.0
     print(f"R = {params.repetitions} repetitions per frame")
@@ -110,40 +108,25 @@ def cmd_estimate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _effective_config(args)
-    out = _out_dir(args)
     values, grid_p, grid_m = mapio.read_map_csv(args.map_file)
     try:
         cmap = CoincidenceMap(grid_p, grid_m, values, MapKind(args.kind))
     except ValueError as exc:
         raise DataFormatError(f"{args.map_file}: {exc}") from exc
 
-    jsa = cfg.jsa()
-    if not (grid_p.is_close(jsa.grid_s) and grid_m.is_close(jsa.grid_i)):
-        raise ConfigError(
-            f"map grid ({grid_p.n_bins}x{grid_m.n_bins} bins) does not match the "
-            f"configured grid ({jsa.grid_s.n_bins} bins); adjust grid_* settings"
-        )
-    result = retrieval.fit(cmap, jsa, cfg.fit_config())
+    result = retrieval.fit(cmap, cfg.jsa(), cfg.fit_config())
+    out = _out_dir(args)
 
-    report = {
-        "od_hat": result.od_hat,
-        "visibility_hat": result.visibility_hat,
-        "delay_fs": result.delay_fs,
-        "cost": result.cost,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "param_sigma": result.param_sigma,
-        "od_visibility_correlation": result.od_visibility_correlation,
-    }
+    report = dataclasses.asdict(result)
     with open(out / "fit_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=True)
         fh.write("\n")
     with open(out / "fit_report.txt", "w", encoding="utf-8") as fh:
-        for key in ("od_hat", "visibility_hat", "delay_fs", "cost", "converged", "iterations"):
-            fh.write(f"{key} = {report[key]!r}\n")
-        for key, val in sorted(result.param_sigma.items()):
-            fh.write(f"sigma_{key} = {val!r}\n")
-        fh.write(f"od_visibility_correlation = {result.od_visibility_correlation!r}\n")
+        for key, val in report.items():
+            if key == "param_sigma":
+                fh.writelines(f"sigma_{name} = {v!r}\n" for name, v in sorted(val.items()))
+            else:
+                fh.write(f"{key} = {val!r}\n")
 
     print(f"od_hat = {result.od_hat:.6g} +- {result.param_sigma.get('od', float('nan')):.3g}")
     print(f"visibility_hat = {result.visibility_hat:.4f}, delay = {result.delay_fs:.3f} fs")

@@ -26,7 +26,8 @@ Estimators follow the frame-averaged definitions: the raw map is the mean
 cross-port product <n+(a) n-(b)>, the accidental map the product of means
 <n+(a)><n-(b)>, and their difference is the photon-number covariance.  Many
 repetitions per frame make the accidental term substantial, which is why
-the subtraction is needed at all.  All three come from exact integer sums.
+the subtraction is needed at all.  All three come from exact integer sums,
+and a batch of no frames gives three zero maps.
 
 Frames are simulated in chunks of about CHUNK_EVENTS expected events: a
 run's chunk length in frames follows its expected events a frame, so dense
@@ -47,8 +48,8 @@ outcome, the pairs' arrays are freed before any bin is drawn, and the
 codes are sorted, deduplicated and split into fields in place.  So a
 worker's scratch follows its chunk, and the simulation's memory follows the
 chunk window.  A run that would ask for more than MAX_FRAME_EVENTS expected
-events or 2^46 repetitions a frame, or for 2^32 frames or more, is rejected
-with ConfigError before any chunk is drawn.
+events or 2^46 repetitions a frame, or for fewer than 0 or 2^32 or more
+frames, is rejected with ConfigError before any chunk is drawn.
 """
 
 import itertools
@@ -62,7 +63,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, EmptyBatch, InconsistentMarginals
+from .errors import ConfigError, InconsistentMarginals
 from .interference import CoincidenceMap, MapKind
 from .sampling import AliasTable
 from .spectra import WavelengthGrid
@@ -383,7 +384,7 @@ def simulate_chunks(
     if pc_map.kind is not MapKind.PROBABILITY:
         raise ValueError(f"need a probability map, got kind={pc_map.kind.value}")
     if n_frames < 0:
-        raise ValueError("n_frames must be non-negative")
+        raise ConfigError(f"--frames must be non-negative, got {n_frames}")
     if n_frames >= _MAX_FRAMES:
         raise ConfigError(
             f"--frames must be below {_MAX_FRAMES} (frame indices are 32-bit), got {n_frames}"
@@ -585,23 +586,16 @@ class EventCounts:
         )
 
 
-def estimate_maps(batch: FrameBatch) -> tuple[CoincidenceMap, CoincidenceMap, CoincidenceMap]:
-    """Raw, accidental and covariance maps of one batch, counted in one pass."""
-    if batch.n_frames == 0:
-        raise EmptyBatch("estimator needs at least one frame")
-    return EventCounts([batch]).maps()
-
-
 def raw_coincidences(batch: FrameBatch) -> CoincidenceMap:
-    """Raw coincidence map <n+(a) n-(b)>: per-frame cross-port products."""
-    return estimate_maps(batch)[0]
+    """Raw coincidence map <n+(a) n-(b)>: per-frame cross-port products, 0 for no frames."""
+    return EventCounts([batch]).maps()[0]
 
 
 def accidental_map(batch: FrameBatch) -> CoincidenceMap:
-    """Accidental coincidence map <n+(a)><n-(b)>: outer product of means."""
-    return estimate_maps(batch)[1]
+    """Accidental coincidence map <n+(a)><n-(b)>: outer product of means, 0 for no frames."""
+    return EventCounts([batch]).maps()[1]
 
 
 def covariance_map(batch: FrameBatch) -> CoincidenceMap:
-    """Photon-number covariance: raw minus accidental, bin pair by bin pair."""
-    return estimate_maps(batch)[2]
+    """Photon-number covariance: raw minus accidental, bin pair by bin pair, 0 for no frames."""
+    return EventCounts([batch]).maps()[2]

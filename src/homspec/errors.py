@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each raised where its rule lives.
+
+The CLI maps ConfigError to exit 2, DataFormatError and DegenerateMap to 3.
+"""
 
 
 class HomspecError(Exception):
@@ -25,10 +28,6 @@ class InconsistentMarginals(HomspecError):
     """Supplied port spectra are inconsistent with the coincidence map."""
 
 
-class EmptyBatch(HomspecError):
-    """Estimator called on a batch with no frames."""
-
-
 class DegenerateMap(HomspecError):
     """Fit input map carries no signal: all zero, or unmasked bins summing to <= 0."""
 
@@ -38,4 +37,4 @@ class DataFormatError(HomspecError):
 
 
 class ConfigError(HomspecError):
-    """Experiment configuration is malformed or inconsistent."""
+    """Settings are malformed or inconsistent, among them ``--frames`` and a map grid."""

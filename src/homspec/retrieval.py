@@ -85,22 +85,21 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best-fit parameters with a local covariance estimate.
+    """Best-fit parameters with a local covariance estimate, in the fit report's order.
 
-    ``covariance`` is the full parameter covariance matrix in the order
-    (od, visibility[, delay_fs]); ``param_sigma`` holds its diagonal square
-    roots under the parameter names.
+    ``param_sigma`` holds the square roots of the parameter covariance's
+    diagonal under the parameter names, and ``od_visibility_correlation``
+    its od-visibility correlation.
     """
 
     od_hat: float
     visibility_hat: float
     delay_fs: float
     cost: float
-    iterations: int
     converged: bool
+    iterations: int
     param_sigma: dict = field(default_factory=dict)
     od_visibility_correlation: float = math.nan
-    covariance: np.ndarray | None = None
 
 
 def resonance_mask(
@@ -222,7 +221,10 @@ def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     if cmap.kind not in (MapKind.COVARIANCE, MapKind.PROBABILITY):
         raise ValueError(f"fit expects a covariance or probability map, got {cmap.kind.value}")
     if not (cmap.grid_p.is_close(jsa.grid_s) and cmap.grid_m.is_close(jsa.grid_i)):
-        raise ValueError("map and amplitude grids differ")
+        raise ConfigError(
+            f"map grid ({cmap.grid_p.n_bins}x{cmap.grid_m.n_bins} bins) does not match the "
+            f"configured grid ({jsa.grid_s.n_bins} bins); adjust grid_* settings"
+        )
     mask = resonance_mask(cmap.grid_p, cmap.grid_m, RB87.d1_wavelength, config.mask_radius)
     if np.all(mask):
         raise ConfigError(f"mask_radius = {config.mask_radius} masks every bin of the "
@@ -244,7 +246,8 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     This is the fixed-V view of the evaluation fit refines with.  Returns
     (residual_fn, jacobian_fn, cost_fn, gradient_fn, n_params); the
     parameter vector is [od, visibility, delay_fs] (delay omitted when not
-    fitted).  Raises DegenerateMap when the map carries no usable signal.
+    fitted).  Raises ConfigError, as fit does, when the map's grid is not
+    the amplitude's, and DegenerateMap when the map carries no usable signal.
     """
     model = _weighted_problem(cmap, jsa, config)
 
@@ -403,7 +406,6 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         finite = 0.0 < sigmas[0] < math.inf and 0.0 < sigmas[1] < math.inf
         corr = float(cov[0, 1] / (sigmas[0] * sigmas[1])) if finite else math.nan
     except np.linalg.LinAlgError:
-        cov = None
         sigmas = np.full(jac.shape[1], math.nan)
         corr = math.nan
 
@@ -418,5 +420,4 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         converged=converged,
         param_sigma=param_sigma,
         od_visibility_correlation=corr,
-        covariance=cov,
     )

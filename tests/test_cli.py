@@ -84,6 +84,12 @@ class TestTheory:
         err = capsys.readouterr().err
         assert err.startswith("usage: homspec") and "unrecognized arguments: --binary" in err
 
+    def test_refused_run_leaves_no_output_directory(self, tmp_path):
+        # Building the JSA refuses the grid; --out is created only after the checks.
+        out = tmp_path / "D"
+        assert main(["theory", "--override", "grid_stop = 1 m", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_reports_880_repetitions(self, tmp_path, capsys):
@@ -144,6 +150,11 @@ class TestSimulate:
         assert err.startswith("config error: --frames must be below 4294967296")
         assert err.count("\n") == 1
         assert not (tmp_path / "frames.zhf").exists()
+
+    def test_refused_run_leaves_no_output_directory(self, tmp_path):
+        out = tmp_path / "D"
+        assert main(["simulate", "--frames", str(2**32), "--out", str(out), *FAST]) == 2
+        assert not out.exists()
 
     def test_failing_chunk_leaves_no_file(self, tmp_path, monkeypatch):
         # The last of three chunks raises after the first ones may have been
@@ -472,6 +483,18 @@ class TestFit:
                    "--out", str(tmp_path)])  # default 140-bin config vs 64-bin map
         assert rc == 2
         assert "grid" in capsys.readouterr().err
+
+    def test_refused_fit_leaves_no_output_directory(self, tmp_path, capsys):
+        assert main(["theory", "--out", str(tmp_path)]) == 0  # the default 140-bin grid
+        capsys.readouterr()
+        out = tmp_path / "D"
+        rc = main(["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
+                   "--override", "grid_bins = 64", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: map grid (140x140 bins) does not match the configured grid "
+            "(64 bins); adjust grid_* settings\n")
+        assert not out.exists()
 
     def test_nonconvergence_exits_4(self, tmp_path, monkeypatch):
         assert main(["theory", "--out", str(tmp_path), *FAST]) == 0

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_frames, last_block_bad_bin_events, seam_repeat_events
-from homspec import detector
+from homspec import detector, zhf
+from homspec.cli import main
 from homspec.detector import (
     CHUNK_EVENTS,
     MARGINAL_TOL,
@@ -14,20 +15,20 @@ from homspec.detector import (
     _bernoulli_slots,
     accidental_map,
     covariance_map,
-    estimate_maps,
     join,
     raw_coincidences,
     simulate_chunks,
     simulate_frames,
     simulate_uncorrelated_chunks,
 )
-from homspec.errors import EmptyBatch, InconsistentMarginals
+from homspec.errors import InconsistentMarginals
 from homspec.interference import (
     CoincidenceMap,
     MapKind,
     coincidence_probability_cosine,
     port_spectra,
 )
+from homspec.mapio import read_map_csv
 from homspec.spectra import WavelengthGrid, gaussian_jsa
 from homspec.vapor import DispersionModel, doppler_lifetime
 
@@ -445,7 +446,7 @@ class TestEstimators:
 
     def test_estimator_memory_bounded_by_the_block(self):
         # The batch is the only allocation that follows the events: the traced
-        # peak of estimate_maps, less its three output maps, must not grow
+        # peak of the counts' maps, less the three maps, must not grow
         # from about 4 blocks of events to about 16.  The events are dense,
         # about 8 a frame and 2 pair products an event.
         params = DetectionParams(chi=0.01, eta=0.5, f_rep=80e6, t_exp=11e-6, seed=5)
@@ -460,7 +461,7 @@ class TestEstimators:
         def traced_peak(batch):
             tracemalloc.start()
             try:
-                maps = estimate_maps(batch)
+                maps = detector.EventCounts([batch]).maps()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -522,11 +523,20 @@ class TestEstimators:
             ratios.append(acc / cov)
         assert ratios[1] < ratios[0] / 3.0
 
-    def test_empty_batch_raises(self):
-        with pytest.raises(EmptyBatch):
-            raw_coincidences(empty_batch(0))
-        with pytest.raises(EmptyBatch):
-            accidental_map(empty_batch(0))
+    def test_zero_frames_give_the_zero_maps_estimate_writes(self, tmp_path):
+        # One rule for a run of no frames: `estimate` and the library's
+        # estimators both give three all-zero maps.
+        assert main(["simulate", "--frames", "0", "--out", str(tmp_path),
+                     "--override", "grid_bins = 16"]) == 0
+        path = tmp_path / "frames.zhf"
+        assert main(["estimate", str(path), "--out", str(tmp_path)]) == 0
+        batch = zhf.read_frames(path)
+        assert batch.n_frames == 0
+        for name, estimator in (("raw", raw_coincidences), ("accidental", accidental_map),
+                                ("covariance", covariance_map)):
+            written = read_map_csv(tmp_path / f"{name}.csv")[0]
+            assert written.shape == (16, 16) and np.all(written == 0.0)
+            assert np.array_equal(estimator(batch).values, written)
 
 
 class TestFrameBatchValidation:

@@ -8,7 +8,7 @@ from helpers import fringe_map
 from homspec import retrieval
 from homspec.constants import CODATA, RB87
 from homspec.detector import DetectionParams, covariance_map, simulate_frames
-from homspec.errors import DegenerateMap
+from homspec.errors import ConfigError, DegenerateMap
 from homspec.interference import (
     CoincidenceMap,
     MapKind,
@@ -188,6 +188,14 @@ class TestObjective:
         zero = CoincidenceMap(GRID64, GRID64, np.zeros((64, 64)), MapKind.COVARIANCE)
         with pytest.raises(DegenerateMap):
             fit(zero, JSA64, FitConfig(tau=TAU_86))
+
+    @pytest.mark.parametrize("entry", [fit, prepare_objective])
+    def test_grid_mismatch_is_a_config_error(self, entry):
+        # The rule `homspec fit` exits 2 on lives here, for every caller.
+        data = fringe_map(150.0, 0.7, 5e-15, JSA64, tau=TAU_86)
+        with pytest.raises(ConfigError, match=r"map grid \(64x64 bins\) does not match the "
+                                              r"configured grid \(140 bins\); adjust grid_\*"):
+            entry(data, JSA, FitConfig(tau=TAU_86))
 
 
 def elementwise_visibility(model, config, od, delay_fs):
