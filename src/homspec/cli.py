@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import config as config_mod
@@ -198,20 +199,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, DegenerateMap) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except HomspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
+    # Each warning is one stderr line; the filters, an "error" one included, stay as set.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (DataFormatError, DegenerateMap) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return 3
+        except HomspecError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -39,17 +39,17 @@ so the output is bit-reproducible for a given seed and independent of the
 order the chunks finish in on the thread pool that draws them (numpy's
 draws and sorts release the GIL).  zhf.write_frames writes each chunk as it
 arrives and zhf.read_blocks reads a file a block at a time, so neither side
-holds a whole run; a joined batch holds its three fields, and validation,
-the counts and the ZHF1 I/O work through them in blocks of about _BLOCK
-events.  Drawing one chunk holds at most 3x its events' int64 codes at
-once, its output fields included (2.2x measured on a dense chunk, 2.4x
-for the uncorrelated control): each pair's uniform shrinks to a one-byte
-outcome, the pairs' arrays are freed before any bin is drawn, and the
-codes are sorted, deduplicated and split into fields in place.  So a
-worker's scratch follows its chunk, and the simulation's memory follows the
-chunk window.  A run that would ask for more than MAX_FRAME_EVENTS expected
-events or 2^46 repetitions a frame, or for fewer than 0 or 2^32 or more
-frames, is rejected with ConfigError before any chunk is drawn.
+holds a whole run.  Only the ZHF1 I/O works in fixed pieces of records; a
+batch, a whole run's or not, is checked and counted whole.  Drawing one
+chunk holds at most 3x its events' int64 codes at once, its output fields
+included (2.2x measured on a dense chunk, 2.4x for the uncorrelated
+control): each pair's uniform shrinks to a one-byte outcome, the pairs'
+arrays are freed before any bin is drawn, and the codes are sorted,
+deduplicated and split into fields in place.  So a worker's scratch
+follows its chunk, and the simulation's memory follows the chunk window.  A
+run that would ask for more than MAX_FRAME_EVENTS expected events or 2^46
+repetitions a frame, or for fewer than 0 or 2^32 or more frames, is
+rejected with ConfigError before any chunk is drawn.
 """
 
 import itertools
@@ -76,7 +76,6 @@ _MAX_FRAME_REPS = _MAX_SLOTS // _LIMIT_FRAMES  # repetitions a frame may ask for
 _MAX_FRAMES = 1 << 32  # frames per run: frame indices are uint32
 _BATCH_SIGMAS = 6.0  # a batch of gaps covers the mean successes plus this many sigma
 MARGINAL_TOL = 1e-6
-_BLOCK = 1 << 16  # events per block of the event-path loops
 _MAX_WORKERS = 4  # threads over frame chunks
 
 
@@ -144,18 +143,16 @@ class FrameBatch:
         if not (frames.shape == regions.shape == bins.shape):
             raise ValueError("event arrays must have identical length")
         n_plus, n_minus = self.grid_plus.n_bins, self.grid_minus.n_bins
-        for lo in range(0, frames.size, _BLOCK):
-            # One event of overlap checks the order across the seam.
-            f, r, b = (arr[max(lo - 1, 0) : lo + _BLOCK] for arr in (frames, regions, bins))
-            if int(f.max()) >= self.n_frames:
+        if frames.size:
+            if int(frames.max()) >= self.n_frames:
                 raise ValueError("event frame index out of range")
-            if int(r.max()) > 1:
+            if int(regions.max()) > 1:
                 raise ValueError("region must be 0 (plus) or 1 (minus)")
             # The per-event limit is needed only when some bin reaches the smaller grid.
-            if int(b.max()) >= min(n_plus, n_minus):
-                if np.any(b >= np.where(r == 0, n_plus, n_minus)):
+            if int(bins.max()) >= min(n_plus, n_minus):
+                if np.any(bins >= np.where(regions == 0, n_plus, n_minus)):
                     raise ValueError("event bin index out of range")
-            code = _event_codes(f, r, b)
+            code = _event_codes(frames, regions, bins)
             if not np.all(code[1:] > code[:-1]):
                 raise ValueError("events must be in strictly increasing (frame, region, bin) order")
         for arr, name in ((frames, "frames"), (regions, "regions"), (bins, "bins")):
@@ -515,26 +512,12 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
-def _frame_blocks(frames: np.ndarray):
-    """Slices of about _BLOCK events of a canonical batch, cut at frame ends.
-
-    A block runs on to the end of its last frame, so no frame is split,
-    not even one with more events than a block.
-    """
-    lo = 0
-    while lo < frames.size:
-        last = frames[min(lo + _BLOCK, frames.size) - 1]
-        hi = int(np.searchsorted(frames, last, side="right"))
-        yield slice(lo, hi)
-        lo = hi
-
-
 class EventCounts:
     """The exact integer sums behind the estimators, which add across frame ranges.
 
     ``pairs`` counts the cross-port products n+(a) n-(b) per bin pair and
-    ``singles`` the events per port and bin, plus bins first.  A run is
-    counted a block at a time, so memory follows the block, not the run.
+    ``singles`` the events per port and bin, plus bins first.  Each batch is
+    counted whole, so memory follows the largest batch, not the run.
     """
 
     def __init__(self, batches):
@@ -546,27 +529,26 @@ class EventCounts:
         self.pairs = np.zeros(n_plus * n_minus, dtype=np.intp)
         self.singles = np.zeros(n_plus + n_minus, dtype=np.intp)
         for batch in itertools.chain([batch], batches):
-            for s in _frame_blocks(batch.frames):
-                frames, regions, bins = (f[s] for f in (batch.frames, batch.regions, batch.bins))
-                # Plus events count into [0, n_plus), minus events from n_plus on.
-                code = regions.astype(np.intp) * n_plus + bins
-                self.singles += np.bincount(code, minlength=self.singles.size)
-                # Runs of events of one frame and port begin at heads, which end with
-                # the block's end.  In canonical order a frame with events at both
-                # ports is a plus run followed by a minus run that opens no frame.
-                breaks = np.ones((2, frames.size + 1), dtype=bool)  # new frame, new port
-                np.not_equal(frames[1:], frames[:-1], out=breaks[0, 1:-1])
-                np.not_equal(regions[1:], regions[:-1], out=breaks[1, 1:-1])
-                heads = np.flatnonzero(breaks[0] | breaks[1])
-                minus = np.flatnonzero(~breaks[0, heads])
-                starts, first_minus = heads[minus - 1], heads[minus]
-                n_plus_run, n_minus_run = first_minus - starts, heads[minus + 1] - first_minus
-                # Each plus event of a frame pairs with every minus event of that frame.
-                per_plus = np.repeat(n_minus_run, n_plus_run)
-                plus = bins[_ranges(starts, n_plus_run)].astype(np.intp) * n_minus
-                flat = np.repeat(plus, per_plus)
-                flat += bins[_ranges(np.repeat(first_minus, n_plus_run), per_plus)]
-                self.pairs += np.bincount(flat, minlength=self.pairs.size)
+            frames, regions, bins = batch.frames, batch.regions, batch.bins
+            # Plus events count into [0, n_plus), minus events from n_plus on.
+            code = regions.astype(np.intp) * n_plus + bins
+            self.singles += np.bincount(code, minlength=self.singles.size)
+            # Runs of events of one frame and port begin at heads, which end with
+            # the batch's end.  In canonical order a frame with events at both
+            # ports is a plus run followed by a minus run that opens no frame.
+            breaks = np.ones((2, frames.size + 1), dtype=bool)  # new frame, new port
+            np.not_equal(frames[1:], frames[:-1], out=breaks[0, 1:-1])
+            np.not_equal(regions[1:], regions[:-1], out=breaks[1, 1:-1])
+            heads = np.flatnonzero(breaks[0] | breaks[1])
+            minus = np.flatnonzero(~breaks[0, heads])
+            starts, first_minus = heads[minus - 1], heads[minus]
+            n_plus_run, n_minus_run = first_minus - starts, heads[minus + 1] - first_minus
+            # Each plus event of a frame pairs with every minus event of that frame.
+            per_plus = np.repeat(n_minus_run, n_plus_run)
+            plus = bins[_ranges(starts, n_plus_run)].astype(np.intp) * n_minus
+            flat = np.repeat(plus, per_plus)
+            flat += bins[_ranges(np.repeat(first_minus, n_plus_run), per_plus)]
+            self.pairs += np.bincount(flat, minlength=self.pairs.size)
 
     def maps(self) -> tuple[CoincidenceMap, CoincidenceMap, CoincidenceMap]:
         """Raw <n+(a) n-(b)>, accidental <n+(a)><n-(b)> and covariance maps, 0 for no frames."""

@@ -35,6 +35,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sH" + "ddH" * 2 + "QQ")
 _UNPATCHED = 2**64 - 1  # n_events while records are written: no file size matches it
 _RECORD_DTYPE = np.dtype([("frame", "<u4"), ("region", "u1"), ("bin", "<u2")])
+_BLOCK = 1 << 16  # records per write, and per read before the cut at the last frame
 
 
 def _after(batch: FrameBatch, last: int) -> int:
@@ -54,7 +55,7 @@ def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
     """
     grids = [v for g in (batch.grid_plus, batch.grid_minus) for v in (g.start, g.step, g.n_bins)]
     n_events, last = 0, -1
-    records = np.empty(detector._BLOCK, _RECORD_DTYPE)
+    records = np.empty(_BLOCK, _RECORD_DTYPE)
     fh = open(path, "wb")
     try:
         with fh:
@@ -62,8 +63,8 @@ def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
             for chunk in [batch] if isinstance(batch, FrameBatch) else batch:
                 last = _after(chunk, last)
                 fields = (chunk.frames, chunk.regions, chunk.bins)
-                for lo in range(0, chunk.n_events, detector._BLOCK):
-                    n = min(chunk.n_events - lo, detector._BLOCK)
+                for lo in range(0, chunk.n_events, _BLOCK):
+                    n = min(chunk.n_events - lo, _BLOCK)
                     for name, field in zip(_RECORD_DTYPE.names, fields):
                         records[name][:n] = field[lo : lo + n]
                     fh.write(records[:n].data)
@@ -80,10 +81,10 @@ def read_blocks(path):
     """Read a ZHF1 file as FrameBatch blocks of whole frames, in order.
 
     Magic, version and size are checked before any record is read.  Records
-    are read detector._BLOCK at a time into one buffer; the last frame read
-    is read again with the next block, and the buffer grows while one frame
-    fills it.  Each block is checked as a FrameBatch and against the one
-    before.  A file of no events is one empty block.
+    are read _BLOCK at a time into one buffer; the last frame read is read
+    again with the next block, and the buffer grows while one frame fills
+    it.  Each block is checked as a FrameBatch and against the one before.
+    A file of no events is one empty block.
     """
     size = os.stat(path).st_size
     if size < _HEADER.size:
@@ -100,7 +101,7 @@ def read_blocks(path):
             raise DataFormatError(f"{path}: event section is {body} bytes, expected {expected}")
         try:
             grid_plus, grid_minus = WavelengthGrid(*grids[:3]), WavelengthGrid(*grids[3:])
-            records, left, last = np.empty(detector._BLOCK, _RECORD_DTYPE), n_events, -1
+            records, left, last = np.empty(_BLOCK, _RECORD_DTYPE), n_events, -1
             while True:
                 n = min(left, records.size)
                 if fh.readinto(records[:n]) != n * records.itemsize:

@@ -151,6 +151,14 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not (tmp_path / "frames.zhf").exists()
 
+    def test_saturation_warning_is_one_line(self, tmp_path, capsys):
+        rc = main(["simulate", "--override", "grid_bins = 16", "--override", "dark_rate = 20",
+                   "--frames", "100", "--out", str(tmp_path)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: per-frame mean occupancy exceeds 1")
+        assert err.count("\n") == 1
+
     def test_refused_run_leaves_no_output_directory(self, tmp_path):
         out = tmp_path / "D"
         assert main(["simulate", "--frames", str(2**32), "--out", str(out), *FAST]) == 2
@@ -256,6 +264,14 @@ class TestEstimate:
         assert passes == [str(path)]
         assert sum(events) == int.from_bytes(path.read_bytes()[50:58], "little") > 0
 
+    def test_single_frame_warning_is_one_line(self, tmp_path, capsys):
+        assert main(["simulate", "--frames", "1", "--out", str(tmp_path), *FAST]) == 0
+        capsys.readouterr()
+        assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: estimating coincidence statistics from a single frame")
+        assert err.count("\n") == 1
+
     def test_memory_follows_the_block(self, tmp_path):
         # `estimate` holds one block of events, not the file: its traced peak,
         # less the three maps it writes, must not grow from a file of about 4
@@ -271,8 +287,8 @@ class TestEstimate:
         cut = int(np.searchsorted(whole.frames, n_frames // 4))
         quarter = detector.FrameBatch(n_frames // 4, grid, grid, whole.frames[:cut],
                                       whole.regions[:cut], whole.bins[:cut])
-        assert quarter.n_events > 3.5 * detector._BLOCK
-        assert whole.n_events > 15.5 * detector._BLOCK
+        assert quarter.n_events > 3.5 * zhf._BLOCK
+        assert whole.n_events > 15.5 * zhf._BLOCK
 
         def traced_peak(batch, name):
             path = tmp_path / f"{name}.zhf"

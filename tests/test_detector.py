@@ -406,13 +406,13 @@ class TestEstimators:
         assert np.array_equal(raw_coincidences(batch).values, expected)
 
     @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_estimators_exact_at_any_block_size(self, monkeypatch, block):
-        # The estimators count a block of whole frames at a time, and integer
-        # counts add exactly, so any block size must give the dense-occupancy
+    def test_estimators_exact_at_any_block_size(self, block):
+        # `estimate` counts a file a block of whole frames at a time, and integer
+        # counts add exactly: the batch cut at frame ends into batches of at
+        # most ``block`` events, or of one frame, must give the dense-occupancy
         # reference P^T M / n_frames and the accidental recount bit for bit.
-        # The batch ends with two frames of 24 events, more than any block here.
-        # A block that reaches the first of them ends at its end, so the last
-        # frame starts a block whatever the events before it.
+        # The batch ends with two frames of 24 events, more than any block
+        # here, and each of them stays whole.
         params = DetectionParams(chi=0.002, eta=0.5, f_rep=80e6, t_exp=11e-6,
                                  dark_rate=0.3, seed=41)
         sim = simulate_frames(PC, MARGINALS, params, 3_000)
@@ -424,50 +424,33 @@ class TestEstimators:
             regions=np.append(sim.regions, np.tile(np.repeat([0, 1], 12), 2)),
             bins=np.append(sim.bins, np.tile(np.arange(0, 60, 5), 4)),
         )
-        monkeypatch.setattr(detector, "_BLOCK", block)
-        blocks = list(detector._frame_blocks(batch.frames))
-        starts, stops = [b.start for b in blocks], [b.stop for b in blocks]
-        # The blocks tile the batch, every cut is a frame end, some frame
-        # straddled a block edge and the last frame is one block of its own.
-        assert starts == [0] + stops[:-1] and stops[-1] == batch.n_events
-        assert np.isin(stops[:-1], np.flatnonzero(np.diff(batch.frames)) + 1).all()
-        assert any(b.stop - b.start > block for b in blocks[:-1])
-        assert blocks[-1].stop - blocks[-1].start == 24 > block
+        # Greedy cuts: a frame that would take the current block past ``block``
+        # events starts the next one.  The k-th frame with events spans
+        # [ends[k - 1], ends[k]).
+        ends = [*(np.flatnonzero(np.diff(batch.frames)) + 1).tolist(), batch.n_events]
+        cuts = [0]
+        for lo, hi in zip([0, *ends], ends):
+            if hi - cuts[-1] > block and lo > cuts[-1]:
+                cuts.append(lo)
+        cuts.append(batch.n_events)
+        fields = (batch.frames, batch.regions, batch.bins)
+        blocks = [FrameBatch(batch.n_frames, GRID, GRID, *(f[lo:hi] for f in fields))
+                  for lo, hi in zip(cuts, cuts[1:])]
+        # A block past ``block`` events is one frame, and no frame is split.
+        assert all(b.n_events <= block or b.frames[0] == b.frames[-1] for b in blocks)
+        assert all(a.frames[-1] < b.frames[0] for a, b in zip(blocks, blocks[1:]))
+        assert [b.n_events for b in blocks[-2:]] == [24, 24]
 
+        raw, accidental, _ = detector.EventCounts(blocks).maps()
         occ = np.zeros((2, batch.n_frames, GRID.n_bins))
         occ[batch.regions, batch.frames, batch.bins] = 1.0
-        assert np.array_equal(raw_coincidences(batch).values, occ[0].T @ occ[1] / batch.n_frames)
+        assert np.array_equal(raw.values, occ[0].T @ occ[1] / batch.n_frames)
         means = [
             np.bincount(batch.bins[batch.regions == region], minlength=GRID.n_bins)
             / batch.n_frames
             for region in (0, 1)
         ]
-        assert np.array_equal(accidental_map(batch).values, np.outer(*means))
-
-    def test_estimator_memory_bounded_by_the_block(self):
-        # The batch is the only allocation that follows the events: the traced
-        # peak of the counts' maps, less the three maps, must not grow
-        # from about 4 blocks of events to about 16.  The events are dense,
-        # about 8 a frame and 2 pair products an event.
-        params = DetectionParams(chi=0.01, eta=0.5, f_rep=80e6, t_exp=11e-6, seed=5)
-        n_frames = 125_000
-        whole = simulate_frames(PC, MARGINALS, params, n_frames)
-        cut = int(np.searchsorted(whole.frames, n_frames // 4))
-        quarter = FrameBatch(n_frames // 4, GRID, GRID, whole.frames[:cut],
-                             whole.regions[:cut], whole.bins[:cut])
-        assert quarter.n_events > 3.5 * detector._BLOCK
-        assert whole.n_events > 15.5 * detector._BLOCK
-
-        def traced_peak(batch):
-            tracemalloc.start()
-            try:
-                maps = detector.EventCounts([batch]).maps()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - sum(cmap.values.nbytes for cmap in maps)
-
-        assert traced_peak(whole) <= 1.5 * traced_peak(quarter)
+        assert np.array_equal(accidental.values, np.outer(*means))
 
     def test_covariance_is_raw_minus_accidental(self):
         params = DetectionParams(**DEFAULTS, seed=12)
@@ -557,18 +540,15 @@ class TestFrameBatchValidation:
                 bins=np.array(bins, np.uint16),
             )
 
-    def test_order_checked_across_a_block_seam(self, monkeypatch):
-        # Blocks are checked with one event of overlap: a repeat placed on the
-        # seam, as the last event of one block and the first of the next, is
-        # caught although each block alone is in order.
-        monkeypatch.setattr(detector, "_BLOCK", 4)
+    def test_repeat_inside_an_ordered_batch_rejected(self):
+        # Among eight one-event frames otherwise in order, one event that
+        # repeats the one before it is caught.
         with pytest.raises(ValueError, match="order"):
             FrameBatch(9, GRID, GRID, *seam_repeat_events())
 
-    def test_bin_bounds_checked_in_the_last_block(self, monkeypatch):
+    def test_minus_bin_checked_against_the_minus_grid(self):
         # On unequal grids a minus-port bin that fits the plus grid only is
-        # out of range; placed in the last of four blocks, it is still found.
-        monkeypatch.setattr(detector, "_BLOCK", 4)
+        # out of range, although every bin fits the larger grid.
         with pytest.raises(ValueError, match="out of range"):
             FrameBatch(8, GRID, GRID_HALF, *last_block_bad_bin_events())
 

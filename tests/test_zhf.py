@@ -209,7 +209,7 @@ def test_round_trip_in_blocks(tmp_path, monkeypatch, n_events):
     # With blocks of 4 events: no block, a partial one, exactly one and one
     # more event.  Bytes match a file written by hand, and read back and
     # written again they do not change.
-    monkeypatch.setattr(detector, "_BLOCK", 4)
+    monkeypatch.setattr(zhf, "_BLOCK", 4)
     index = np.arange(n_events)
     fields = (
         (index // 2).astype(np.uint32), (index % 2).astype(np.uint8), (index % 64).astype(np.uint16)
@@ -235,7 +235,7 @@ def test_invalid_events_in_blocks_exit_3(tmp_path, monkeypatch, capsys, grid_min
     # Read in blocks of 4 events, a repeat on a block seam and a minus bin
     # past the smaller grid in the last block are one-line data errors that
     # name the file, and `homspec estimate` exits 3 on them.
-    monkeypatch.setattr(detector, "_BLOCK", 4)
+    monkeypatch.setattr(zhf, "_BLOCK", 4)
     path = tmp_path / "bad.zhf"
     write_by_hand(path, 9, GRID, grid_minus, *events)
     with pytest.raises(DataFormatError, match=match) as info:
@@ -260,7 +260,7 @@ def events_with_a_large_frame():
 def test_blocks_cut_at_frame_ends(tmp_path, monkeypatch):
     # Read in blocks of 4 events, no frame is split between blocks, not even
     # the frame of 11 events, and the blocks join to the file's events.
-    monkeypatch.setattr(detector, "_BLOCK", 4)
+    monkeypatch.setattr(zhf, "_BLOCK", 4)
     fields = events_with_a_large_frame()
     path = tmp_path / "frames.zhf"
     write_by_hand(path, 5, GRID, GRID, *fields)
@@ -279,7 +279,7 @@ def test_estimate_exact_at_block_cuts(tmp_path, monkeypatch, capsys, n_events):
     # than a block, the maps equal the dense references P^T M / n_frames and
     # outer(means), with P and M the frames x bins occupancies of the ports,
     # and it prints the exact event and pair counts.
-    monkeypatch.setattr(detector, "_BLOCK", 4)
+    monkeypatch.setattr(zhf, "_BLOCK", 4)
     if n_events == "large frame":
         fields = events_with_a_large_frame()
     else:
