@@ -89,9 +89,9 @@ def cmd_simulate(args) -> int:
         run = detector.simulate_chunks(_theory_map(cfg), marginals, params, args.frames)
     path = _out_dir(args) / "frames.zhf"
     n_events = zhf.write_frames(run, path)
-    mean_photons = n_events / run.n_frames if run.n_frames else 0.0
+    mean_photons = n_events / args.frames if args.frames else 0.0
     print(f"R = {params.repetitions} repetitions per frame")
-    print(f"{run.n_frames} frames, {n_events} events, {mean_photons:.4g} photons/frame")
+    print(f"{args.frames} frames, {n_events} events, {mean_photons:.4g} photons/frame")
     print(f"wrote {path}")
     return 0
 

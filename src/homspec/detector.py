@@ -37,19 +37,21 @@ drawn from counter-based Philox streams keyed by (seed, chunk index), and
 each chunk's events are sorted and deduplicated as the chunk is generated,
 so the output is bit-reproducible for a given seed and independent of the
 order the chunks finish in on the thread pool that draws them (numpy's
-draws and sorts release the GIL).  zhf.write_frames writes each chunk as it
-arrives and zhf.read_blocks reads a file a block at a time, so neither side
-holds a whole run.  Only the ZHF1 I/O works in fixed pieces of records; a
-batch, a whole run's or not, is checked and counted whole.  Drawing one
-chunk holds at most 3x its events' int64 codes at once, its output fields
-included (2.2x measured on a dense chunk, 2.4x for the uncorrelated
-control): each pair's uniform shrinks to a one-byte outcome, the pairs'
-arrays are freed before any bin is drawn, and the codes are sorted,
-deduplicated and split into fields in place.  So a worker's scratch
-follows its chunk, and the simulation's memory follows the chunk window.  A
-run that would ask for more than MAX_FRAME_EVENTS expected events or 2^46
-repetitions a frame, or for fewer than 0 or 2^32 or more frames, is
-rejected with ConfigError before any chunk is drawn.
+draws and sorts release the GIL).  An event stream is an iterator of
+FrameBatch blocks of whole frames, in order, the first giving the header:
+simulate_chunks hands a run on as one, zhf.write_frames writes each block
+as it arrives, zhf.read_blocks reads a file back as one and EventCounts
+counts one, so no stage holds a whole run.  Only the ZHF1 I/O works in
+fixed pieces of records; a batch, a whole run's or not, is checked and
+counted whole.  Drawing one chunk holds at most 3x its events' int64
+codes at once, its output fields included (2.2x measured on a dense chunk,
+2.4x for the uncorrelated control): each pair's uniform shrinks to a
+one-byte outcome, the pairs' arrays are freed before any bin is drawn, and
+the codes are sorted, deduplicated and split into fields in place.  So a
+worker's scratch follows its chunk, and the simulation's memory follows the
+chunk window.  A run that would ask for more than MAX_FRAME_EVENTS
+expected events or 2^46 repetitions a frame, or for fewer than 0 or 2^32
+or more frames, is rejected with ConfigError before any chunk is drawn.
 """
 
 import itertools
@@ -57,7 +59,7 @@ import math
 import os
 import warnings
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -279,37 +281,6 @@ def _in_order(make: Callable, n: int):
         pool.shutdown(cancel_futures=True)
 
 
-@dataclass(frozen=True)
-class FrameChunks:
-    """A checked simulation run, drawn chunk by chunk as it is iterated.
-
-    ``chunk_codes(rng, start, size)`` gives the raw event codes of a chunk
-    of ``size`` frames, at most ``chunk_frames``, from ``start`` on.  The
-    chunks cover ascending, disjoint frame ranges, so each canonical chunk
-    (a FrameBatch over the run's n_frames) follows the one before it in
-    canonical order without a global sort.  Zero frames are one empty chunk.
-    """
-
-    n_frames: int
-    grid_plus: WavelengthGrid
-    grid_minus: WavelengthGrid
-    seed: int
-    chunk_frames: int
-    chunk_codes: Callable
-
-    def __iter__(self):
-        starts = range(0, max(self.n_frames, 1), self.chunk_frames)
-
-        def chunk(index: int) -> FrameBatch:
-            size = min(self.chunk_frames, self.n_frames - starts[index])
-            fields = _canonical_chunk(
-                self.chunk_codes(_chunk_rng(self.seed, index), starts[index], size)
-            )
-            return FrameBatch(self.n_frames, self.grid_plus, self.grid_minus, *fields)
-
-        return _in_order(chunk, len(starts))
-
-
 def join(batches) -> FrameBatch:
     """A run's batches, at least one, in order, as one batch."""
     batches = list(batches)
@@ -376,8 +347,15 @@ def simulate_chunks(
     marginals: tuple[np.ndarray, np.ndarray],
     params: DetectionParams,
     n_frames: int,
-) -> FrameChunks:
-    """simulate_frames' run, checked (errors and warning) before any chunk is drawn."""
+) -> Iterator[FrameBatch]:
+    """simulate_frames' run as an iterator of its chunks, each a FrameBatch over n_frames.
+
+    Every check (errors and warning) runs in this call, before any chunk is
+    drawn; the chunks are drawn on a thread pool as the iterator advances.
+    They cover ascending, disjoint frame ranges, so each follows the one
+    before it in canonical order without a global sort.  Zero frames are
+    one empty chunk.
+    """
     if pc_map.kind is not MapKind.PROBABILITY:
         raise ValueError(f"need a probability map, got kind={pc_map.kind.value}")
     if n_frames < 0:
@@ -434,8 +412,11 @@ def simulate_chunks(
         (p_minus * both, 1, minus_alias, 2),
     )
     bounds = np.cumsum([p for p, *_ in outcomes[:-1]]).tolist()
+    starts = range(0, max(n_frames, 1), chunk_frames)
 
-    def chunk_codes(rng: np.random.Generator, start: int, size: int) -> list[np.ndarray]:
+    def chunk(index: int) -> FrameBatch:
+        rng, start = _chunk_rng(params.seed, index), starts[index]
+        size = min(chunk_frames, n_frames - start)
         frames = _bernoulli_slots(rng, q, size * reps)
         frames //= reps
         frames += start
@@ -470,11 +451,9 @@ def simulate_chunks(
             total = rng.poisson(params.dark_rate * size)
             dark = rng.integers(start, start + size, size=total)
             codes.append(_event_codes(dark, region, rng.integers(0, grid.n_bins, size=total)))
-        return codes
+        return FrameBatch(n_frames, pc_map.grid_p, pc_map.grid_m, *_canonical_chunk(codes))
 
-    return FrameChunks(
-        n_frames, pc_map.grid_p, pc_map.grid_m, params.seed, chunk_frames, chunk_codes
-    )
+    return _in_order(chunk, len(starts))
 
 
 def simulate_uncorrelated_chunks(
@@ -483,7 +462,7 @@ def simulate_uncorrelated_chunks(
     marginals: tuple[np.ndarray, np.ndarray],
     params: DetectionParams,
     n_frames: int,
-) -> FrameChunks:
+) -> Iterator[FrameBatch]:
     """Diagnostic generator: both ports fire independently; checked before any chunk is drawn.
 
     Per-port rates match simulate_frames (one photon per port per generated

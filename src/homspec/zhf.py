@@ -11,12 +11,13 @@ Layout (all little-endian):
     50      8     n_events (u64)
     58      7*n   event records: frame u32, region u8 (0 plus / 1 minus), bin u16
 
-Events are stored in the batch's canonical order (frame, region, bin), so a
-batch round-trips byte-identically.  The writer also takes a simulation
-run's chunks (detector.FrameChunks) and writes each as it arrives, with an
-n_events placeholder that the reader rejects until the end patches it; a
-write that fails part-way removes the file.  read_blocks hands on checked
-blocks of whole frames, one at a time; read_frames joins them.
+Events are stored in canonical order (frame, region, bin), so a batch
+round-trips byte-identically.  Both sides pass an event stream: an iterator
+of FrameBatch blocks of whole frames, in order, the first giving the
+header.  The writer writes each block as it arrives, with an n_events
+placeholder that the reader rejects until the end patches it; a write that
+fails part-way removes the file.  read_blocks hands on checked blocks, one
+at a time; read_frames joins them.
 """
 
 import os
@@ -25,7 +26,7 @@ import struct
 import numpy as np
 
 from . import detector
-from .detector import FrameBatch, FrameChunks
+from .detector import FrameBatch
 from .errors import DataFormatError
 from .spectra import WavelengthGrid
 
@@ -35,7 +36,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sH" + "ddH" * 2 + "QQ")
 _UNPATCHED = 2**64 - 1  # n_events while records are written: no file size matches it
 _RECORD_DTYPE = np.dtype([("frame", "<u4"), ("region", "u1"), ("bin", "<u2")])
-_BLOCK = 1 << 16  # records per write, and per read before the cut at the last frame
+_BLOCK = 1 << 16  # records per write, and at least this many per read
 
 
 def _after(batch: FrameBatch, last: int) -> int:
@@ -47,20 +48,23 @@ def _after(batch: FrameBatch, last: int) -> int:
     return codes[-1] if codes else last
 
 
-def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
-    """Write a frame batch, or a run's chunks as they are drawn, as a ZHF1 file.
+def write_frames(batches, path) -> int:
+    """Write an event stream, at least one block, as a ZHF1 file, each block as it arrives.
 
-    Each chunk must follow the previous one in canonical order.  Returns the
+    The first block gives the header and is drawn before the file is opened.
+    Each block must follow the previous one in canonical order.  Returns the
     number of events written.
     """
-    grids = [v for g in (batch.grid_plus, batch.grid_minus) for v in (g.start, g.step, g.n_bins)]
-    n_events, last = 0, -1
+    batches = iter(batches)
+    chunk = next(batches)
+    grids = [v for g in (chunk.grid_plus, chunk.grid_minus) for v in (g.start, g.step, g.n_bins)]
+    n_frames, n_events, last = chunk.n_frames, 0, -1
     records = np.empty(_BLOCK, _RECORD_DTYPE)
     fh = open(path, "wb")
     try:
         with fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, batch.n_frames, _UNPATCHED))
-            for chunk in [batch] if isinstance(batch, FrameBatch) else batch:
+            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, n_frames, _UNPATCHED))
+            while chunk is not None:
                 last = _after(chunk, last)
                 fields = (chunk.frames, chunk.regions, chunk.bins)
                 for lo in range(0, chunk.n_events, _BLOCK):
@@ -69,8 +73,9 @@ def write_frames(batch: FrameBatch | FrameChunks, path) -> int:
                         records[name][:n] = field[lo : lo + n]
                     fh.write(records[:n].data)
                 n_events += chunk.n_events
+                chunk = next(batches, None)
             fh.seek(0)
-            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, batch.n_frames, n_events))
+            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, n_frames, n_events))
     except BaseException:
         os.remove(path)
         raise
@@ -81,10 +86,12 @@ def read_blocks(path):
     """Read a ZHF1 file as FrameBatch blocks of whole frames, in order.
 
     Magic, version and size are checked before any record is read.  Records
-    are read _BLOCK at a time into one buffer; the last frame read is read
-    again with the next block, and the buffer grows while one frame fills
-    it.  Each block is checked as a FrameBatch and against the one before.
-    A file of no events is one empty block.
+    are read into one buffer of max(_BLOCK, n_plus + n_minus + 1) records;
+    the last frame read is read again with the next block.  A legal frame
+    holds at most one event a pixel, so it never fills the buffer: a buffer
+    of one frame is handed on whole, and FrameBatch rejects it.  Each block
+    is checked as a FrameBatch; the cut puts any disorder inside a block.  A
+    file of no events is one empty block.
     """
     size = os.stat(path).st_size
     if size < _HEADER.size:
@@ -101,7 +108,8 @@ def read_blocks(path):
             raise DataFormatError(f"{path}: event section is {body} bytes, expected {expected}")
         try:
             grid_plus, grid_minus = WavelengthGrid(*grids[:3]), WavelengthGrid(*grids[3:])
-            records, left, last = np.empty(_BLOCK, _RECORD_DTYPE), n_events, -1
+            records = np.empty(max(_BLOCK, grid_plus.n_bins + grid_minus.n_bins + 1), _RECORD_DTYPE)
+            left = n_events
             while True:
                 n = min(left, records.size)
                 if fh.readinto(records[:n]) != n * records.itemsize:
@@ -109,15 +117,12 @@ def read_blocks(path):
                 # The last frame read may go on past the records read: read it again.
                 frames = records["frame"][:n]
                 cut = int(np.searchsorted(frames, frames[-1])) if n < left else n
+                cut = cut or n  # no cut: one frame fills the buffer
                 fh.seek((cut - n) * records.itemsize, os.SEEK_CUR)
-                if n < left and cut == 0:  # one frame fills the buffer
-                    records = np.empty(2 * records.size, _RECORD_DTYPE)
-                    continue
                 left -= cut
+                # Copies: the next readinto overwrites the buffer.
                 fields = (records[name][:cut].copy() for name in _RECORD_DTYPE.names)
-                block = FrameBatch(n_frames, grid_plus, grid_minus, *fields)
-                last = _after(block, last)
-                yield block
+                yield FrameBatch(n_frames, grid_plus, grid_minus, *fields)
                 if not left:
                     return
         except ValueError as exc:

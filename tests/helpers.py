@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from homspec import detector
 from homspec.detector import DetectionParams, FrameBatch
 from homspec.interference import (
     CoincidenceMap,
@@ -157,7 +158,22 @@ def brute_force_frames(
     return FrameBatch(n_frames, pc_map.grid_p, pc_map.grid_m, *clicks.T)
 
 
-def seam_repeat_events():
+def chunk_length(monkeypatch, start):
+    """Frames per chunk of the run that ``start()`` checks, as detector._chunk_frames returns it."""
+    lengths, chunk_frames = [], detector._chunk_frames
+
+    def spy(*args):
+        lengths.append(chunk_frames(*args))
+        return lengths[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(detector, "_chunk_frames", spy)
+        start()
+    (length,) = lengths
+    return length
+
+
+def repeated_event_events():
     """Eight one-event frames with the fifth a repeat of the fourth."""
     frames = np.arange(8, dtype=np.uint32)
     frames[4] = frames[3]

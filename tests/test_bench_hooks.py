@@ -1,13 +1,15 @@
-"""The functions the benchmark's tracer wraps exist in homspec.
+"""The functions the benchmark's tracer wraps exist in homspec, with the parameters it reads.
 
 ``pipebench/run.py --trace 1`` replaces each function named in
-``pipebench/spans.py``'s ``WRAPPED`` by a wrapper, looked up with getattr;
-a function deleted or renamed here would crash every traced run.  The
-module is loaded by path and its tracer is not installed.
+``pipebench/spans.py``'s ``WRAPPED`` by a wrapper, looked up with getattr,
+and its ``COUNTERS`` read some calls' arguments by parameter name; a
+function or parameter deleted or renamed here would crash every traced
+run.  The module is loaded by path and its tracer is not installed.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,8 @@ def _load_spans():
     return module
 
 
-WRAPPED = _load_spans().WRAPPED
+SPANS = _load_spans()
+WRAPPED = SPANS.WRAPPED
 
 
 @pytest.mark.parametrize("module_name,func_name", [
@@ -33,3 +36,17 @@ WRAPPED = _load_spans().WRAPPED
 def test_wrapped_function_exists(module_name, func_name):
     module = importlib.import_module(f"homspec.{module_name}")
     assert callable(getattr(module, func_name, None))
+
+
+@pytest.mark.parametrize("name,parameter", [
+    ("zhf.write_frames", "path"),
+    ("mapio.write_map_csv", "path"),
+    ("detector.raw_coincidences", "batch"),
+])
+def test_counted_argument_exists(name, parameter):
+    # The tracer binds each call's arguments to the wrapped function's
+    # parameter names, and COUNTERS reads these by name.
+    assert name in SPANS.COUNTERS
+    module_name, func_name = name.split(".")
+    func = getattr(importlib.import_module(f"homspec.{module_name}"), func_name)
+    assert parameter in inspect.signature(func).parameters

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import chunk_length
 from homspec import detector, retrieval, zhf
 from homspec.cli import main
 from homspec.config import _KEYS, _REMOVED_KEYS, ExperimentConfig, format_config, parse_config
@@ -38,11 +39,10 @@ FAST = [
 
 def chunk_frames(monkeypatch, tmp_path, *args):
     """Frames per chunk of a `simulate` run with these arguments; nothing is drawn or written."""
-    runs = []
     with monkeypatch.context() as patch:
-        patch.setattr(zhf, "write_frames", lambda run, path: runs.append(run) or 0)
-        assert main(["simulate", "--frames", "0", "--out", str(tmp_path), *args]) == 0
-    return runs[0].chunk_frames
+        patch.setattr(zhf, "write_frames", lambda run, path: 0)
+        return chunk_length(monkeypatch, lambda: main(
+            ["simulate", "--frames", "0", "--out", str(tmp_path), *args]))
 
 
 def write_cfg(tmp_path, text):
@@ -292,7 +292,7 @@ class TestEstimate:
 
         def traced_peak(batch, name):
             path = tmp_path / f"{name}.zhf"
-            zhf.write_frames(batch, path)
+            zhf.write_frames([batch], path)
             tracemalloc.start()
             try:
                 assert main(["estimate", str(path), "--out", str(tmp_path / name)]) == 0
@@ -493,6 +493,19 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
 
+    def test_rows_one_value_short_exit_3(self, tmp_path, capsys):
+        # Every row of a 140-bin map lacks its last value: the rows parse,
+        # but the matrix does not match the axes.
+        assert main(["theory", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "pc_map.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        path = tmp_path / "short.csv"
+        path.write_text("".join(lines[:2] + [row.rsplit(",", 1)[0] + "\n" for row in lines[2:]]),
+                        encoding="utf-8")
+        assert main(["fit", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: matrix shape (140, 139) does not match axes\n")
+
     def test_grid_mismatch_exits_2(self, tmp_path, capsys):
         assert main(["theory", "--out", str(tmp_path), *FAST]) == 0
         rc = main(["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
@@ -589,6 +602,27 @@ OVERRIDE_VALUES = st.one_of(
     st.sampled_from(["auto", "true", "false", "yes", "maybe", "", "= 5", "1 2 3"]),
     st.text(max_size=12),
 )
+
+
+class TestIoErrors:
+    @pytest.mark.parametrize("command", ["estimate", "fit", "simulate", "theory"])
+    def test_unreadable_input_or_unwritable_output_exits_3(self, tmp_path, capsys, command):
+        # A missing event file or map, an --out under a regular file, or an
+        # --out that is one: one `io error:` line, exit 3, no output directory.
+        regular = tmp_path / "regular"
+        regular.write_text("not a directory\n", encoding="utf-8")
+        out = tmp_path / "D"
+        argv = {
+            "estimate": ["estimate", str(tmp_path / "missing.zhf"), "--out", str(out)],
+            "fit": ["fit", str(tmp_path / "missing.csv"), "--out", str(out)],
+            "simulate": ["simulate", "--frames", "10", "--out", str(regular / "D"), *FAST],
+            "theory": ["theory", "--out", str(regular), *FAST],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1
+        assert regular.is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["regular"]
 
 
 class TestImports:

@@ -4,7 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import brute_force_frames, last_block_bad_bin_events, seam_repeat_events
+from helpers import (
+    brute_force_frames,
+    chunk_length,
+    last_block_bad_bin_events,
+    repeated_event_events,
+)
 from homspec import detector, zhf
 from homspec.cli import main
 from homspec.detector import (
@@ -136,12 +141,12 @@ class TestSimulateFrames:
 
     @pytest.mark.parametrize("dark_rate", [0.0, 0.7])
     @pytest.mark.parametrize("uncorrelated", [False, True])
-    def test_first_chunk_independent_of_run_length(self, uncorrelated, dark_rate):
+    def test_first_chunk_independent_of_run_length(self, monkeypatch, uncorrelated, dark_rate):
         # Each chunk draws from its own (seed, chunk index) stream and is
         # canonicalized on its own, so a chunk's events do not depend on how
         # many chunks follow it.
         params = DetectionParams(**DEFAULTS, dark_rate=dark_rate, seed=21)
-        chunk = run(uncorrelated, params, 0).chunk_frames
+        chunk = chunk_length(monkeypatch, lambda: run(uncorrelated, params, 0))
         short = join(run(uncorrelated, params, chunk))
         long = join(run(uncorrelated, params, 3 * chunk + 5))
         head = long.frames < chunk
@@ -157,7 +162,7 @@ class TestSimulateFrames:
         # chunks in: evaluating them last to first, then handing them on in
         # frame order, gives the same batch.
         params = DetectionParams(**DEFAULTS, dark_rate=dark_rate, seed=22)
-        n_frames = 3 * run(uncorrelated, params, 0).chunk_frames + 5
+        n_frames = 3 * chunk_length(monkeypatch, lambda: run(uncorrelated, params, 0)) + 5
 
         def simulate():
             return join(run(uncorrelated, params, n_frames))
@@ -181,24 +186,25 @@ class TestSimulateFrames:
     def test_chunk_scratch_bounded_by_its_codes(self, monkeypatch, uncorrelated):
         # A worker holds about three event-length arrays at once.  The traced
         # peak of drawing one dense chunk (about 8 events a frame) through
-        # FrameChunks on one worker, its output fields included, stays within
-        # 3x the chunk's int64 event codes.  Measured: 2.2x correlated and
-        # 2.4x uncorrelated; a kernel that held the pairs' float draws and
+        # simulate_chunks on one worker, its output fields included, stays
+        # within 3x the chunk's int64 event codes.  Measured: 2.2x correlated
+        # and 2.4x uncorrelated; a kernel that held the pairs' float draws and
         # copied the codes twice took 5.5x and 4.1x.
         monkeypatch.setattr(detector, "_workers", lambda: 1)
         params = DetectionParams(chi=0.01, eta=0.5, f_rep=80e6, t_exp=11e-6, seed=5)
-        one_chunk = run(uncorrelated, params, run(uncorrelated, params, 0).chunk_frames)
+        one_chunk = run(uncorrelated, params,
+                        chunk_length(monkeypatch, lambda: run(uncorrelated, params, 0)))
         tracemalloc.start()
         try:
             (chunk,) = one_chunk
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert chunk.n_events > 7 * one_chunk.chunk_frames
+        assert chunk.n_events > 7 * chunk.n_frames
         assert peak <= 3.0 * chunk.n_events * np.dtype(np.int64).itemsize
 
     @pytest.mark.parametrize("uncorrelated", [False, True])
-    def test_chunks_hold_about_chunk_events(self, uncorrelated):
+    def test_chunks_hold_about_chunk_events(self, monkeypatch, uncorrelated):
         # A chunk's length follows the run's density: at 0.2 and at about 8
         # events a frame one chunk holds about CHUNK_EVENTS events (a little
         # more, since both generators' expected events count the pairs seen,
@@ -206,7 +212,8 @@ class TestSimulateFrames:
         sizes = []
         for chi, eta in ((4.5455e-4, 0.25), (0.01, 0.5)):
             params = DetectionParams(chi=chi, eta=eta, f_rep=80e6, t_exp=11e-6, seed=8)
-            (chunk,) = run(uncorrelated, params, run(uncorrelated, params, 0).chunk_frames)
+            n_frames = chunk_length(monkeypatch, lambda: run(uncorrelated, params, 0))
+            (chunk,) = run(uncorrelated, params, n_frames)
             assert 0.9 * CHUNK_EVENTS < chunk.n_events < 1.4 * CHUNK_EVENTS
             sizes.append(chunk.n_frames)
         assert sizes[0] > 30 * sizes[1]
@@ -544,7 +551,7 @@ class TestFrameBatchValidation:
         # Among eight one-event frames otherwise in order, one event that
         # repeats the one before it is caught.
         with pytest.raises(ValueError, match="order"):
-            FrameBatch(9, GRID, GRID, *seam_repeat_events())
+            FrameBatch(9, GRID, GRID, *repeated_event_events())
 
     def test_minus_bin_checked_against_the_minus_grid(self):
         # On unequal grids a minus-port bin that fits the plus grid only is
