@@ -52,19 +52,21 @@ def write_frames(batches, path) -> int:
     """Write an event stream, at least one block, as a ZHF1 file, each block as it arrives.
 
     The first block gives the header and is drawn before the file is opened.
-    Each block must follow the previous one in canonical order.  Returns the
-    number of events written.
+    Each block must share its frame count and grids and follow the previous
+    block in canonical order.  Returns the number of events written.
     """
     batches = iter(batches)
     chunk = next(batches)
-    grids = [v for g in (chunk.grid_plus, chunk.grid_minus) for v in (g.start, g.step, g.n_bins)]
-    n_frames, n_events, last = chunk.n_frames, 0, -1
+    header, n_events, last = (chunk.n_frames, chunk.grid_plus, chunk.grid_minus), 0, -1
+    grids = [v for g in header[1:] for v in (g.start, g.step, g.n_bins)]
     records = np.empty(_BLOCK, _RECORD_DTYPE)
     fh = open(path, "wb")
     try:
         with fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, n_frames, _UNPATCHED))
+            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, header[0], _UNPATCHED))
             while chunk is not None:
+                if (chunk.n_frames, chunk.grid_plus, chunk.grid_minus) != header:
+                    raise ValueError("a block's frame count or grids differ from the first block's")
                 last = _after(chunk, last)
                 fields = (chunk.frames, chunk.regions, chunk.bins)
                 for lo in range(0, chunk.n_events, _BLOCK):
@@ -75,7 +77,7 @@ def write_frames(batches, path) -> int:
                 n_events += chunk.n_events
                 chunk = next(batches, None)
             fh.seek(0)
-            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, n_frames, n_events))
+            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, header[0], n_events))
     except BaseException:
         os.remove(path)
         raise
@@ -114,10 +116,9 @@ def read_blocks(path):
                 n = min(left, records.size)
                 if fh.readinto(records[:n]) != n * records.itemsize:
                     raise ValueError("file cut short while reading")
-                # The last frame read may go on past the records read: read it again.
+                # Read the last frame again with the next block, unless it fills the buffer.
                 frames = records["frame"][:n]
-                cut = int(np.searchsorted(frames, frames[-1])) if n < left else n
-                cut = cut or n  # no cut: one frame fills the buffer
+                cut = n if n == left else int(np.searchsorted(frames, frames[-1])) or n
                 fh.seek((cut - n) * records.itemsize, os.SEEK_CUR)
                 left -= cut
                 # Copies: the next readinto overwrites the buffer.

@@ -181,11 +181,11 @@ def repeated_event_events():
 
 
 def last_block_bad_bin_events():
-    """Eight frames of (plus bin 40, minus bin 10); the last minus bin is 40.
+    """Eight frames of (plus bin 3, minus bin 1); the last minus bin is 3.
 
-    Bin 40 fits the 64-bin plus grid but not the 32-bin minus grid.
+    Bin 3 fits a 4-bin plus grid but not a 2-bin minus grid.
     """
-    bins = np.tile(np.array([40, 10], np.uint16), 8)
-    bins[-1] = 40
+    bins = np.tile(np.array([3, 1], np.uint16), 8)
+    bins[-1] = 3
     return np.repeat(np.arange(8, dtype=np.uint32), 2), np.tile(np.uint8([0, 1]), 8), bins
 

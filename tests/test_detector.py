@@ -64,9 +64,6 @@ def empty_batch(n_frames=0):
     )
 
 
-GRID_HALF = WavelengthGrid.from_edges(790e-9, 803e-9, 32)
-
-
 class TestDetectionParams:
     def test_repetitions_from_rate_and_exposure(self):
         params = DetectionParams(**DEFAULTS, seed=0)
@@ -556,8 +553,9 @@ class TestFrameBatchValidation:
     def test_minus_bin_checked_against_the_minus_grid(self):
         # On unequal grids a minus-port bin that fits the plus grid only is
         # out of range, although every bin fits the larger grid.
+        grid_plus, grid_minus = (WavelengthGrid.from_edges(790e-9, 803e-9, n) for n in (4, 2))
         with pytest.raises(ValueError, match="out of range"):
-            FrameBatch(8, GRID, GRID_HALF, *last_block_bad_bin_events())
+            FrameBatch(8, grid_plus, grid_minus, *last_block_bad_bin_events())
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):

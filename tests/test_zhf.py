@@ -15,10 +15,9 @@ from homspec.vapor import DispersionModel, doppler_lifetime
 from homspec.zhf import read_frames, write_frames
 
 GRID = WavelengthGrid.from_edges(790e-9, 803e-9, 64)
-GRID_HALF = WavelengthGrid.from_edges(790e-9, 803e-9, 32)
 # With _BLOCK = 4 the reader's buffer holds max(4, n_plus + n_minus + 1) records.
 GRID4 = WavelengthGrid.from_edges(790e-9, 803e-9, 4)  # two of them: 9 records
-GRID2 = WavelengthGrid.from_edges(790e-9, 803e-9, 2)  # two of them: 5 records
+GRID2 = WavelengthGrid.from_edges(790e-9, 803e-9, 2)  # two of them: 5 records, with GRID4 7
 JSA = gaussian_jsa(796.7e-9, 10e-9, -0.9, GRID)
 
 
@@ -90,6 +89,20 @@ def test_chunks_out_of_order_rejected(tmp_path):
     path = tmp_path / "frames.zhf"
     with pytest.raises(ValueError, match="does not follow"):
         write_frames([batch, batch], path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("later", [
+    FrameBatch(5, GRID4, GRID4, [1], [0], [0]),
+    FrameBatch(4, GRID, GRID4, [1], [0], [0]),
+    FrameBatch(4, GRID4, GRID2, [1], [0], [0]),
+], ids=["n-frames", "plus-grid", "minus-grid"])
+def test_block_with_another_header_rejected(tmp_path, later):
+    # Every block is written under the first block's header, so a later block
+    # with another frame count or grid is refused and no file is left.
+    path = tmp_path / "frames.zhf"
+    with pytest.raises(ValueError, match="differ from the first"):
+        write_frames([FrameBatch(4, GRID4, GRID4, [0], [0], [0]), later], path)
     assert not path.exists()
 
 
@@ -226,26 +239,30 @@ def test_round_trip_in_blocks(tmp_path, monkeypatch, n_events):
     assert again.read_bytes() == expected.read_bytes()
 
 
-@pytest.mark.parametrize("grid_plus, grid_minus, events, match", [
-    (GRID2, GRID2, repeated_event_events(), "order"),
-    (GRID, GRID_HALF, last_block_bad_bin_events(), "out of range"),
+@pytest.mark.parametrize("grid_plus, grid_minus, events, match, n_good", [
+    (GRID2, GRID2, repeated_event_events(), "order", 1),
+    (GRID4, GRID2, last_block_bad_bin_events(), "out of range", 2),
 ], ids=["repeat-in-a-block", "bin-in-the-last-block"])
 def test_invalid_events_in_blocks_exit_3(tmp_path, monkeypatch, capsys, grid_plus, grid_minus,
-                                         events, match):
+                                         events, match, n_good):
     # A repeated event inside the second block (blocks cut from a buffer of
-    # 5 records) and a minus bin past the smaller grid in the file's last
-    # block are one-line data errors that name the file, and `homspec
-    # estimate` exits 3 on them.
+    # 5 records) and a minus bin past the smaller grid in the file's third
+    # and last block (cut from a buffer of 7) surface part-way through the
+    # stream, after the good blocks before them.  They are one-line data
+    # errors that name the file, and `homspec estimate` exits 3 on them.
     monkeypatch.setattr(zhf, "_BLOCK", 4)
     path = tmp_path / "bad.zhf"
     write_by_hand(path, 9, grid_plus, grid_minus, *events)
+    blocks = []
     with pytest.raises(DataFormatError, match=match) as info:
-        read_frames(path)
+        for block in zhf.read_blocks(path):
+            blocks.append(block)
+    assert len(blocks) == n_good
     assert str(path) in str(info.value) and "\n" not in str(info.value)
     assert main(["estimate", str(path), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and match in err and err.count("\n") == 1
-    # The error surfaces part-way through the stream, before any map is written.
+    # The error stops the run before any map is written.
     assert not any((tmp_path / f"{name}.csv").exists()
                    for name in ("raw", "accidental", "covariance"))
 
