@@ -38,12 +38,11 @@ each chunk's events are sorted and deduplicated as the chunk is generated,
 so the output is bit-reproducible for a given seed and independent of the
 order the chunks finish in on the thread pool that draws them (numpy's
 draws and sorts release the GIL).  An event stream is an iterator of
-FrameBatch blocks of whole frames, in order, the first giving the header:
-simulate_chunks hands a run on as one, zhf.write_frames writes each block
-as it arrives, zhf.read_blocks reads a file back as one and EventCounts
-counts one, so no stage holds a whole run.  Only the ZHF1 I/O works in
-fixed pieces of records; a batch, a whole run's or not, is checked and
-counted whole.  Drawing one chunk holds at most 3x its events' int64
+FrameBatch blocks, at least one, of whole frames, in order, each with the
+first block's header; stream checks one.  simulate_chunks hands a run on
+as one, zhf.write_frames writes each block as it arrives, zhf.read_blocks
+reads one back in fixed pieces and EventCounts counts one, so no stage
+holds a whole run.  Drawing one chunk holds at most 3x its events' int64
 codes at once, its output fields included (2.2x measured on a dense chunk,
 2.4x for the uncorrelated control): each pair's uniform shrinks to a
 one-byte outcome, the pairs' arrays are freed before any bin is drawn, and
@@ -139,9 +138,9 @@ class FrameBatch:
     def __post_init__(self):
         if self.n_frames < 0:
             raise ValueError("n_frames must be non-negative")
-        frames = np.ascontiguousarray(self.frames, dtype=np.uint32)
-        regions = np.ascontiguousarray(self.regions, dtype=np.uint8)
-        bins = np.ascontiguousarray(self.bins, dtype=np.uint16)
+        frames = _field(self.frames, np.uint32, "frames")
+        regions = _field(self.regions, np.uint8, "regions")
+        bins = _field(self.bins, np.uint16, "bins")
         if not (frames.shape == regions.shape == bins.shape):
             raise ValueError("event arrays must have identical length")
         n_plus, n_minus = self.grid_plus.n_bins, self.grid_minus.n_bins
@@ -164,6 +163,17 @@ class FrameBatch:
     @property
     def n_events(self) -> int:
         return int(self.frames.size)
+
+
+def _field(values, dtype, name: str) -> np.ndarray:
+    """An event field as a contiguous array of dtype, refused if the cast would change a value."""
+    arr = np.asarray(values)
+    # Only a cast from another type can wrap or truncate, so fields of dtype are not scanned.
+    if arr.dtype != dtype and arr.size and (
+        arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > np.iinfo(dtype).max
+    ):
+        raise ValueError(f"event {name} must be integers in [0, {np.iinfo(dtype).max}]")
+    return np.ascontiguousarray(arr, dtype=dtype)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -281,11 +291,35 @@ def _in_order(make: Callable, n: int):
         pool.shutdown(cancel_futures=True)
 
 
+def stream(batches) -> tuple[tuple[int, WavelengthGrid, WavelengthGrid], Iterator[FrameBatch]]:
+    """An event stream's header (n_frames, grid_plus, grid_minus) and its blocks, checked.
+
+    The first block is drawn here, and each block is checked in O(1) as it passes.
+    """
+    batches = iter(batches)
+    first = next(batches, None)
+    if first is None:
+        raise ValueError("an event stream needs at least one block")
+    header = (first.n_frames, first.grid_plus, first.grid_minus)
+
+    def blocks():
+        last = -1  # the previous events' last frame
+        for block in itertools.chain([first], batches):
+            if (block.n_frames, block.grid_plus, block.grid_minus) != header:
+                raise ValueError("a block's frame count or grids differ from the first block's")
+            if block.n_events and int(block.frames[0]) <= last:  # a frame split or out of order
+                raise ValueError("a block does not follow the previous one in order")
+            last = int(block.frames[-1]) if block.n_events else last
+            yield block
+
+    return header, blocks()
+
+
 def join(batches) -> FrameBatch:
-    """A run's batches, at least one, in order, as one batch."""
-    batches = list(batches)
-    fields = map(np.concatenate, zip(*((b.frames, b.regions, b.bins) for b in batches)))
-    return FrameBatch(batches[0].n_frames, batches[0].grid_plus, batches[0].grid_minus, *fields)
+    """An event stream as one batch."""
+    header, blocks = stream(batches)
+    fields = map(np.concatenate, zip(*((b.frames, b.regions, b.bins) for b in blocks)))
+    return FrameBatch(*header, *fields)
 
 
 def _check_lengths(
@@ -500,14 +534,12 @@ class EventCounts:
     """
 
     def __init__(self, batches):
-        """Count a run's batches of whole frames, at least one, in one pass."""
-        batches = iter(batches)
-        batch = next(batches)
-        self.n_frames, self.grids = batch.n_frames, (batch.grid_plus, batch.grid_minus)
-        n_plus, n_minus = batch.grid_plus.n_bins, batch.grid_minus.n_bins
+        """Count an event stream in one pass."""
+        (self.n_frames, *self.grids), blocks = stream(batches)
+        n_plus, n_minus = (grid.n_bins for grid in self.grids)
         self.pairs = np.zeros(n_plus * n_minus, dtype=np.intp)
         self.singles = np.zeros(n_plus + n_minus, dtype=np.intp)
-        for batch in itertools.chain([batch], batches):
+        for batch in blocks:
             frames, regions, bins = batch.frames, batch.regions, batch.bins
             # Plus events count into [0, n_plus), minus events from n_plus on.
             code = regions.astype(np.intp) * n_plus + bins

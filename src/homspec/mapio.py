@@ -26,7 +26,10 @@ def _grid_from_centers(centers_nm: np.ndarray, path) -> WavelengthGrid:
     step = float(np.mean(steps))
     if not (0.0 < step < np.inf and np.max(np.abs(steps - step)) <= 1e-6 * step):
         raise DataFormatError(f"{path}: axis bin centers are not uniformly spaced")
-    return WavelengthGrid(start=float(centers[0]), step=step, n_bins=centers.size)
+    try:
+        return WavelengthGrid(start=float(centers[0]), step=step, n_bins=centers.size)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def write_map_csv(values: np.ndarray, grid_p: WavelengthGrid, grid_m: WavelengthGrid, path) -> None:

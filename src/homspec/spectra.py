@@ -38,8 +38,10 @@ class WavelengthGrid:
     n_bins: int
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not 0.0 < self.start < np.inf:
+            raise ValueError(f"start must be positive and finite, got {self.start}")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if self.n_bins < 2:
             raise ValueError(f"n_bins must be >= 2, got {self.n_bins}")
 

@@ -12,12 +12,11 @@ Layout (all little-endian):
     58      7*n   event records: frame u32, region u8 (0 plus / 1 minus), bin u16
 
 Events are stored in canonical order (frame, region, bin), so a batch
-round-trips byte-identically.  Both sides pass an event stream: an iterator
-of FrameBatch blocks of whole frames, in order, the first giving the
-header.  The writer writes each block as it arrives, with an n_events
-placeholder that the reader rejects until the end patches it; a write that
-fails part-way removes the file.  read_blocks hands on checked blocks, one
-at a time; read_frames joins them.
+round-trips byte-identically.  Both sides pass an event stream, which
+detector.stream checks.  The writer writes each block whole as it arrives,
+with an n_events placeholder that the reader rejects until the end patches
+it; a write that fails part-way removes the file.  read_blocks reads in
+fixed pieces and hands on checked blocks; read_frames joins them.
 """
 
 import os
@@ -36,48 +35,27 @@ VERSION = 1
 _HEADER = struct.Struct("<4sH" + "ddH" * 2 + "QQ")
 _UNPATCHED = 2**64 - 1  # n_events while records are written: no file size matches it
 _RECORD_DTYPE = np.dtype([("frame", "<u4"), ("region", "u1"), ("bin", "<u2")])
-_BLOCK = 1 << 16  # records per write, and at least this many per read
-
-
-def _after(batch: FrameBatch, last: int) -> int:
-    """The code of the batch's last event, once its first is checked to follow ``last``."""
-    ends = (np.append(f[:1], f[-1:]) for f in (batch.frames, batch.regions, batch.bins))
-    codes = detector._event_codes(*ends).tolist()  # none for an empty batch
-    if codes and codes[0] <= last:
-        raise ValueError("a block does not follow the previous one in order")
-    return codes[-1] if codes else last
+_BLOCK = 1 << 16  # the reader's buffer holds at least this many records
 
 
 def write_frames(batches, path) -> int:
-    """Write an event stream, at least one block, as a ZHF1 file, each block as it arrives.
+    """Write an event stream as a ZHF1 file, a block at a time; returns the events written.
 
-    The first block gives the header and is drawn before the file is opened.
-    Each block must share its frame count and grids and follow the previous
-    block in canonical order.  Returns the number of events written.
+    detector.stream draws the first block, which gives the header, before the file is opened.
     """
-    batches = iter(batches)
-    chunk = next(batches)
-    header, n_events, last = (chunk.n_frames, chunk.grid_plus, chunk.grid_minus), 0, -1
-    grids = [v for g in header[1:] for v in (g.start, g.step, g.n_bins)]
-    records = np.empty(_BLOCK, _RECORD_DTYPE)
+    (n_frames, *grids), blocks = detector.stream(batches)
+    grids = [v for g in grids for v in (g.start, g.step, g.n_bins)]
+    n_events = 0
     fh = open(path, "wb")
     try:
         with fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, header[0], _UNPATCHED))
-            while chunk is not None:
-                if (chunk.n_frames, chunk.grid_plus, chunk.grid_minus) != header:
-                    raise ValueError("a block's frame count or grids differ from the first block's")
-                last = _after(chunk, last)
-                fields = (chunk.frames, chunk.regions, chunk.bins)
-                for lo in range(0, chunk.n_events, _BLOCK):
-                    n = min(chunk.n_events - lo, _BLOCK)
-                    for name, field in zip(_RECORD_DTYPE.names, fields):
-                        records[name][:n] = field[lo : lo + n]
-                    fh.write(records[:n].data)
-                n_events += chunk.n_events
-                chunk = next(batches, None)
+            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, n_frames, _UNPATCHED))
+            for block in blocks:
+                fields = (block.frames, block.regions, block.bins)
+                fh.write(np.rec.fromarrays(fields, dtype=_RECORD_DTYPE).data)
+                n_events += block.n_events
             fh.seek(0)
-            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, header[0], n_events))
+            fh.write(_HEADER.pack(MAGIC, VERSION, *grids, n_frames, n_events))
     except BaseException:
         os.remove(path)
         raise

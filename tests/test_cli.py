@@ -334,6 +334,38 @@ class TestEstimate:
         assert main(["estimate", str(bad), "--out", str(tmp_path)]) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, offset, value", [
+        ("zhf", 6, math.nan),  # the plus grid's start
+        ("zhf", 14, math.inf),  # the plus grid's step
+        ("zhf", 24, -1e-9),  # the minus grid's start
+        ("csv", None, -1.0),  # the first bin center [nm]
+        ("csv", None, 0.0),
+    ], ids=["zhf-nan-start", "zhf-inf-step", "zhf-negative-start", "csv-negative-start",
+            "csv-zero-start"])
+    def test_invalid_grid_exits_3(self, tmp_path, capsys, kind, offset, value):
+        # A grid with a start that is not positive and finite, or a step that
+        # is not finite, in an event file or a map: one `data error:` line,
+        # exit 3, no output directory.
+        out = tmp_path / "D"
+        if kind == "zhf":
+            assert main(["simulate", "--frames", "10", "--out", str(tmp_path), *FAST]) == 0
+            path = tmp_path / "frames.zhf"
+            data = bytearray(path.read_bytes())
+            struct.pack_into("<d", data, offset, value)
+            path.write_bytes(bytes(data))
+            argv = ["estimate", str(path), "--out", str(out)]
+        else:
+            path = tmp_path / "bad.csv"
+            centers = ",".join(repr(value + i) for i in range(4))
+            path.write_text(f"# axis_plus_nm: {centers}\n# axis_minus_nm: {centers}\n"
+                            + "0.0,0.0,0.0,0.0\n" * 4, encoding="utf-8")
+            argv = ["fit", str(path), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("option", [["--config", "absent.cfg"], ["--override", "bogus = 1"],
                                         ["--seed", "5"], ["--binary"]],
                              ids=["config", "override", "seed", "binary"])
@@ -791,6 +823,19 @@ def mutated(draw, data: bytes) -> bytes:
     return bytes(data)
 
 
+@st.composite
+def mutated_zhf(draw, data: bytes) -> bytes:
+    """A ZHF1 file ``mutated``, or with one grid's start or step set to a special value:
+    NaN, +-inf, 0, a negative value or a subnormal."""
+    if draw(st.booleans()):
+        return draw(mutated(data))
+    data = bytearray(data)
+    # The header doubles: start and step of the plus grid, then of the minus grid.
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1e-9, 5e-324]))
+    struct.pack_into("<d", data, draw(st.sampled_from([6, 14, 24, 32])), value)
+    return bytes(data)
+
+
 class TestMutatedInputFiles:
     """Every input file, its bytes mutated, gives a documented exit code and
     one stderr line, never a traceback or a warning."""
@@ -808,10 +853,10 @@ class TestMutatedInputFiles:
         return base
 
     @staticmethod
-    def exits(data, source, work, argv, codes):
-        """Run ``argv(path)`` on a mutation of ``source`` written to ``path`` in ``work``."""
+    def exits(data, source, work, argv, codes, mutation=mutated):
+        """Run ``argv(path)`` on a ``mutation`` of ``source`` written to ``path`` in ``work``."""
         path = work / source.name
-        path.write_bytes(data.draw(mutated(source.read_bytes())))
+        path.write_bytes(data.draw(mutation(source.read_bytes())))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
@@ -836,9 +881,9 @@ class TestMutatedInputFiles:
         self.exits(data, base / "covariance.csv", work,
                    lambda path: ["fit", path, "--out", str(work), *self.SMALL], (0, 2, 3, 4))
 
-    @EXAMPLES
+    @settings(EXAMPLES, max_examples=2 * EXAMPLES.max_examples)  # half of them edit a grid
     @given(data=st.data())
     def test_event_file(self, base, data):
         work = base / "mutated"
         self.exits(data, base / "frames.zhf", work,
-                   lambda path: ["estimate", path, "--out", str(work)], (0, 3))
+                   lambda path: ["estimate", path, "--out", str(work)], (0, 3), mutated_zhf)

@@ -557,6 +557,20 @@ class TestFrameBatchValidation:
         with pytest.raises(ValueError, match="out of range"):
             FrameBatch(8, grid_plus, grid_minus, *last_block_bad_bin_events())
 
+    @pytest.mark.parametrize("field, values", [
+        ("frames", np.array([2**32 + 1])),
+        ("regions", np.array([256])),
+        ("bins", np.array([65539])),
+        ("frames", np.array([0.7])),
+    ], ids=["frame-past-uint32", "region-past-uint8", "bin-past-uint16", "float-frame"])
+    def test_field_a_cast_would_change_rejected(self, field, values):
+        # Each value would be cast to frame 1, region 0, bin 3 or frame 0, a
+        # valid event; the same values as int64 in range are accepted.
+        fields = {"frames": [1], "regions": [0], "bins": [3], field: values}
+        with pytest.raises(ValueError, match=f"event {field} must be integers in"):
+            FrameBatch(5, GRID, GRID, **fields)
+        assert FrameBatch(5, GRID, GRID, np.int64([1]), np.int64([0]), np.int64([3])).n_events == 1
+
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             FrameBatch(

@@ -92,17 +92,30 @@ def test_chunks_out_of_order_rejected(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("later", [
-    FrameBatch(5, GRID4, GRID4, [1], [0], [0]),
-    FrameBatch(4, GRID, GRID4, [1], [0], [0]),
-    FrameBatch(4, GRID4, GRID2, [1], [0], [0]),
-], ids=["n-frames", "plus-grid", "minus-grid"])
-def test_block_with_another_header_rejected(tmp_path, later):
-    # Every block is written under the first block's header, so a later block
-    # with another frame count or grid is refused and no file is left.
+FIRST = FrameBatch(4, GRID4, GRID4, [0], [0], [1])
+NOT_IN_ORDER = "a block does not follow the previous one in order"
+OTHER_HEADER = "a block's frame count or grids differ from the first block's"
+
+
+@pytest.mark.parametrize("consumer", ["write_frames", "EventCounts", "join"])
+@pytest.mark.parametrize("blocks, message", [
+    # Joined, the split frame is one valid batch, with one pair.
+    ([FIRST, FrameBatch(4, GRID4, GRID4, [0], [1], [2])], NOT_IN_ORDER),
+    ([FIRST, FrameBatch(5, GRID4, GRID4, [1], [0], [0])], OTHER_HEADER),
+    ([FIRST, FrameBatch(4, GRID, GRID4, [1], [0], [0])], OTHER_HEADER),
+    ([FIRST, FrameBatch(4, GRID4, GRID2, [1], [0], [0])], OTHER_HEADER),
+    ([], "an event stream needs at least one block"),
+], ids=["split-frame", "n-frames", "plus-grid", "minus-grid", "empty"])
+def test_bad_stream_rejected(tmp_path, consumer, blocks, message):
+    # Every consumer of an event stream reads it through detector.stream, so
+    # each refuses a stream that splits a frame, changes the header or is
+    # empty with the same one-line error, and the writer leaves no file.
     path = tmp_path / "frames.zhf"
-    with pytest.raises(ValueError, match="differ from the first"):
-        write_frames([FrameBatch(4, GRID4, GRID4, [0], [0], [0]), later], path)
+    read = {"write_frames": lambda run: write_frames(run, path),
+            "EventCounts": detector.EventCounts, "join": detector.join}[consumer]
+    with pytest.raises(ValueError) as info:
+        read(iter(blocks))
+    assert str(info.value) == message
     assert not path.exists()
 
 
