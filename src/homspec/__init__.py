@@ -13,7 +13,7 @@ coincidence map.
 
 from .constants import CODATA, RB87, PhysicalConstants, RbProperties
 from .detector import DetectionParams, FrameBatch
-from .interference import CoincidenceMap, InterferenceSettings, MapKind
+from .interference import CoincidenceMap, MapKind
 from .retrieval import FitConfig, FitResult
 from .spectra import JointSpectralAmplitude, WavelengthGrid
 from .vapor import DispersionModel, VaporCell
@@ -28,7 +28,6 @@ __all__ = [
     "DetectionParams",
     "FrameBatch",
     "CoincidenceMap",
-    "InterferenceSettings",
     "MapKind",
     "FitConfig",
     "FitResult",

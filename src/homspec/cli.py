@@ -22,7 +22,7 @@ from . import config as config_mod
 from . import detector, interference, mapio, retrieval, zhf
 from .config import ExperimentConfig
 from .errors import ConfigError, DataFormatError, DegenerateMap, HomspecError
-from .interference import CoincidenceMap, InterferenceSettings, MapKind
+from .interference import CoincidenceMap, MapKind
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -40,10 +40,8 @@ def _out_dir(args) -> Path:
 
 
 def _theory_map(cfg: ExperimentConfig) -> CoincidenceMap:
-    jsa = cfg.jsa()
-    model = cfg.dispersion_model()
     cmap = interference.coincidence_probability_cosine(
-        jsa, model, InterferenceSettings(cfg.visibility)
+        cfg.jsa(), cfg.dispersion_model(), cfg.visibility
     )
     return interference.pixel_average(cmap, cfg.kernel_width)
 
@@ -57,8 +55,8 @@ def cmd_theory(args) -> int:
     profile = retrieval.phase_profile_mod_2pi(model.od, model.tau, model.lambda0, grid)
     out = _out_dir(args)
 
-    mapio.write_map_csv(cmap.values, grid, grid, out / "pc_map.csv")
-    mapio.write_map_csv(dphi, grid, grid, out / "phase_map.csv")
+    mapio.write_map_csv(cmap.values, grid, out / "pc_map.csv")
+    mapio.write_map_csv(dphi, grid, out / "phase_map.csv")
     with open(out / "phase_profile.csv", "w", encoding="utf-8") as fh:
         fh.write("lambda_nm,phase_mod_2pi\n")
         for row in zip(grid.centers_nm.tolist(), profile.tolist()):
@@ -77,14 +75,12 @@ def cmd_simulate(args) -> int:
     marginals = interference.port_spectra(jsa)
     if cfg.kernel_width > 1:
         # The spectrometer blurs each photon, so the port spectra take the map's boxcar.
-        box = interference.boxcar_matrix(jsa.grid_s.n_bins, cfg.kernel_width)
+        box = interference.boxcar_matrix(jsa.grid.n_bins, cfg.kernel_width)
         marginals = tuple(box @ m for m in marginals)
     # Every check runs here, before frames.zhf is opened; the chunks are
     # drawn while the file is written.
     if args.uncorrelated:
-        run = detector.simulate_uncorrelated_chunks(
-            jsa.grid_s, jsa.grid_i, marginals, params, args.frames
-        )
+        run = detector.simulate_uncorrelated_chunks(jsa.grid, marginals, params, args.frames)
     else:
         run = detector.simulate_chunks(_theory_map(cfg), marginals, params, args.frames)
     path = _out_dir(args) / "frames.zhf"
@@ -100,7 +96,7 @@ def cmd_estimate(args) -> int:
     counts = detector.EventCounts(zhf.read_blocks(args.frame_file))
     out = _out_dir(args)
     for name, cmap in zip(("raw", "accidental", "covariance"), counts.maps()):
-        mapio.write_map_csv(cmap.values, cmap.grid_p, cmap.grid_m, out / f"{name}.csv")
+        mapio.write_map_csv(cmap.values, cmap.grid, out / f"{name}.csv")
     events, pairs = counts.singles.sum(), counts.pairs.sum()
     print(f"{counts.n_frames} frames, {events} events, {pairs} coincidence pairs")
     print(f"wrote {out / 'raw.csv'}, {out / 'accidental.csv'}, {out / 'covariance.csv'}")
@@ -109,9 +105,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _effective_config(args)
-    values, grid_p, grid_m = mapio.read_map_csv(args.map_file)
+    values, grid = mapio.read_map_csv(args.map_file)
     try:
-        cmap = CoincidenceMap(grid_p, grid_m, values, MapKind(args.kind))
+        cmap = CoincidenceMap(grid, values, MapKind(args.kind))
     except ValueError as exc:
         raise DataFormatError(f"{args.map_file}: {exc}") from exc
 

@@ -61,7 +61,8 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject every value the pipeline cannot run with, naming its key.
 
-        The checks take O(1) time.  Whether the bins sample the JSA at all is
+        The checks take O(1) time, except the grid rule's pass over the bin
+        centers (at most 65535).  Whether the bins sample the JSA at all is
         left to jsa(), which builds the grid_bins**2 amplitude anyway.
         """
         _require(0.0 < self.temperature_k < math.inf, "temperature must be finite and > 0",
@@ -80,6 +81,11 @@ class ExperimentConfig:
         # ZHF1 stores bin indices as u16.
         _require(2 <= self.grid_bins <= 0xFFFF, "grid_bins must lie in [2, 65535]", self.grid_bins)
         _check_range("grid_start", "grid_stop", self.grid_start_m, self.grid_stop_m)
+        try:
+            self.grid()
+        except ValueError as exc:  # the grid rule of spectra.WavelengthGrid
+            message = f"grid_start, grid_stop and grid_bins give no usable grid: {exc}"
+            raise ConfigError(message) from None
         _require(self.grid_start_m <= self.filter_center_m <= self.grid_stop_m,
                  "filter_center must lie on the grid", self.filter_center_m)
         step = (self.grid_stop_m - self.grid_start_m) / self.grid_bins  # as the grid computes it
@@ -127,7 +133,7 @@ class ExperimentConfig:
                 center=self.filter_center_m,
                 marginal_fwhm=self.jsa_fwhm_m,
                 correlation=self.jsa_correlation,
-                grid_s=self.grid(),
+                grid=self.grid(),
             )
         except GridTooNarrow as exc:  # __post_init__ leaves out only the sampling check
             raise ConfigError(f"jsa_fwhm and jsa_correlation do not fit the grid: {exc}") from None

@@ -39,18 +39,19 @@ so the output is bit-reproducible for a given seed and independent of the
 order the chunks finish in on the thread pool that draws them (numpy's
 draws and sorts release the GIL).  An event stream is an iterator of
 FrameBatch blocks, at least one, of whole frames, in order, each with the
-first block's header; stream checks one.  simulate_chunks hands a run on
-as one, zhf.write_frames writes each block as it arrives, zhf.read_blocks
-reads one back in fixed pieces and EventCounts counts one, so no stage
-holds a whole run.  Drawing one chunk holds at most 3x its events' int64
-codes at once, its output fields included (2.2x measured on a dense chunk,
-2.4x for the uncorrelated control): each pair's uniform shrinks to a
-one-byte outcome, the pairs' arrays are freed before any bin is drawn, and
-the codes are sorted, deduplicated and split into fields in place.  So a
-worker's scratch follows its chunk, and the simulation's memory follows the
-chunk window.  A run that would ask for more than MAX_FRAME_EVENTS
-expected events or 2^46 repetitions a frame, or for fewer than 0 or 2^32
-or more frames, is rejected with ConfigError before any chunk is drawn.
+first block's header: n_frames and the one grid of both ports.  stream
+checks one.  simulate_chunks hands a run on as one, zhf.write_frames writes
+each block as it arrives, zhf.read_blocks reads one back in fixed pieces and
+EventCounts counts one, so no stage holds a whole run.  Drawing one chunk
+holds at most 3x its events' int64 codes at once, its output fields
+included (2.2x measured on a dense chunk, 2.4x for the uncorrelated
+control): each pair's uniform shrinks to a one-byte outcome, the pairs'
+arrays are freed before any bin is drawn, and the codes are sorted,
+deduplicated and split into fields in place.  So a worker's scratch follows
+its chunk, and the simulation's memory follows the chunk window.  A run
+that would ask for more than MAX_FRAME_EVENTS expected events or 2^46
+repetitions a frame, or for fewer than 0 or 2^32 or more frames, is
+rejected with ConfigError before any chunk is drawn.
 """
 
 import itertools
@@ -124,13 +125,12 @@ class FrameBatch:
     Events are stored as parallel arrays (frame index, region, bin index) in
     canonical order: sorted by frame, then region (0 = plus, 1 = minus),
     then bin, with no duplicates -- a pixel clicks at most once per frame.
-    Construction rejects events out of range or out of that order; the
-    estimators rely on it.
+    Both regions bin on ``grid``.  Construction rejects events out of range
+    or out of that order; the estimators rely on it.
     """
 
     n_frames: int
-    grid_plus: WavelengthGrid
-    grid_minus: WavelengthGrid
+    grid: WavelengthGrid
     frames: np.ndarray
     regions: np.ndarray
     bins: np.ndarray
@@ -143,16 +143,13 @@ class FrameBatch:
         bins = _field(self.bins, np.uint16, "bins")
         if not (frames.shape == regions.shape == bins.shape):
             raise ValueError("event arrays must have identical length")
-        n_plus, n_minus = self.grid_plus.n_bins, self.grid_minus.n_bins
         if frames.size:
             if int(frames.max()) >= self.n_frames:
                 raise ValueError("event frame index out of range")
             if int(regions.max()) > 1:
                 raise ValueError("region must be 0 (plus) or 1 (minus)")
-            # The per-event limit is needed only when some bin reaches the smaller grid.
-            if int(bins.max()) >= min(n_plus, n_minus):
-                if np.any(bins >= np.where(regions == 0, n_plus, n_minus)):
-                    raise ValueError("event bin index out of range")
+            if int(bins.max()) >= self.grid.n_bins:
+                raise ValueError("event bin index out of range")
             code = _event_codes(frames, regions, bins)
             if not np.all(code[1:] > code[:-1]):
                 raise ValueError("events must be in strictly increasing (frame, region, bin) order")
@@ -291,8 +288,8 @@ def _in_order(make: Callable, n: int):
         pool.shutdown(cancel_futures=True)
 
 
-def stream(batches) -> tuple[tuple[int, WavelengthGrid, WavelengthGrid], Iterator[FrameBatch]]:
-    """An event stream's header (n_frames, grid_plus, grid_minus) and its blocks, checked.
+def stream(batches) -> tuple[tuple[int, WavelengthGrid], Iterator[FrameBatch]]:
+    """An event stream's header (n_frames, grid) and its blocks, checked.
 
     The first block is drawn here, and each block is checked in O(1) as it passes.
     """
@@ -300,12 +297,12 @@ def stream(batches) -> tuple[tuple[int, WavelengthGrid, WavelengthGrid], Iterato
     first = next(batches, None)
     if first is None:
         raise ValueError("an event stream needs at least one block")
-    header = (first.n_frames, first.grid_plus, first.grid_minus)
+    header = (first.n_frames, first.grid)
 
     def blocks():
         last = -1  # the previous events' last frame
         for block in itertools.chain([first], batches):
-            if (block.n_frames, block.grid_plus, block.grid_minus) != header:
+            if (block.n_frames, block.grid) != header:
                 raise ValueError("a block's frame count or grids differ from the first block's")
             if block.n_events and int(block.frames[0]) <= last:  # a frame split or out of order
                 raise ValueError("a block does not follow the previous one in order")
@@ -322,12 +319,10 @@ def join(batches) -> FrameBatch:
     return FrameBatch(*header, *fields)
 
 
-def _check_lengths(
-    grid_p: WavelengthGrid, grid_m: WavelengthGrid, marginals: tuple[np.ndarray, np.ndarray]
-) -> None:
-    """Reject port spectra whose lengths do not match the grids of their ports."""
-    if np.shape(marginals[0]) != (grid_p.n_bins,) or np.shape(marginals[1]) != (grid_m.n_bins,):
-        raise InconsistentMarginals("marginal lengths do not match the map grids")
+def _check_lengths(grid: WavelengthGrid, marginals: tuple[np.ndarray, np.ndarray]) -> None:
+    """Reject port spectra whose lengths do not match the grid."""
+    if np.shape(marginals[0]) != (grid.n_bins,) or np.shape(marginals[1]) != (grid.n_bins,):
+        raise InconsistentMarginals("marginal lengths do not match the map grid")
 
 
 def _validate_marginals(
@@ -341,17 +336,16 @@ def _validate_marginals(
     """
     m_plus = np.asarray(marginals[0], dtype=float)
     m_minus = np.asarray(marginals[1], dtype=float)
-    step_p = pc_map.grid_p.step_nm
-    step_m = pc_map.grid_m.step_nm
-    _check_lengths(pc_map.grid_p, pc_map.grid_m, (m_plus, m_minus))
-    for name, marg, step in (("plus", m_plus, step_p), ("minus", m_minus, step_m)):
+    step = pc_map.grid.step_nm
+    _check_lengths(pc_map.grid, (m_plus, m_minus))
+    for name, marg in (("plus", m_plus), ("minus", m_minus)):
         total = float(np.sum(marg)) * step
         if abs(total - 1.0) > MARGINAL_TOL:
             raise InconsistentMarginals(
                 f"{name}-port spectrum integrates to {total!r}, expected 1"
             )
-    res_plus = m_plus - np.sum(pc_map.values, axis=1) * step_m
-    res_minus = m_minus - np.sum(pc_map.values, axis=0) * step_p
+    res_plus = m_plus - np.sum(pc_map.values, axis=1) * step
+    res_minus = m_minus - np.sum(pc_map.values, axis=0) * step
     low = min(float(res_plus.min()), float(res_minus.min()))
     if low < -MARGINAL_TOL:
         raise InconsistentMarginals(
@@ -402,8 +396,9 @@ def simulate_chunks(
 
     reps = params.repetitions
     eta = params.eta
-    sum_res_plus = float(np.sum(res_plus)) * pc_map.grid_p.step_nm
-    sum_res_minus = float(np.sum(res_minus)) * pc_map.grid_m.step_nm
+    grid = pc_map.grid
+    sum_res_plus = float(np.sum(res_plus)) * grid.step_nm
+    sum_res_minus = float(np.sum(res_minus)) * grid.step_nm
     # A pair is a coincidence with probability p_c, else a double, on a port in
     # proportion to its residual spectrum's total.
     p_c = min(pc_map.total(), 1.0)
@@ -415,12 +410,8 @@ def simulate_chunks(
     both = eta / (2.0 - eta)
     chunk_frames = _chunk_frames(params, n_frames, reps * q + 2.0 * params.dark_rate)
 
-    peak_bin = max(
-        float(np.max(marginals[0])) * pc_map.grid_p.step_nm,
-        float(np.max(marginals[1])) * pc_map.grid_m.step_nm,
-    )
-    n_bins_min = min(pc_map.grid_p.n_bins, pc_map.grid_m.n_bins)
-    if reps * params.chi * eta * peak_bin + params.dark_rate / n_bins_min > 1.0:
+    peak_bin = max(float(np.max(marginals[0])), float(np.max(marginals[1]))) * grid.step_nm
+    if reps * params.chi * eta * peak_bin + params.dark_rate / grid.n_bins > 1.0:
         warnings.warn(
             "per-frame mean occupancy exceeds 1 in the peak bin; "
             "binary-pixel saturation will distort statistics",
@@ -434,7 +425,6 @@ def simulate_chunks(
         col_alias = AliasTable(np.sum(pc_map.values, axis=0))
     plus_alias = AliasTable(res_plus) if sum_res_plus > 0.0 else None
     minus_alias = AliasTable(res_minus) if sum_res_minus > 0.0 else None
-    n_bins_m = pc_map.grid_m.n_bins
     # The outcomes of a seen pair: (probability, region, alias table, photons seen).
     outcomes = (
         (p_c * both, None, coinc_alias, 2),
@@ -473,7 +463,7 @@ def simulate_chunks(
             if alias is None:  # a rounding sliver on an empty residual spectrum: dropped
                 continue
             if region is None:  # both photons of a coincidence, from the joint table
-                plus, minus = np.divmod(alias.draw(rng, chosen.size), n_bins_m)
+                plus, minus = np.divmod(alias.draw(rng, chosen.size), grid.n_bins)
                 codes += [_event_codes(chosen, 0, plus), _event_codes(chosen, 1, minus)]
                 del plus, minus
             else:
@@ -481,18 +471,17 @@ def simulate_chunks(
                 codes.append(_event_codes(chosen, region, alias.draw(rng, chosen.size)))
         # A Poisson total of dark events spread uniformly over the chunk's frames
         # is the same process as one Poisson count per frame.
-        for region, grid in ((0, pc_map.grid_p), (1, pc_map.grid_m)):
+        for region in (0, 1):
             total = rng.poisson(params.dark_rate * size)
             dark = rng.integers(start, start + size, size=total)
             codes.append(_event_codes(dark, region, rng.integers(0, grid.n_bins, size=total)))
-        return FrameBatch(n_frames, pc_map.grid_p, pc_map.grid_m, *_canonical_chunk(codes))
+        return FrameBatch(n_frames, grid, *_canonical_chunk(codes))
 
     return _in_order(chunk, len(starts))
 
 
 def simulate_uncorrelated_chunks(
-    grid_plus: WavelengthGrid,
-    grid_minus: WavelengthGrid,
+    grid: WavelengthGrid,
     marginals: tuple[np.ndarray, np.ndarray],
     params: DetectionParams,
     n_frames: int,
@@ -506,11 +495,11 @@ def simulate_uncorrelated_chunks(
     photon detected with probability chi * eta: every pair is a coincidence,
     and its photons are detected independently.
     """
-    _check_lengths(grid_plus, grid_minus, marginals)  # before the product map is built
+    _check_lengths(grid, marginals)  # before the product map is built
     values = np.outer(*marginals)
     # At most one pair in all, so the marginal check, not the map's, judges the spectra.
-    values /= max(float(np.sum(values)) * grid_plus.step_nm * grid_minus.step_nm, 1.0)
-    product = CoincidenceMap(grid_plus, grid_minus, values, MapKind.PROBABILITY)
+    values /= max(float(np.sum(values)) * grid.step_nm * grid.step_nm, 1.0)
+    product = CoincidenceMap(grid, values, MapKind.PROBABILITY)
     p_detect = params.chi * params.eta
     # DetectionParams needs eta > 0, so no photon at all is chi = 0 instead.
     thinned = replace(params, chi=1.0, eta=p_detect) if p_detect else replace(params, chi=0.0)
@@ -528,21 +517,22 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class EventCounts:
     """The exact integer sums behind the estimators, which add across frame ranges.
 
-    ``pairs`` counts the cross-port products n+(a) n-(b) per bin pair and
-    ``singles`` the events per port and bin, plus bins first.  Each batch is
-    counted whole, so memory follows the largest batch, not the run.
+    ``pairs`` counts the cross-port products n+(a) n-(b) per bin pair of
+    ``grid`` and ``singles`` the events per port and bin, plus bins first.
+    Each batch is counted whole, so memory follows the largest batch, not
+    the run.
     """
 
     def __init__(self, batches):
         """Count an event stream in one pass."""
-        (self.n_frames, *self.grids), blocks = stream(batches)
-        n_plus, n_minus = (grid.n_bins for grid in self.grids)
-        self.pairs = np.zeros(n_plus * n_minus, dtype=np.intp)
-        self.singles = np.zeros(n_plus + n_minus, dtype=np.intp)
+        (self.n_frames, self.grid), blocks = stream(batches)
+        n = self.grid.n_bins
+        self.pairs = np.zeros(n * n, dtype=np.intp)
+        self.singles = np.zeros(2 * n, dtype=np.intp)
         for batch in blocks:
             frames, regions, bins = batch.frames, batch.regions, batch.bins
-            # Plus events count into [0, n_plus), minus events from n_plus on.
-            code = regions.astype(np.intp) * n_plus + bins
+            # Plus events count into [0, n), minus events from n on.
+            code = regions.astype(np.intp) * n + bins
             self.singles += np.bincount(code, minlength=self.singles.size)
             # Runs of events of one frame and port begin at heads, which end with
             # the batch's end.  In canonical order a frame with events at both
@@ -556,7 +546,7 @@ class EventCounts:
             n_plus_run, n_minus_run = first_minus - starts, heads[minus + 1] - first_minus
             # Each plus event of a frame pairs with every minus event of that frame.
             per_plus = np.repeat(n_minus_run, n_plus_run)
-            plus = bins[_ranges(starts, n_plus_run)].astype(np.intp) * n_minus
+            plus = bins[_ranges(starts, n_plus_run)].astype(np.intp) * n
             flat = np.repeat(plus, per_plus)
             flat += bins[_ranges(np.repeat(first_minus, n_plus_run), per_plus)]
             self.pairs += np.bincount(flat, minlength=self.pairs.size)
@@ -569,13 +559,13 @@ class EventCounts:
                 "accidental subtraction is essentially meaningless",
                 RuntimeWarning,
             )
-        n_plus, n_frames = self.grids[0].n_bins, max(self.n_frames, 1)
-        raw = self.pairs.reshape(n_plus, -1) / n_frames
-        accidental = np.outer(*np.split(self.singles / n_frames, [n_plus]))
+        n_frames = max(self.n_frames, 1)
+        raw = self.pairs.reshape(self.grid.n_bins, -1) / n_frames
+        accidental = np.outer(*np.split(self.singles / n_frames, 2))
         return (
-            CoincidenceMap(*self.grids, raw, MapKind.RAW),
-            CoincidenceMap(*self.grids, accidental, MapKind.ACCIDENTAL),
-            CoincidenceMap(*self.grids, raw - accidental, MapKind.COVARIANCE),
+            CoincidenceMap(self.grid, raw, MapKind.RAW),
+            CoincidenceMap(self.grid, accidental, MapKind.ACCIDENTAL),
+            CoincidenceMap(self.grid, raw - accidental, MapKind.COVARIANCE),
         )
 
 

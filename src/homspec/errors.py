@@ -16,10 +16,6 @@ class GridTooNarrow(HomspecError):
     """Wavelength grid does not cover enough of the requested spectrum."""
 
 
-class GridMismatch(HomspecError):
-    """Operation requires identical wavelength grids on both axes."""
-
-
 class NonRealAmplitude(HomspecError):
     """Operation requires a real-valued joint spectral amplitude."""
 

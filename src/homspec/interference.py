@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA
-from .errors import GridMismatch, NonRealAmplitude
+from .errors import NonRealAmplitude
 from .spectra import JointSpectralAmplitude, WavelengthGrid
 from .vapor import DispersionModel, spectral_phase
 
@@ -39,7 +39,7 @@ class MapKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CoincidenceMap:
-    """Real-valued map over the (lambda_+, lambda_-) bin grid.
+    """Real-valued map over the (lambda_+, lambda_-) bins, both axes on one grid.
 
     Values must be finite.  Conventions by kind:
       probability -- density per nm^2 (theory maps; non-negative, total <= 1)
@@ -47,18 +47,15 @@ class CoincidenceMap:
       covariance -- raw minus accidental; may be negative
     """
 
-    grid_p: WavelengthGrid
-    grid_m: WavelengthGrid
+    grid: WavelengthGrid
     values: np.ndarray
     kind: MapKind
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid_p.n_bins, self.grid_m.n_bins):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grids "
-                f"({self.grid_p.n_bins}, {self.grid_m.n_bins})"
-            )
+        n = self.grid.n_bins
+        if vals.shape != (n, n):
+            raise ValueError(f"values shape {vals.shape} does not match the grid ({n}, {n})")
         if not np.all(np.isfinite(vals)):
             raise ValueError("map values must be finite")
         if self.kind is MapKind.PROBABILITY:
@@ -72,27 +69,11 @@ class CoincidenceMap:
 
     @property
     def area_nm2(self) -> float:
-        return self.grid_p.step_nm * self.grid_m.step_nm
+        return self.grid.step_nm * self.grid.step_nm
 
     def total(self) -> float:
         """Sum of values times bin area (probability kinds only make sense)."""
         return float(np.sum(self.values)) * self.area_nm2
-
-
-@dataclass(frozen=True)
-class InterferenceSettings:
-    """Scalar fringe visibility, 1 for perfectly indistinguishable photons."""
-
-    visibility: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
-
-
-def _require_square(jsa: JointSpectralAmplitude):
-    if not jsa.is_square():
-        raise GridMismatch("signal and idler grids must be identical")
 
 
 def coincidence_probability(jsa: JointSpectralAmplitude) -> CoincidenceMap:
@@ -101,10 +82,9 @@ def coincidence_probability(jsa: JointSpectralAmplitude) -> CoincidenceMap:
     P_c(a, b) = 1/4 * |psi(a, b) - psi(b, a)|^2; identically zero on the
     diagonal and symmetric under axis swap.
     """
-    _require_square(jsa)
     amp = jsa.amplitude
     values = 0.25 * np.abs(amp - amp.T) ** 2
-    return CoincidenceMap(jsa.grid_s, jsa.grid_i, values, MapKind.PROBABILITY)
+    return CoincidenceMap(jsa.grid, values, MapKind.PROBABILITY)
 
 
 def bunching_probability(jsa: JointSpectralAmplitude) -> CoincidenceMap:
@@ -113,10 +93,9 @@ def bunching_probability(jsa: JointSpectralAmplitude) -> CoincidenceMap:
     Complements coincidence_probability bin by bin:
     P_c + P_bunch = (|psi(a, b)|^2 + |psi(b, a)|^2) / 2.
     """
-    _require_square(jsa)
     amp = jsa.amplitude
     values = 0.25 * np.abs(amp + amp.T) ** 2
-    return CoincidenceMap(jsa.grid_s, jsa.grid_i, values, MapKind.PROBABILITY)
+    return CoincidenceMap(jsa.grid, values, MapKind.PROBABILITY)
 
 
 def phase_difference(
@@ -138,23 +117,25 @@ def phase_difference(
 def coincidence_probability_cosine(
     jsa: JointSpectralAmplitude,
     model: DispersionModel,
-    settings: InterferenceSettings = InterferenceSettings(),
+    visibility: float = 1.0,
     residual_delay: float = 0.0,
 ) -> CoincidenceMap:
     """Coincidence map in the fringe form, from a phase-free amplitude.
 
     P_c = 1/2 * [1 - V*cos(dphi)] * |psi|^2 with dphi the signal-phase
     difference between the two spectral coordinates plus, optionally, a
-    residual idler-delay term 2*pi*c*delay*(1/l+ - 1/l-).  The input
-    amplitude must be real (phase not yet applied); raises NonRealAmplitude
-    otherwise.
+    residual idler-delay term 2*pi*c*delay*(1/l+ - 1/l-).  The visibility
+    V must lie in [0, 1], 1 for perfectly indistinguishable photons.  The
+    input amplitude must be real (phase not yet applied); raises
+    NonRealAmplitude otherwise.
     """
-    _require_square(jsa)
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     if np.any(jsa.amplitude.imag != 0.0):
         raise NonRealAmplitude("cosine form requires a real (phase-free) amplitude")
-    dphi = phase_difference(model, jsa.grid_s.centers, residual_delay)
-    values = 0.5 * (1.0 - settings.visibility * np.cos(dphi)) * jsa.amplitude.real**2
-    return CoincidenceMap(jsa.grid_s, jsa.grid_i, values, MapKind.PROBABILITY)
+    dphi = phase_difference(model, jsa.grid.centers, residual_delay)
+    values = 0.5 * (1.0 - visibility * np.cos(dphi)) * jsa.amplitude.real**2
+    return CoincidenceMap(jsa.grid, values, MapKind.PROBABILITY)
 
 
 def boxcar_matrix(n: int, width: int) -> np.ndarray:
@@ -177,17 +158,16 @@ def pixel_average(cmap: CoincidenceMap, kernel_width: int) -> CoincidenceMap:
     """Boxcar-average the map over kernel_width bins along both axes.
 
     Models finite spectrometer resolution.  The boxcar is the matrix B of
-    boxcar_matrix, applied as B_p @ values @ B_m.T; its mirrored edges keep
-    the total conserved.  kernel_width must be odd and >= 1; width 1 is the
+    boxcar_matrix, applied as B @ values @ B.T; its mirrored edges keep the
+    total conserved.  kernel_width must be odd and >= 1; width 1 is the
     identity.
     """
     if kernel_width < 1 or kernel_width % 2 == 0:
         raise ValueError(f"kernel_width must be odd and >= 1, got {kernel_width}")
     if kernel_width == 1:
         return cmap
-    rows, cols = (boxcar_matrix(n, kernel_width) for n in cmap.values.shape)
-    values = rows @ cmap.values @ cols.T
-    return CoincidenceMap(cmap.grid_p, cmap.grid_m, values, cmap.kind)
+    box = boxcar_matrix(cmap.grid.n_bins, kernel_width)
+    return CoincidenceMap(cmap.grid, box @ cmap.values @ box.T, cmap.kind)
 
 
 def port_spectra(jsa: JointSpectralAmplitude) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +177,7 @@ def port_spectra(jsa: JointSpectralAmplitude) -> tuple[np.ndarray, np.ndarray]:
     sees the symmetrized JSI marginal; each spectrum integrates to one
     photon per generated pair.
     """
-    _require_square(jsa)
     jsi = jsa.intensity()
     sym = 0.5 * (jsi + jsi.T)
-    marginal = np.sum(sym, axis=1) * jsa.grid_i.step_nm
+    marginal = np.sum(sym, axis=1) * jsa.grid.step_nm
     return marginal, marginal.copy()

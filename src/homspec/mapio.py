@@ -1,8 +1,10 @@
 """Matrix file I/O for coincidence maps and phase matrices.
 
 CSV format: two header lines carrying the axis grids (bin centers in nm),
-then one row of the matrix per line, row index following the first (plus)
-axis.  Every value is written with repr, so a map reads back bit-identical.
+plus axis first, then one row of the matrix per line, row index following
+the plus axis.  Both axes are one grid, so the writer writes the same line
+twice and the reader refuses a file whose two axis lines differ.  Every
+value is written with repr, so a map reads back bit-identical.
 """
 
 from pathlib import Path
@@ -22,9 +24,11 @@ def _grid_from_centers(centers_nm: np.ndarray, path) -> WavelengthGrid:
     centers = np.asarray(centers_nm, dtype=float) * 1e-9
     if centers.size < 2:
         raise DataFormatError(f"{path}: axis needs at least two bins")
-    steps = np.diff(centers)
-    step = float(np.mean(steps))
-    if not (0.0 < step < np.inf and np.max(np.abs(steps - step)) <= 1e-6 * step):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step fails the test
+        steps = np.diff(centers)
+        step = float(np.mean(steps))
+        uniform = np.max(np.abs(steps - step)) <= 1e-6 * step
+    if not uniform:
         raise DataFormatError(f"{path}: axis bin centers are not uniformly spaced")
     try:
         return WavelengthGrid(start=float(centers[0]), step=step, n_bins=centers.size)
@@ -32,19 +36,19 @@ def _grid_from_centers(centers_nm: np.ndarray, path) -> WavelengthGrid:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def write_map_csv(values: np.ndarray, grid_p: WavelengthGrid, grid_m: WavelengthGrid, path) -> None:
+def write_map_csv(values: np.ndarray, grid: WavelengthGrid, path) -> None:
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid_p.n_bins, grid_m.n_bins):
-        raise ValueError("matrix shape does not match the grids")
+    if values.shape != (grid.n_bins, grid.n_bins):
+        raise ValueError("matrix shape does not match the grid")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_grid_header_line("axis_plus", grid_p))
-        fh.write(_grid_header_line("axis_minus", grid_m))
-        line = ",".join(["%r"] * grid_m.n_bins) + "\n"
+        fh.write(_grid_header_line("axis_plus", grid))
+        fh.write(_grid_header_line("axis_minus", grid))
+        line = ",".join(["%r"] * grid.n_bins) + "\n"
         for row in values.tolist():
             fh.write(line % tuple(row))
 
 
-def read_map_csv(path) -> tuple[np.ndarray, WavelengthGrid, WavelengthGrid]:
+def read_map_csv(path) -> tuple[np.ndarray, WavelengthGrid]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -61,17 +65,17 @@ def read_map_csv(path) -> tuple[np.ndarray, WavelengthGrid, WavelengthGrid]:
         except ValueError as exc:
             raise DataFormatError(f"{path}: unparseable axis header") from exc
         grids.append(_grid_from_centers(centers, path))
-    grid_p, grid_m = grids
+    grid, minus = grids
+    if minus != grid:
+        raise DataFormatError(f"{path}: the axis_plus and axis_minus grids differ")
     rows = [line for line in lines[2:] if line.strip()]
-    if len(rows) != grid_p.n_bins:
-        raise DataFormatError(
-            f"{path}: {len(rows)} matrix rows, expected {grid_p.n_bins}"
-        )
+    if len(rows) != grid.n_bins:
+        raise DataFormatError(f"{path}: {len(rows)} matrix rows, expected {grid.n_bins}")
     try:
         # numpy's C parser; a short row or a non-numeric cell raises ValueError.
         values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise DataFormatError(f"{path}: unparseable matrix row") from exc
-    if values.shape != (grid_p.n_bins, grid_m.n_bins):
+    if values.shape != (grid.n_bins, grid.n_bins):
         raise DataFormatError(f"{path}: matrix shape {values.shape} does not match axes")
-    return values, grid_p, grid_m
+    return values, grid

@@ -102,18 +102,10 @@ class FitResult:
     od_visibility_correlation: float = math.nan
 
 
-def resonance_mask(
-    grid_p: WavelengthGrid,
-    grid_m: WavelengthGrid,
-    lambda0: float,
-    mask_radius: int,
-) -> np.ndarray:
+def resonance_mask(grid: WavelengthGrid, lambda0: float, mask_radius: int) -> np.ndarray:
     """Boolean matrix, True where a bin is excluded by the resonance cross."""
-    i0 = grid_p.nearest_bin(lambda0)
-    j0 = grid_m.nearest_bin(lambda0)
-    near_p = np.abs(np.arange(grid_p.n_bins) - i0) <= mask_radius
-    near_m = np.abs(np.arange(grid_m.n_bins) - j0) <= mask_radius
-    return near_p[:, None] | near_m[None, :]
+    near = np.abs(np.arange(grid.n_bins) - grid.nearest_bin(lambda0)) <= mask_radius
+    return near[:, None] | near[None, :]
 
 
 def phase_profile_mod_2pi(
@@ -129,15 +121,16 @@ class _FringeModel:
 
     The phases come from per-bin half-angle phasors s, c = sin, cos(theta/2):
     on bin pairs, D = s_a*c_b - c_a*s_b is sin(dphi/2), so S = 2*D^2*J and
-    dS/d(dphi) = 2*D*(c_a*c_b + s_a*s_b)*J.  The mask is a cross, so without
-    a boxcar the pairs are the unmasked rows by the unmasked columns; with
-    one they are the full grid, and ``smooth`` applies the boxcar matrix B
-    on both sides, then drops the masked bins.
+    dS/d(dphi) = 2*D*(c_a*c_b + s_a*s_b)*J.  The mask is a symmetric cross,
+    so the unmasked rows and columns are one index vector ``bins``: without
+    a boxcar the pairs are bins by bins; with one they are the full grid,
+    and ``smooth`` applies the boxcar matrix B on both sides, then drops the
+    masked bins.
     """
 
     def __init__(self, jsa: JointSpectralAmplitude, config: FitConfig, mask: np.ndarray,
                  data: np.ndarray, sqrt_w: np.ndarray):
-        centers = jsa.grid_s.centers
+        centers = jsa.grid.centers
         self.keep = ~mask
         self.kernel = config.kernel_width
         self.box = boxcar_matrix(mask.shape[0], self.kernel)
@@ -146,14 +139,13 @@ class _FringeModel:
         per_bin = np.stack((spectral_phase(DispersionModel(od=1.0, tau=config.tau), centers),
                             2.0 * math.pi * CODATA.c * FS / centers))
         self.bin_phase = per_bin - per_bin.mean(axis=1, keepdims=True)
-        # The unmasked rows and columns: the unmasked bins are their block.
-        self.rows, self.cols = (np.flatnonzero(np.any(self.keep, axis=axis)) for axis in (1, 0))
+        # The unmasked rows, which are also the unmasked columns.
+        self.bins = np.flatnonzero(np.any(self.keep, axis=1))
         # Fastest fringe rates over the unmasked bins [rad per od, per fs].
-        phase_rows, phase_cols = self.bin_phase[:, self.rows], self.bin_phase[:, self.cols]
-        self.max_rates = np.maximum(phase_rows.max(axis=1) - phase_cols.min(axis=1),
-                                    phase_cols.max(axis=1) - phase_rows.min(axis=1))
+        phase = self.bin_phase[:, self.bins]
+        self.max_rates = phase.max(axis=1) - phase.min(axis=1)
         full = np.arange(mask.shape[0])
-        self.pairs = np.ix_(full, full) if self.kernel > 1 else np.ix_(self.rows, self.cols)
+        self.pairs = np.ix_(full, full) if self.kernel > 1 else np.ix_(self.bins, self.bins)
         self.jsi = (np.abs(jsa.amplitude) ** 2)[self.pairs]
         self.data, self.sqrt_w = data, sqrt_w
         self.j = self.smooth(self.jsi)
@@ -220,15 +212,15 @@ def _weighted_problem(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     """The fringe model with the normalized data and square-root weights of its bins."""
     if cmap.kind not in (MapKind.COVARIANCE, MapKind.PROBABILITY):
         raise ValueError(f"fit expects a covariance or probability map, got {cmap.kind.value}")
-    if not (cmap.grid_p.is_close(jsa.grid_s) and cmap.grid_m.is_close(jsa.grid_i)):
+    if not cmap.grid.is_close(jsa.grid):
         raise ConfigError(
-            f"map grid ({cmap.grid_p.n_bins}x{cmap.grid_m.n_bins} bins) does not match the "
-            f"configured grid ({jsa.grid_s.n_bins} bins); adjust grid_* settings"
+            f"map grid ({cmap.grid.n_bins} bins) does not match the "
+            f"configured grid ({jsa.grid.n_bins} bins); adjust grid_* settings"
         )
-    mask = resonance_mask(cmap.grid_p, cmap.grid_m, RB87.d1_wavelength, config.mask_radius)
+    mask = resonance_mask(cmap.grid, RB87.d1_wavelength, config.mask_radius)
     if np.all(mask):
         raise ConfigError(f"mask_radius = {config.mask_radius} masks every bin of the "
-                          f"{cmap.grid_p.n_bins}x{cmap.grid_m.n_bins} map")
+                          f"{cmap.grid.n_bins}x{cmap.grid.n_bins} map")
     if not np.any(cmap.values != 0.0):
         raise DegenerateMap("input map is identically zero")
     data = cmap.values[~mask]
@@ -278,7 +270,7 @@ def _hologram(model: _FringeModel) -> np.ndarray:
     as the weighted mean of data/J + Y Y'.  Y's 2x2 orthogonal freedom is
     exactly the offset and the sign of theta.
     """
-    shape = (model.rows.size, model.cols.size)
+    shape = (model.bins.size, model.bins.size)
     j = model.j.reshape(shape)
     weight = j / j.max()
     weight[weight < _HOLOGRAM_FLOOR] = 0.0
@@ -298,14 +290,14 @@ def _coherent_scores(model: _FringeModel, ods: np.ndarray, delays_fs: np.ndarray
 
     The smoothed row a has the phasor sum over n of B_an*exp(i*phase_n), so
     the score is max over +- of |r' exp(-i*phase)| over all bins, with
-    r = B[rows]'(w*exp(+-i*theta)) and w the block's row sums of J; the sign
+    r = B[bins]'(w*exp(+-i*theta)) and w the block's row sums of J; the sign
     and |.| absorb the hologram's sign and offset.  The phase separates,
     od*g + delay*h, so a block of grid points costs trig on its od and delay
     values times the bins, and one matrix product.
     """
     phasors = np.exp(1j * np.multiply.outer((1.0, -1.0), _hologram(model)))
-    w = np.sum(model.j.reshape(model.rows.size, -1), axis=1)
-    r = (w * phasors) @ model.box[model.rows]
+    w = np.sum(model.j.reshape(model.bins.size, -1), axis=1)
+    r = (w * phasors) @ model.box[model.bins]
     g, h = model.bin_phase
     scores = np.empty((ods.size, delays_fs.size))
     for k in range(0, delays_fs.size, _SCAN_BLOCK):

@@ -6,7 +6,6 @@ from homspec import detector
 from homspec.detector import DetectionParams, FrameBatch
 from homspec.interference import (
     CoincidenceMap,
-    InterferenceSettings,
     coincidence_probability_cosine,
     pixel_average,
 )
@@ -27,9 +26,7 @@ def fringe_map(
     It takes the path of the ``theory`` command: the fringe form, then the
     boxcar.  The map is not normalized; the fit normalizes its input.
     """
-    cmap = coincidence_probability_cosine(
-        jsa, DispersionModel(od=od, tau=tau), InterferenceSettings(visibility), delay
-    )
+    cmap = coincidence_probability_cosine(jsa, DispersionModel(od=od, tau=tau), visibility, delay)
     return pixel_average(cmap, kernel_width)
 
 
@@ -105,11 +102,11 @@ def brute_force_frames(
     once.  A pair is a coincidence with probability sum(P) * bin area, else
     a double on a port chosen evenly, its bins from that port's spectrum
     less the coincidence marginal.  With ``uncorrelated`` the ports fire
-    independently instead and ``pc_map`` gives only the grids: each repetition makes a photon at each port with
+    independently instead and ``pc_map`` gives only the grid: each repetition makes a photon at each port with
     probability chi, its bin from the port spectrum.  Slow and simple, it is
     the law the library's generators must follow.
     """
-    n_bins = marginals[0].size, marginals[1].size
+    n_bins = pc_map.grid.n_bins
 
     def bins(weights, size):
         return rng.choice(weights.size, size=size, p=weights / weights.sum())
@@ -127,14 +124,14 @@ def brute_force_frames(
         n_pairs = pair_frame.size
         p_coinc = float(np.sum(pc_map.values)) * pc_map.area_nm2
         residual = (
-            marginals[0] - np.sum(pc_map.values, axis=1) * pc_map.grid_m.step_nm,
-            marginals[1] - np.sum(pc_map.values, axis=0) * pc_map.grid_p.step_nm,
+            marginals[0] - np.sum(pc_map.values, axis=1) * pc_map.grid.step_nm,
+            marginals[1] - np.sum(pc_map.values, axis=0) * pc_map.grid.step_nm,
         )
         branch = rng.choice(3, size=n_pairs, p=[p_coinc, (1 - p_coinc) / 2, (1 - p_coinc) / 2])
         coinc = pair_frame[branch == 0]
         flat = bins(pc_map.values.ravel(), coinc.size)
         regions += [np.zeros(coinc.size), np.ones(coinc.size)]
-        photon_bins += [flat // n_bins[1], flat % n_bins[1]]
+        photon_bins += [flat // n_bins, flat % n_bins]
         photon_frames += [coinc, coinc]
         for region in (0, 1):
             double = np.repeat(pair_frame[branch == 1 + region], 2)
@@ -151,11 +148,11 @@ def brute_force_frames(
     for region in (0, 1):
         dark = np.repeat(np.arange(n_frames), rng.poisson(params.dark_rate, size=n_frames))
         regions.append(np.full(dark.size, region))
-        photon_bins.append(rng.integers(0, n_bins[region], size=dark.size))
+        photon_bins.append(rng.integers(0, n_bins, size=dark.size))
         photon_frames.append(dark)
     clicks = np.unique(np.stack([np.concatenate(photon_frames), np.concatenate(regions),
                                  np.concatenate(photon_bins)], axis=1).astype(np.int64), axis=0)
-    return FrameBatch(n_frames, pc_map.grid_p, pc_map.grid_m, *clicks.T)
+    return FrameBatch(n_frames, pc_map.grid, *clicks.T)
 
 
 def chunk_length(monkeypatch, start):
@@ -181,11 +178,8 @@ def repeated_event_events():
 
 
 def last_block_bad_bin_events():
-    """Eight frames of (plus bin 3, minus bin 1); the last minus bin is 3.
-
-    Bin 3 fits a 4-bin plus grid but not a 2-bin minus grid.
-    """
-    bins = np.tile(np.array([3, 1], np.uint16), 8)
-    bins[-1] = 3
-    return np.repeat(np.arange(8, dtype=np.uint32), 2), np.tile(np.uint8([0, 1]), 8), bins
+    """Six frames of (plus bin 1, minus bin 0); the last minus bin is 2, past a 2-bin grid."""
+    bins = np.tile(np.array([1, 0], np.uint16), 6)
+    bins[-1] = 2
+    return np.repeat(np.arange(6, dtype=np.uint32), 2), np.tile(np.uint8([0, 1]), 6), bins
 

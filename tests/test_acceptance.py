@@ -102,7 +102,7 @@ def test_criterion_05_probability_conservation():
     for _ in range(5):
         phase = rng.uniform(-np.pi, np.pi, GRID.n_bins)
         phased = JointSpectralAmplitude(
-            GRID, GRID, JSA.amplitude * np.exp(1j * phase)[:, None]
+            GRID, JSA.amplitude * np.exp(1j * phase)[:, None]
         )
         jsi = phased.intensity()
         total = coincidence_probability(phased).values + bunching_probability(phased).values
@@ -140,7 +140,7 @@ def test_criterion_07_statistics_round_trip():
     noiseless = fit(pc, JSA64, FitConfig(tau=tau))
     clean_err = abs(noiseless.od_hat / od_true - 1.0)
 
-    control = join(simulate_uncorrelated_chunks(GRID64, GRID64, marginals, params, 1_000_000))
+    control = join(simulate_uncorrelated_chunks(GRID64, marginals, params, 1_000_000))
     control_cov = covariance_map(control).values.sum()
     occ_p = np.bincount(control.frames[control.regions == 0], minlength=control.n_frames)
     occ_m = np.bincount(control.frames[control.regions == 1], minlength=control.n_frames)

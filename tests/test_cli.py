@@ -58,11 +58,11 @@ class TestTheory:
         assert rc == 0
         out = capsys.readouterr().out
         assert "od = 20.2" in out
-        values, grid_p, _ = read_map_csv(tmp_path / "pc_map.csv")
+        values, grid = read_map_csv(tmp_path / "pc_map.csv")
         # resonance cross: integrated signal peaks at 795 nm
         row = values.sum(axis=1)
         col = values.sum(axis=0)
-        i0 = int(np.argmin(np.abs(grid_p.centers - 795e-9)))
+        i0 = int(np.argmin(np.abs(grid.centers - 795e-9)))
         assert abs(int(np.argmax(row)) - i0) <= 2
         assert abs(int(np.argmax(col)) - i0) <= 2
         assert (tmp_path / "phase_map.csv").exists()
@@ -73,7 +73,7 @@ class TestTheory:
     def test_od_override_zero_gives_empty_map(self, tmp_path):
         rc = main(["theory", "--override", "od = 0", "--out", str(tmp_path)])
         assert rc == 0
-        values, _, _ = read_map_csv(tmp_path / "pc_map.csv")
+        values, _ = read_map_csv(tmp_path / "pc_map.csv")
         assert np.all(values == 0.0)
 
     def test_has_no_binary_option(self, tmp_path, capsys):
@@ -240,9 +240,9 @@ class TestEstimate:
     def test_covariance_equals_raw_minus_accidental(self, tmp_path):
         assert main(["simulate", "--frames", "50000", "--out", str(tmp_path), *FAST]) == 0
         assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
-        raw, _, _ = read_map_csv(tmp_path / "raw.csv")
-        acc, _, _ = read_map_csv(tmp_path / "accidental.csv")
-        cov, _, _ = read_map_csv(tmp_path / "covariance.csv")
+        raw, _ = read_map_csv(tmp_path / "raw.csv")
+        acc, _ = read_map_csv(tmp_path / "accidental.csv")
+        cov, _ = read_map_csv(tmp_path / "covariance.csv")
         assert np.array_equal(cov, raw - acc)
 
     def test_event_file_read_once(self, tmp_path, monkeypatch):
@@ -285,7 +285,7 @@ class TestEstimate:
         n_frames = 125_000
         whole = detector.simulate_frames(pc, port_spectra(jsa), params, n_frames)
         cut = int(np.searchsorted(whole.frames, n_frames // 4))
-        quarter = detector.FrameBatch(n_frames // 4, grid, grid, whole.frames[:cut],
+        quarter = detector.FrameBatch(n_frames // 4, grid, whole.frames[:cut],
                                       whole.regions[:cut], whole.bins[:cut])
         assert quarter.n_events > 3.5 * zhf._BLOCK
         assert whole.n_events > 15.5 * zhf._BLOCK
@@ -307,14 +307,14 @@ class TestEstimate:
         assert main(["simulate", "--frames", "100", "--out", str(tmp_path), *FAST,
                      "--override", "chi = 0"]) == 0
         assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
-        raw, _, _ = read_map_csv(tmp_path / "raw.csv")
+        raw, _ = read_map_csv(tmp_path / "raw.csv")
         assert np.all(raw == 0.0)
 
     def test_uncorrelated_mode_covariance_near_zero(self, tmp_path):
         assert main(["simulate", "--frames", "150000", "--uncorrelated",
                      "--seed", "20260808", "--out", str(tmp_path), *FAST]) == 0
         assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
-        cov, _, _ = read_map_csv(tmp_path / "covariance.csv")
+        cov, _ = read_map_csv(tmp_path / "covariance.csv")
         batch = read_frames(tmp_path / "frames.zhf")
         occ_p = np.bincount(batch.frames[batch.regions == 0], minlength=batch.n_frames)
         occ_m = np.bincount(batch.frames[batch.regions == 1], minlength=batch.n_frames)
@@ -325,7 +325,7 @@ class TestEstimate:
         assert main(["simulate", "--frames", "0", "--out", str(tmp_path), *FAST]) == 0
         assert main(["estimate", str(tmp_path / "frames.zhf"), "--out", str(tmp_path)]) == 0
         for name in ("raw", "accidental", "covariance"):
-            values, _, _ = read_map_csv(tmp_path / f"{name}.csv")
+            values, _ = read_map_csv(tmp_path / f"{name}.csv")
             assert np.all(values == 0.0)
 
     def test_malformed_file_exits_3(self, tmp_path, capsys):
@@ -334,30 +334,39 @@ class TestEstimate:
         assert main(["estimate", str(bad), "--out", str(tmp_path)]) == 3
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, offset, value", [
-        ("zhf", 6, math.nan),  # the plus grid's start
-        ("zhf", 14, math.inf),  # the plus grid's step
-        ("zhf", 24, -1e-9),  # the minus grid's start
-        ("csv", None, -1.0),  # the first bin center [nm]
+    @pytest.mark.parametrize("kind, where, value", [
+        ("zhf", [6], math.nan),  # the plus grid's start
+        ("zhf", [14], math.inf),  # the plus grid's step
+        ("zhf", [24], -1e-9),  # the minus grid's start
+        ("zhf", [14, 32], 1e308),  # both steps: centers that overflow
+        ("zhf", [14, 32], 5e-324),  # both steps: centers that are all equal
+        ("zhf", [24], 791e-9),  # a valid minus grid that is not the plus grid
+        ("zhf", [40], 20),  # the minus grid's n_bins (u16), likewise
+        ("csv", None, -1.0),  # the first bin center [nm] of both axes
         ("csv", None, 0.0),
-    ], ids=["zhf-nan-start", "zhf-inf-step", "zhf-negative-start", "csv-negative-start",
-            "csv-zero-start"])
-    def test_invalid_grid_exits_3(self, tmp_path, capsys, kind, offset, value):
-        # A grid with a start that is not positive and finite, or a step that
-        # is not finite, in an event file or a map: one `data error:` line,
-        # exit 3, no output directory.
+        ("csv", 797.0, 796.0),  # axes from 796 nm (plus) and 797 nm (minus)
+    ], ids=["zhf-nan-start", "zhf-inf-step", "zhf-negative-start", "zhf-huge-step",
+            "zhf-subnormal-step", "zhf-other-minus-start", "zhf-other-minus-n-bins",
+            "csv-negative-start", "csv-zero-start", "csv-other-minus-axis"])
+    def test_invalid_grid_exits_3(self, tmp_path, capsys, kind, where, value):
+        # A grid that breaks the grid rule, or a minus grid that is not the
+        # plus grid, in an event file or a map: one `data error:` line, exit
+        # 3, no output directory.  ``where`` holds the header offsets of an
+        # event file, or the first minus center of a map if it differs.
         out = tmp_path / "D"
         if kind == "zhf":
             assert main(["simulate", "--frames", "10", "--out", str(tmp_path), *FAST]) == 0
             path = tmp_path / "frames.zhf"
             data = bytearray(path.read_bytes())
-            struct.pack_into("<d", data, offset, value)
+            for offset in where:
+                struct.pack_into("<H" if isinstance(value, int) else "<d", data, offset, value)
             path.write_bytes(bytes(data))
             argv = ["estimate", str(path), "--out", str(out)]
         else:
             path = tmp_path / "bad.csv"
-            centers = ",".join(repr(value + i) for i in range(4))
-            path.write_text(f"# axis_plus_nm: {centers}\n# axis_minus_nm: {centers}\n"
+            plus, minus = (",".join(repr(start + i) for i in range(4))
+                           for start in (value, value if where is None else where))
+            path.write_text(f"# axis_plus_nm: {plus}\n# axis_minus_nm: {minus}\n"
                             + "0.0,0.0,0.0,0.0\n" * 4, encoding="utf-8")
             argv = ["fit", str(path), "--out", str(out)]
         capsys.readouterr()
@@ -490,9 +499,9 @@ class TestFit:
         if axis is None:
             assert main(["theory", "--out", str(tmp_path), *small]) == 0
             capsys.readouterr()
-            values, grid_p, grid_m = read_map_csv(tmp_path / "pc_map.csv")
+            values, grid = read_map_csv(tmp_path / "pc_map.csv")
             values[3, 5] = value
-            write_map_csv(values, grid_p, grid_m, path)
+            write_map_csv(values, grid, path)
         else:
             centers = ",".join(map(repr, axis))
             path.write_text(f"# axis_plus_nm: {centers}\n# axis_minus_nm: {centers}\n"
@@ -553,7 +562,7 @@ class TestFit:
                    "--override", "grid_bins = 64", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "config error: map grid (140x140 bins) does not match the configured grid "
+            "config error: map grid (140 bins) does not match the configured grid "
             "(64 bins); adjust grid_* settings\n")
         assert not out.exists()
 
@@ -737,6 +746,7 @@ mask_radius = 2
         "jsa_fwhm = 0", "grid_start = 810 nm", "cell_length = -1 m", "temperature = -5 K",
         "od = inf", "jsa_fwhm = 1 m", "filter_center = nan", "grid_bins = 65536",
         "dark_rate = inf", "kernel_width = 141",
+        "grid_start = 8.029999999999999e-07 m",  # one ulp below grid_stop: equal bin centers
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, option):
         # Config keys go in through --override; "--frames -5" is passed as is.
@@ -825,14 +835,22 @@ def mutated(draw, data: bytes) -> bytes:
 
 @st.composite
 def mutated_zhf(draw, data: bytes) -> bytes:
-    """A ZHF1 file ``mutated``, or with one grid's start or step set to a special value:
-    NaN, +-inf, 0, a negative value or a subnormal."""
-    if draw(st.booleans()):
+    """A ZHF1 file ``mutated``, or with one grid's start or step set to a special value
+    (NaN, +-inf, 0, a negative value, a subnormal or 1e308), or with another valid grid
+    in the minus descriptor."""
+    edit = draw(st.sampled_from(["mutated", "special", "other-minus-grid"]))
+    if edit == "mutated":
         return draw(mutated(data))
     data = bytearray(data)
-    # The header doubles: start and step of the plus grid, then of the minus grid.
-    value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1e-9, 5e-324]))
-    struct.pack_into("<d", data, draw(st.sampled_from([6, 14, 24, 32])), value)
+    if edit == "special":
+        # The header doubles: start and step of the plus grid, then of the minus grid.
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1e-9, 5e-324, 1e308]))
+        struct.pack_into("<d", data, draw(st.sampled_from([6, 14, 24, 32])), value)
+    else:  # offsets 24-41: start, step and n_bins of the minus grid
+        grid = WavelengthGrid.from_edges(draw(st.floats(700e-9, 790e-9)),
+                                         draw(st.floats(800e-9, 900e-9)),
+                                         draw(st.integers(2, 0xFFFF)))
+        struct.pack_into("<ddH", data, 24, grid.start, grid.step, grid.n_bins)
     return bytes(data)
 
 
@@ -881,7 +899,7 @@ class TestMutatedInputFiles:
         self.exits(data, base / "covariance.csv", work,
                    lambda path: ["fit", path, "--out", str(work), *self.SMALL], (0, 2, 3, 4))
 
-    @settings(EXAMPLES, max_examples=2 * EXAMPLES.max_examples)  # half of them edit a grid
+    @settings(EXAMPLES, max_examples=3 * EXAMPLES.max_examples)  # two thirds of them edit a grid
     @given(data=st.data())
     def test_event_file(self, base, data):
         work = base / "mutated"

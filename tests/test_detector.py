@@ -4,12 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (
-    brute_force_frames,
-    chunk_length,
-    last_block_bad_bin_events,
-    repeated_event_events,
-)
+from helpers import brute_force_frames, chunk_length, repeated_event_events
 from homspec import detector, zhf
 from homspec.cli import main
 from homspec.detector import (
@@ -49,15 +44,14 @@ DEFAULTS = dict(chi=4.5455e-4, eta=0.25, f_rep=80e6, t_exp=11e-6)
 def run(uncorrelated, params, n_frames, marginals=MARGINALS):
     """A checked run of either generator on the test map, not yet drawn."""
     if uncorrelated:
-        return simulate_uncorrelated_chunks(GRID, GRID, marginals, params, n_frames)
+        return simulate_uncorrelated_chunks(GRID, marginals, params, n_frames)
     return simulate_chunks(PC, marginals, params, n_frames)
 
 
 def empty_batch(n_frames=0):
     return FrameBatch(
         n_frames=n_frames,
-        grid_plus=GRID,
-        grid_minus=GRID,
+        grid=GRID,
         frames=np.zeros(0, np.uint32),
         regions=np.zeros(0, np.uint8),
         bins=np.zeros(0, np.uint16),
@@ -284,7 +278,8 @@ def frame_fractions(batch: FrameBatch) -> np.ndarray:
     """
     n = batch.n_frames
     parts = []
-    for region, n_bins in ((0, batch.grid_plus.n_bins), (1, batch.grid_minus.n_bins)):
+    n_bins = batch.grid.n_bins
+    for region in (0, 1):
         per_frame = np.bincount(batch.frames[batch.regions == region], minlength=n)
         parts.append(np.bincount(per_frame, minlength=n_bins + 1) / n)
         parts.append(np.bincount(batch.bins[batch.regions == region], minlength=n_bins) / n)
@@ -345,11 +340,11 @@ class TestLaw:
         elif asymmetric:
             a, b = np.indices(pc.values.shape)
             tilted = pc.values * (1.0 + np.tanh(a - b)) / 2.0
-            pc = CoincidenceMap(grid, grid, tilted, MapKind.PROBABILITY)
+            pc = CoincidenceMap(grid, tilted, MapKind.PROBABILITY)
         params = DetectionParams(chi=0.3, eta=0.5, f_rep=3.0, t_exp=1.0, dark_rate=0.05, seed=13)
         n = 200_000
         if uncorrelated:
-            library = join(simulate_uncorrelated_chunks(grid, grid, marginals, params, n))
+            library = join(simulate_uncorrelated_chunks(grid, marginals, params, n))
         else:
             library = simulate_frames(pc, marginals, params, n)
         reference = brute_force_frames(
@@ -372,8 +367,7 @@ class TestEstimators:
         with pytest.warns(RuntimeWarning, match="single frame"):
             batch = FrameBatch(
                 n_frames=1,
-                grid_plus=GRID,
-                grid_minus=GRID,
+                grid=GRID,
                 frames=np.array([0, 0], np.uint32),
                 regions=np.array([0, 1], np.uint8),
                 bins=np.array([10, 50], np.uint16),
@@ -386,8 +380,7 @@ class TestEstimators:
     def test_disjoint_frames_have_accidentals_but_no_raw(self):
         batch = FrameBatch(
             n_frames=2,
-            grid_plus=GRID,
-            grid_minus=GRID,
+            grid=GRID,
             frames=np.array([0, 1], np.uint32),
             regions=np.array([0, 1], np.uint8),
             bins=np.array([10, 50], np.uint16),
@@ -422,8 +415,7 @@ class TestEstimators:
         sim = simulate_frames(PC, MARGINALS, params, 3_000)
         batch = FrameBatch(
             n_frames=sim.n_frames + 2,
-            grid_plus=GRID,
-            grid_minus=GRID,
+            grid=GRID,
             frames=np.append(sim.frames, np.repeat([sim.n_frames, sim.n_frames + 1], 24)),
             regions=np.append(sim.regions, np.tile(np.repeat([0, 1], 12), 2)),
             bins=np.append(sim.bins, np.tile(np.arange(0, 60, 5), 4)),
@@ -438,7 +430,7 @@ class TestEstimators:
                 cuts.append(lo)
         cuts.append(batch.n_events)
         fields = (batch.frames, batch.regions, batch.bins)
-        blocks = [FrameBatch(batch.n_frames, GRID, GRID, *(f[lo:hi] for f in fields))
+        blocks = [FrameBatch(batch.n_frames, GRID, *(f[lo:hi] for f in fields))
                   for lo, hi in zip(cuts, cuts[1:])]
         # A block past ``block`` events is one frame, and no frame is split.
         assert all(b.n_events <= block or b.frames[0] == b.frames[-1] for b in blocks)
@@ -467,7 +459,7 @@ class TestEstimators:
     def test_uncorrelated_covariance_consistent_with_zero(self):
         params = DetectionParams(chi=1.893939e-4, eta=0.6, f_rep=80e6, t_exp=11e-6,
                                  seed=20260808)
-        batch = join(simulate_uncorrelated_chunks(GRID, GRID, MARGINALS, params, 200_000))
+        batch = join(simulate_uncorrelated_chunks(GRID, MARGINALS, params, 200_000))
         cov_total = covariance_map(batch).values.sum()
         occ_p = np.bincount(batch.frames[batch.regions == 0], minlength=batch.n_frames)
         occ_m = np.bincount(batch.frames[batch.regions == 1], minlength=batch.n_frames)
@@ -537,8 +529,7 @@ class TestFrameBatchValidation:
         with pytest.raises(ValueError, match="order"):
             FrameBatch(
                 n_frames=2,
-                grid_plus=GRID,
-                grid_minus=GRID,
+                grid=GRID,
                 frames=np.array(frames, np.uint32),
                 regions=np.array(regions, np.uint8),
                 bins=np.array(bins, np.uint16),
@@ -548,14 +539,7 @@ class TestFrameBatchValidation:
         # Among eight one-event frames otherwise in order, one event that
         # repeats the one before it is caught.
         with pytest.raises(ValueError, match="order"):
-            FrameBatch(9, GRID, GRID, *repeated_event_events())
-
-    def test_minus_bin_checked_against_the_minus_grid(self):
-        # On unequal grids a minus-port bin that fits the plus grid only is
-        # out of range, although every bin fits the larger grid.
-        grid_plus, grid_minus = (WavelengthGrid.from_edges(790e-9, 803e-9, n) for n in (4, 2))
-        with pytest.raises(ValueError, match="out of range"):
-            FrameBatch(8, grid_plus, grid_minus, *last_block_bad_bin_events())
+            FrameBatch(9, GRID, *repeated_event_events())
 
     @pytest.mark.parametrize("field, values", [
         ("frames", np.array([2**32 + 1])),
@@ -568,15 +552,14 @@ class TestFrameBatchValidation:
         # valid event; the same values as int64 in range are accepted.
         fields = {"frames": [1], "regions": [0], "bins": [3], field: values}
         with pytest.raises(ValueError, match=f"event {field} must be integers in"):
-            FrameBatch(5, GRID, GRID, **fields)
-        assert FrameBatch(5, GRID, GRID, np.int64([1]), np.int64([0]), np.int64([3])).n_events == 1
+            FrameBatch(5, GRID, **fields)
+        assert FrameBatch(5, GRID, np.int64([1]), np.int64([0]), np.int64([3])).n_events == 1
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             FrameBatch(
                 n_frames=1,
-                grid_plus=GRID,
-                grid_minus=GRID,
+                grid=GRID,
                 frames=np.array([2], np.uint32),
                 regions=np.array([0], np.uint8),
                 bins=np.array([0], np.uint16),
@@ -584,8 +567,7 @@ class TestFrameBatchValidation:
         with pytest.raises(ValueError):
             FrameBatch(
                 n_frames=1,
-                grid_plus=GRID,
-                grid_minus=GRID,
+                grid=GRID,
                 frames=np.array([0], np.uint32),
                 regions=np.array([0], np.uint8),
                 bins=np.array([64], np.uint16),

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from homspec.errors import GridMismatch, NonRealAmplitude
+from homspec.errors import NonRealAmplitude
 from homspec.interference import (
     CoincidenceMap,
-    InterferenceSettings,
     MapKind,
     boxcar_matrix,
     bunching_probability,
@@ -31,7 +30,7 @@ def random_phased_jsa(seed: int) -> JointSpectralAmplitude:
     rng = np.random.default_rng(seed)
     phase = rng.uniform(-np.pi, np.pi, GRID.n_bins)
     amp = JSA.amplitude * np.exp(1j * phase)[:, None]
-    return JointSpectralAmplitude(GRID, GRID, amp)
+    return JointSpectralAmplitude(GRID, amp)
 
 
 class TestCoincidenceProbability:
@@ -57,12 +56,6 @@ class TestCoincidenceProbability:
         via_cosine = coincidence_probability_cosine(JSA, model)
         assert np.max(np.abs(via_amplitude.values - via_cosine.values)) < 1e-10
 
-    def test_grid_mismatch(self):
-        other = WavelengthGrid.from_edges(790e-9, 803e-9, 64)
-        jsa2 = gaussian_jsa(796.7e-9, 10e-9, -0.5, GRID, other)
-        with pytest.raises(GridMismatch):
-            coincidence_probability(jsa2)
-
 
 class TestCosinePath:
     def test_zero_map_at_full_visibility_no_phase(self):
@@ -70,16 +63,11 @@ class TestCosinePath:
         assert np.all(pc.values == 0.0)
 
     def test_zero_visibility_gives_half_jsi(self):
-        pc = coincidence_probability_cosine(
-            JSA, DispersionModel(od=2.6e3, tau=TAU_86), InterferenceSettings(0.0)
-        )
+        pc = coincidence_probability_cosine(JSA, DispersionModel(od=2.6e3, tau=TAU_86), 0.0)
         assert np.max(np.abs(pc.values - 0.5 * JSA.intensity())) < 1e-15
 
     def test_fringe_bounds(self):
-        settings_ = InterferenceSettings(0.7)
-        pc = coincidence_probability_cosine(
-            JSA, DispersionModel(od=300.0, tau=TAU_86), settings_
-        )
+        pc = coincidence_probability_cosine(JSA, DispersionModel(od=300.0, tau=TAU_86), 0.7)
         jsi = JSA.intensity()
         assert np.all(pc.values <= 0.5 * (1 + 0.7) * jsi + 1e-15)
         assert np.all(pc.values >= 0.5 * (1 - 0.7) * jsi - 1e-15)
@@ -90,10 +78,11 @@ class TestCosinePath:
             coincidence_probability_cosine(phased, DispersionModel(od=5.0, tau=TAU_86))
 
     def test_visibility_validation(self):
+        model = DispersionModel(od=300.0, tau=TAU_86)
         with pytest.raises(ValueError):
-            InterferenceSettings(1.5)
+            coincidence_probability_cosine(JSA, model, 1.5)
         with pytest.raises(ValueError):
-            InterferenceSettings(-0.1)
+            coincidence_probability_cosine(JSA, model, -0.1)
 
 
 class TestBunching:
@@ -155,7 +144,7 @@ class TestPixelAverage:
         model = DispersionModel(od=4.6e3, tau=doppler_lifetime(461.15))
         pc = coincidence_probability_cosine(JSA, model)
         averaged = pixel_average(pc, 5)
-        reference = coincidence_probability_cosine(JSA, model, InterferenceSettings(0.0))
+        reference = coincidence_probability_cosine(JSA, model, 0.0)
         i0 = GRID.nearest_bin(795e-9)
         band = slice(i0 - 1, i0 + 2)
         sel = reference.values[band, :] > reference.values.max() * 0.05
@@ -187,7 +176,7 @@ class TestPortSpectra:
     def test_unit_photon_per_port(self):
         for jsa in (JSA, random_phased_jsa(5)):
             s_plus, s_minus = port_spectra(jsa)
-            assert np.sum(s_plus) * jsa.grid_s.step_nm == pytest.approx(1.0, abs=1e-9)
+            assert np.sum(s_plus) * jsa.grid.step_nm == pytest.approx(1.0, abs=1e-9)
             assert np.array_equal(s_plus, s_minus)
 
     def test_coincidences_never_exceed_port_rate(self):
@@ -202,16 +191,16 @@ class TestCoincidenceMapType:
     def test_probability_rejects_negative(self):
         values = np.full((GRID.n_bins, GRID.n_bins), -1e-3)
         with pytest.raises(ValueError):
-            CoincidenceMap(GRID, GRID, values, MapKind.PROBABILITY)
+            CoincidenceMap(GRID, values, MapKind.PROBABILITY)
 
     def test_probability_rejects_total_above_one(self):
         values = np.full((GRID.n_bins, GRID.n_bins), 1.0)
         with pytest.raises(ValueError):
-            CoincidenceMap(GRID, GRID, values, MapKind.PROBABILITY)
+            CoincidenceMap(GRID, values, MapKind.PROBABILITY)
 
     def test_covariance_may_be_negative(self):
         values = np.full((GRID.n_bins, GRID.n_bins), -1e-3)
-        cmap = CoincidenceMap(GRID, GRID, values, MapKind.COVARIANCE)
+        cmap = CoincidenceMap(GRID, values, MapKind.COVARIANCE)
         assert np.all(cmap.values == -1e-3)
 
     def test_values_readonly(self):

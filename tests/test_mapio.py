@@ -7,25 +7,27 @@ from homspec.errors import DataFormatError
 from homspec.mapio import read_map_csv, write_map_csv
 from homspec.spectra import WavelengthGrid
 
-GRID_P = WavelengthGrid.from_edges(790e-9, 803e-9, 24)
-GRID_M = WavelengthGrid.from_edges(790e-9, 803e-9, 16)
+GRID = WavelengthGrid.from_edges(790e-9, 803e-9, 24)
 
 
 def sample_values():
     rng = np.random.default_rng(8)
-    return rng.standard_normal((GRID_P.n_bins, GRID_M.n_bins)) * 1e-4
+    return rng.standard_normal((GRID.n_bins, GRID.n_bins)) * 1e-4
 
 
 def test_csv_round_trip(tmp_path):
     values = sample_values()
     path = tmp_path / "map.csv"
-    write_map_csv(values, GRID_P, GRID_M, path)
-    loaded, grid_p, grid_m = read_map_csv(path)
+    write_map_csv(values, GRID, path)
+    loaded, grid = read_map_csv(path)
     assert np.array_equal(loaded, values)
-    assert grid_p.n_bins == GRID_P.n_bins
-    assert grid_m.n_bins == GRID_M.n_bins
-    assert grid_p.step == pytest.approx(GRID_P.step, rel=1e-9)
-    assert grid_p.start == pytest.approx(GRID_P.start, rel=1e-12)
+    assert grid.n_bins == GRID.n_bins
+    assert grid.step == pytest.approx(GRID.step, rel=1e-9)
+    assert grid.start == pytest.approx(GRID.start, rel=1e-12)
+    # Both axis lines carry the one grid.
+    plus, minus = path.read_text().splitlines()[:2]
+    assert plus.startswith("# axis_plus_nm: ") and minus.startswith("# axis_minus_nm: ")
+    assert plus.split(": ")[1] == minus.split(": ")[1]
 
 
 def test_csv_header_required(tmp_path):
@@ -38,7 +40,7 @@ def test_csv_header_required(tmp_path):
 def test_csv_row_count_checked(tmp_path):
     values = sample_values()
     path = tmp_path / "map.csv"
-    write_map_csv(values, GRID_P, GRID_M, path)
+    write_map_csv(values, GRID, path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(DataFormatError, match="rows"):
@@ -48,7 +50,7 @@ def test_csv_row_count_checked(tmp_path):
 def test_csv_bad_number(tmp_path):
     values = sample_values()
     path = tmp_path / "map.csv"
-    write_map_csv(values, GRID_P, GRID_M, path)
+    write_map_csv(values, GRID, path)
     text = path.read_text().replace("e-05", "e-0X", 1)
     path.write_text(text)
     with pytest.raises(DataFormatError):
@@ -57,21 +59,21 @@ def test_csv_bad_number(tmp_path):
 
 def test_shape_mismatch_rejected(tmp_path):
     with pytest.raises(ValueError):
-        write_map_csv(np.zeros((3, 3)), GRID_P, GRID_M, tmp_path / "bad.csv")
+        write_map_csv(np.zeros((3, 3)), GRID, tmp_path / "bad.csv")
 
 
 @pytest.mark.parametrize("cell", ["abc", "", "1.0 2.0", None])  # None: drop the row's last cell
 def test_csv_bad_middle_row(tmp_path, cell):
     values = sample_values()
     path = tmp_path / "map.csv"
-    write_map_csv(values, GRID_P, GRID_M, path)
+    write_map_csv(values, GRID, path)
     lines = path.read_text().splitlines()
-    row = lines[2 + GRID_P.n_bins // 2].split(",")
+    row = lines[2 + GRID.n_bins // 2].split(",")
     if cell is None:
         row.pop()
     else:
-        row[GRID_M.n_bins // 2] = cell
-    lines[2 + GRID_P.n_bins // 2] = ",".join(row)
+        row[GRID.n_bins // 2] = cell
+    lines[2 + GRID.n_bins // 2] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the parser's own complaint must not leak as a warning

@@ -145,7 +145,7 @@ class TestObjective:
         # The refine's visibility minimizes the objective over V, at any kernel.
         data = fringe_map(150.0, 0.7, 5e-15, JSA64, tau=TAU_86, kernel_width=kernel_width)
         noise = 0.05 * data.values.max() * np.random.default_rng(3).standard_normal((64, 64))
-        noisy = CoincidenceMap(GRID64, GRID64, data.values + noise, MapKind.COVARIANCE)
+        noisy = CoincidenceMap(GRID64, data.values + noise, MapKind.COVARIANCE)
         config = FitConfig(tau=TAU_86, kernel_width=kernel_width)
         _, _, cost, _, _ = prepare_objective(noisy, JSA64, config)
         model = _weighted_problem(noisy, JSA64, config)
@@ -174,18 +174,18 @@ class TestObjective:
         data = fringe_map(150.0, 0.8, 0.0, JSA64, tau=TAU_86)
         base = fit(data, JSA64, FitConfig(tau=TAU_86))
         # power-of-two scaling commutes exactly with the normalization
-        doubled = CoincidenceMap(GRID64, GRID64, data.values * 2.0, MapKind.PROBABILITY)
+        doubled = CoincidenceMap(GRID64, data.values * 2.0, MapKind.PROBABILITY)
         res2 = fit(doubled, JSA64, FitConfig(tau=TAU_86))
         assert res2.od_hat == base.od_hat
         assert res2.visibility_hat == base.visibility_hat
         assert res2.delay_fs == base.delay_fs
-        scaled = CoincidenceMap(GRID64, GRID64, data.values * 0.37, MapKind.PROBABILITY)
+        scaled = CoincidenceMap(GRID64, data.values * 0.37, MapKind.PROBABILITY)
         res3 = fit(scaled, JSA64, FitConfig(tau=TAU_86))
         assert res3.od_hat == pytest.approx(base.od_hat, rel=1e-6)
         assert res3.visibility_hat == pytest.approx(base.visibility_hat, rel=1e-6)
 
     def test_degenerate_map_rejected(self):
-        zero = CoincidenceMap(GRID64, GRID64, np.zeros((64, 64)), MapKind.COVARIANCE)
+        zero = CoincidenceMap(GRID64, np.zeros((64, 64)), MapKind.COVARIANCE)
         with pytest.raises(DegenerateMap):
             fit(zero, JSA64, FitConfig(tau=TAU_86))
 
@@ -193,7 +193,7 @@ class TestObjective:
     def test_grid_mismatch_is_a_config_error(self, entry):
         # The rule `homspec fit` exits 2 on lives here, for every caller.
         data = fringe_map(150.0, 0.7, 5e-15, JSA64, tau=TAU_86)
-        with pytest.raises(ConfigError, match=r"map grid \(64x64 bins\) does not match the "
+        with pytest.raises(ConfigError, match=r"map grid \(64 bins\) does not match the "
                                               r"configured grid \(140 bins\); adjust grid_\*"):
             entry(data, JSA, FitConfig(tau=TAU_86))
 
@@ -203,7 +203,7 @@ def elementwise_visibility(model, config, od, delay_fs):
     and weights, from the smoothed S = 2*sin^2(phi/2)*J with phi from
     interference.phase_difference on every bin pair."""
     data, sqrt_w = model.data, model.sqrt_w
-    keep = ~resonance_mask(GRID64, GRID64, RB87.d1_wavelength, config.mask_radius)
+    keep = ~resonance_mask(GRID64, RB87.d1_wavelength, config.mask_radius)
     box = boxcar_matrix(GRID64.n_bins, config.kernel_width)
     jsi = JSA64.intensity()
     phase_unit = phase_difference(DispersionModel(od=1.0, tau=config.tau), GRID64.centers)
@@ -297,8 +297,8 @@ class TestHologram:
         config = FitConfig(tau=tau)
         model = _weighted_problem(data, JSA, config)
         theta = _hologram(model)
-        truth = spectral_phase(DispersionModel(od=od, tau=tau), GRID.centers)[model.rows]
-        weight = np.sum(model.j.reshape(model.rows.size, -1), axis=1)
+        truth = spectral_phase(DispersionModel(od=od, tau=tau), GRID.centers)[model.bins]
+        weight = np.sum(model.j.reshape(model.bins.size, -1), axis=1)
         errors = []
         for sign in (1.0, -1.0):  # the hologram holds the phase up to offset and sign
             phasor = np.exp(1j * (theta - sign * truth))
@@ -364,7 +364,7 @@ class TestNoisyFits:
         errors = []
         for level in (0.0, 0.02, 0.1):
             values = clean.values + level * clean.values.max() * noise
-            cmap = CoincidenceMap(GRID64, GRID64, values, MapKind.COVARIANCE)
+            cmap = CoincidenceMap(GRID64, values, MapKind.COVARIANCE)
             result = fit(cmap, JSA64, FitConfig(tau=TAU_174))
             errors.append(abs(result.od_hat - 2.6e3))
         assert errors[0] <= errors[1] <= errors[2]
@@ -394,7 +394,7 @@ class TestPhaseMaps:
 
 class TestFitConfigValidation:
     def test_resonance_mask_shape(self):
-        mask = resonance_mask(GRID64, GRID64, 795e-9, 2)
+        mask = resonance_mask(GRID64, 795e-9, 2)
         i0 = GRID64.nearest_bin(795e-9)
         assert mask[i0, 0] and mask[0, i0]
         assert not mask[0, 0]

@@ -43,6 +43,10 @@ class TestWavelengthGrid:
             WavelengthGrid(start=790e-9, step=1e-10, n_bins=1)
         with pytest.raises(ValueError):
             WavelengthGrid.from_edges(803e-9, 790e-9, 10)
+        # Centers that overflow or do not increase; n_bins that is no integer in [2, 65535].
+        for step, n_bins in ((1e308, 16), (5e-324, 16), (1e-10, 70000), (1e-10, 2.5)):
+            with pytest.raises(ValueError):
+                WavelengthGrid(start=790e-9, step=step, n_bins=n_bins)
 
 
 class TestGaussianJsa:
@@ -121,7 +125,7 @@ class TestGaussianJsa:
 
     def test_constructor_rejects_unnormalized(self, grid):
         with pytest.raises(ValueError):
-            JointSpectralAmplitude(grid, grid, np.ones((140, 140), dtype=complex))
+            JointSpectralAmplitude(grid, np.ones((140, 140), dtype=complex))
 
     def test_amplitude_readonly(self, jsa):
         with pytest.raises(ValueError):

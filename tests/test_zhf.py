@@ -15,18 +15,17 @@ from homspec.vapor import DispersionModel, doppler_lifetime
 from homspec.zhf import read_frames, write_frames
 
 GRID = WavelengthGrid.from_edges(790e-9, 803e-9, 64)
-# With _BLOCK = 4 the reader's buffer holds max(4, n_plus + n_minus + 1) records.
-GRID4 = WavelengthGrid.from_edges(790e-9, 803e-9, 4)  # two of them: 9 records
-GRID2 = WavelengthGrid.from_edges(790e-9, 803e-9, 2)  # two of them: 5 records, with GRID4 7
+# With _BLOCK = 4 the reader's buffer holds max(4, 2*n_bins + 1) records.
+GRID4 = WavelengthGrid.from_edges(790e-9, 803e-9, 4)  # 9 records
+GRID2 = WavelengthGrid.from_edges(790e-9, 803e-9, 2)  # 5 records
 JSA = gaussian_jsa(796.7e-9, 10e-9, -0.9, GRID)
 
 
-def write_by_hand(path, n_frames, grid_plus, grid_minus, frames, regions, bins):
+def write_by_hand(path, n_frames, grid, frames, regions, bins):
     """Write a ZHF1 file without homspec.zhf, so it may hold invalid events."""
     header = struct.pack(
         "<4sH" + "ddH" * 2 + "QQ", b"ZHF1", 1,
-        grid_plus.start, grid_plus.step, grid_plus.n_bins,
-        grid_minus.start, grid_minus.step, grid_minus.n_bins,
+        *(grid.start, grid.step, grid.n_bins) * 2,  # both grid descriptors
         n_frames, len(frames),
     )
     records = np.empty(len(frames), dtype=[("frame", "<u4"), ("region", "u1"), ("bin", "<u2")])
@@ -46,8 +45,7 @@ def test_round_trip(tmp_path):
     write_frames([batch], path)
     loaded = read_frames(path)
     assert loaded.n_frames == batch.n_frames
-    assert loaded.grid_plus == batch.grid_plus
-    assert loaded.grid_minus == batch.grid_minus
+    assert loaded.grid == batch.grid
     assert np.array_equal(loaded.frames, batch.frames)
     assert np.array_equal(loaded.regions, batch.regions)
     assert np.array_equal(loaded.bins, batch.bins)
@@ -92,7 +90,7 @@ def test_chunks_out_of_order_rejected(tmp_path):
     assert not path.exists()
 
 
-FIRST = FrameBatch(4, GRID4, GRID4, [0], [0], [1])
+FIRST = FrameBatch(4, GRID4, [0], [0], [1])
 NOT_IN_ORDER = "a block does not follow the previous one in order"
 OTHER_HEADER = "a block's frame count or grids differ from the first block's"
 
@@ -100,12 +98,11 @@ OTHER_HEADER = "a block's frame count or grids differ from the first block's"
 @pytest.mark.parametrize("consumer", ["write_frames", "EventCounts", "join"])
 @pytest.mark.parametrize("blocks, message", [
     # Joined, the split frame is one valid batch, with one pair.
-    ([FIRST, FrameBatch(4, GRID4, GRID4, [0], [1], [2])], NOT_IN_ORDER),
-    ([FIRST, FrameBatch(5, GRID4, GRID4, [1], [0], [0])], OTHER_HEADER),
-    ([FIRST, FrameBatch(4, GRID, GRID4, [1], [0], [0])], OTHER_HEADER),
-    ([FIRST, FrameBatch(4, GRID4, GRID2, [1], [0], [0])], OTHER_HEADER),
+    ([FIRST, FrameBatch(4, GRID4, [0], [1], [2])], NOT_IN_ORDER),
+    ([FIRST, FrameBatch(5, GRID4, [1], [0], [0])], OTHER_HEADER),
+    ([FIRST, FrameBatch(4, GRID2, [1], [0], [0])], OTHER_HEADER),
     ([], "an event stream needs at least one block"),
-], ids=["split-frame", "n-frames", "plus-grid", "minus-grid", "empty"])
+], ids=["split-frame", "n-frames", "other-grid", "empty"])
 def test_bad_stream_rejected(tmp_path, consumer, blocks, message):
     # Every consumer of an event stream reads it through detector.stream, so
     # each refuses a stream that splits a frame, changes the header or is
@@ -141,8 +138,7 @@ def test_header_layout(tmp_path):
 def test_empty_batch_file(tmp_path):
     batch = FrameBatch(
         n_frames=0,
-        grid_plus=GRID,
-        grid_minus=GRID,
+        grid=GRID,
         frames=np.zeros(0, np.uint32),
         regions=np.zeros(0, np.uint8),
         bins=np.zeros(0, np.uint16),
@@ -192,8 +188,7 @@ def test_truncated_file(tmp_path):
 def test_out_of_range_event_rejected(tmp_path):
     batch = FrameBatch(
         n_frames=5,
-        grid_plus=GRID,
-        grid_minus=GRID,
+        grid=GRID,
         frames=np.array([1], np.uint32),
         regions=np.array([0], np.uint8),
         bins=np.array([2], np.uint16),
@@ -212,8 +207,7 @@ def test_out_of_range_event_rejected(tmp_path):
 def test_out_of_order_events_rejected(tmp_path):
     batch = FrameBatch(
         n_frames=5,
-        grid_plus=GRID,
-        grid_minus=GRID,
+        grid=GRID,
         frames=np.array([1, 3], np.uint32),
         regions=np.array([0, 0], np.uint8),
         bins=np.array([2, 2], np.uint16),
@@ -230,8 +224,8 @@ def test_out_of_order_events_rejected(tmp_path):
 
 @pytest.mark.parametrize("n_events", [0, 1, 4, 5, 9, 10])
 def test_round_trip_in_blocks(tmp_path, monkeypatch, n_events):
-    # The writer writes blocks of 4 records and the reader, on two 4-bin
-    # grids, fills a buffer of 9: no block, a partial one, exactly one and
+    # The writer writes blocks of 4 records and the reader, on a 4-bin grid,
+    # fills a buffer of 9: no block, a partial one, exactly one and
     # one more event for each.  Bytes match a file written by hand, and read
     # back and written again they do not change.
     monkeypatch.setattr(zhf, "_BLOCK", 4)
@@ -240,9 +234,9 @@ def test_round_trip_in_blocks(tmp_path, monkeypatch, n_events):
         (index // 2).astype(np.uint32), (index % 2).astype(np.uint8), (index % 4).astype(np.uint16)
     )
     expected = tmp_path / "by_hand.zhf"
-    write_by_hand(expected, n_events // 2 + 1, GRID4, GRID4, *fields)
+    write_by_hand(expected, n_events // 2 + 1, GRID4, *fields)
     path = tmp_path / "frames.zhf"
-    write_frames([FrameBatch(n_events // 2 + 1, GRID4, GRID4, *fields)], path)
+    write_frames([FrameBatch(n_events // 2 + 1, GRID4, *fields)], path)
     assert path.read_bytes() == expected.read_bytes()
     loaded = read_frames(path)
     for got, want in zip((loaded.frames, loaded.regions, loaded.bins), fields):
@@ -252,20 +246,19 @@ def test_round_trip_in_blocks(tmp_path, monkeypatch, n_events):
     assert again.read_bytes() == expected.read_bytes()
 
 
-@pytest.mark.parametrize("grid_plus, grid_minus, events, match, n_good", [
-    (GRID2, GRID2, repeated_event_events(), "order", 1),
-    (GRID4, GRID2, last_block_bad_bin_events(), "out of range", 2),
+@pytest.mark.parametrize("events, match, n_good", [
+    (repeated_event_events(), "order", 1),
+    (last_block_bad_bin_events(), "out of range", 2),
 ], ids=["repeat-in-a-block", "bin-in-the-last-block"])
-def test_invalid_events_in_blocks_exit_3(tmp_path, monkeypatch, capsys, grid_plus, grid_minus,
-                                         events, match, n_good):
-    # A repeated event inside the second block (blocks cut from a buffer of
-    # 5 records) and a minus bin past the smaller grid in the file's third
-    # and last block (cut from a buffer of 7) surface part-way through the
-    # stream, after the good blocks before them.  They are one-line data
-    # errors that name the file, and `homspec estimate` exits 3 on them.
+def test_invalid_events_in_blocks_exit_3(tmp_path, monkeypatch, capsys, events, match, n_good):
+    # On a 2-bin grid the blocks are cut from a buffer of 5 records.  A
+    # repeated event inside the second block and a bin past the grid in the
+    # file's third and last block surface part-way through the stream,
+    # after the good blocks before them.  They are one-line data errors that
+    # name the file, and `homspec estimate` exits 3 on them.
     monkeypatch.setattr(zhf, "_BLOCK", 4)
     path = tmp_path / "bad.zhf"
-    write_by_hand(path, 9, grid_plus, grid_minus, *events)
+    write_by_hand(path, 9, GRID2, *events)
     blocks = []
     with pytest.raises(DataFormatError, match=match) as info:
         for block in zhf.read_blocks(path):
@@ -281,7 +274,7 @@ def test_invalid_events_in_blocks_exit_3(tmp_path, monkeypatch, capsys, grid_plu
 
 
 def events_with_a_large_frame():
-    """Frame 0 of one plus event, frame 1 filling both 4-bin grids, frames 2 and 3 of a pair each.
+    """Frame 0 of one plus event, frame 1 filling all 4 bins of both ports, frames 2 and 3 a pair each.
 
     Frame 1's 8 events are twice _BLOCK = 4, but fit the buffer of 9 records.
     """
@@ -298,7 +291,7 @@ def test_blocks_cut_at_frame_ends(tmp_path, monkeypatch):
     monkeypatch.setattr(zhf, "_BLOCK", 4)
     fields = events_with_a_large_frame()
     path = tmp_path / "frames.zhf"
-    write_by_hand(path, 5, GRID4, GRID4, *fields)
+    write_by_hand(path, 5, GRID4, *fields)
     blocks = list(zhf.read_blocks(path))
     assert [block.n_events for block in blocks] == [1, 8, 4]
     assert all(a.frames[-1] < b.frames[0] for a, b in zip(blocks, blocks[1:]))
@@ -308,11 +301,11 @@ def test_blocks_cut_at_frame_ends(tmp_path, monkeypatch):
 
 
 def test_frame_filling_the_buffer_rejected(tmp_path, monkeypatch):
-    # Two 2-bin grids leave room for 4 events a frame; a frame of 6 fills the
-    # buffer of 5 records, which is handed on whole and rejected.
+    # A 2-bin grid leaves room for 4 events a frame, 2 a port; a frame of 6
+    # fills the buffer of 5 records, which is handed on whole and rejected.
     monkeypatch.setattr(zhf, "_BLOCK", 4)
     path = tmp_path / "bad.zhf"
-    write_by_hand(path, 2, GRID2, GRID2, np.uint32([0] * 6 + [1]), np.uint8([0, 0, 1, 1, 1, 1, 0]),
+    write_by_hand(path, 2, GRID2, np.uint32([0] * 6 + [1]), np.uint8([0, 0, 1, 1, 1, 1, 0]),
                   np.uint16([0, 1, 0, 1, 0, 1, 0]))
     with pytest.raises(DataFormatError, match="order"):
         read_frames(path)
@@ -333,9 +326,9 @@ def test_reader_rejects_what_the_whole_file_check_rejects(tmp_path, monkeypatch)
         if rng.random() < 0.5:  # a sorted file, so that valid ones are common
             order = np.lexsort(fields[::-1])
             fields = tuple(f[order] for f in fields)
-        write_by_hand(path, 4, GRID2, GRID2, *fields)
+        write_by_hand(path, 4, GRID2, *fields)
         try:
-            FrameBatch(4, GRID2, GRID2, *fields)
+            FrameBatch(4, GRID2, *fields)
         except ValueError:
             failed += 1
             with pytest.raises(DataFormatError):
@@ -350,7 +343,7 @@ def test_reader_rejects_what_the_whole_file_check_rejects(tmp_path, monkeypatch)
 @pytest.mark.parametrize("n_events", [0, 1, 4, 5, 9, 10, "large frame"])
 def test_estimate_exact_at_block_cuts(tmp_path, monkeypatch, capsys, n_events):
     # `homspec estimate` counts the file a block at a time, the blocks cut
-    # from a buffer of 9 records (two 4-bin grids): with no block, partial
+    # from a buffer of 9 records (a 4-bin grid): with no block, partial
     # ones, exactly one buffer, one event more and a frame of twice _BLOCK
     # = 4 events, the maps equal the dense references P^T M / n_frames and
     # outer(means), with P and M the frames x bins occupancies of the ports,
@@ -364,7 +357,7 @@ def test_estimate_exact_at_block_cuts(tmp_path, monkeypatch, capsys, n_events):
                   (index * 7 % 4).astype(np.uint16))
     n_frames = int(fields[0].max(initial=0)) + 2
     path = tmp_path / "frames.zhf"
-    write_by_hand(path, n_frames, GRID4, GRID4, *fields)
+    write_by_hand(path, n_frames, GRID4, *fields)
     assert main(["estimate", str(path), "--out", str(tmp_path)]) == 0
 
     occ = np.zeros((2, n_frames, GRID4.n_bins))
