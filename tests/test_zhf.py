@@ -100,9 +100,12 @@ OTHER_HEADER = "a block's frame count or grids differ from the first block's"
     # Joined, the split frame is one valid batch, with one pair.
     ([FIRST, FrameBatch(4, GRID4, [0], [1], [2])], NOT_IN_ORDER),
     ([FIRST, FrameBatch(5, GRID4, [1], [0], [0])], OTHER_HEADER),
-    ([FIRST, FrameBatch(4, GRID2, [1], [0], [0])], OTHER_HEADER),
+    # Both ports read a block's one grid: a later block on a finer grid, as
+    # seen from the plus port, and on a coarser one, from the minus port.
+    ([FIRST, FrameBatch(4, GRID, [1], [0], [0])], OTHER_HEADER),
+    ([FIRST, FrameBatch(4, GRID2, [1], [1], [0])], OTHER_HEADER),
     ([], "an event stream needs at least one block"),
-], ids=["split-frame", "n-frames", "other-grid", "empty"])
+], ids=["split-frame", "n-frames", "plus-grid", "minus-grid", "empty"])
 def test_bad_stream_rejected(tmp_path, consumer, blocks, message):
     # Every consumer of an event stream reads it through detector.stream, so
     # each refuses a stream that splits a frame, changes the header or is
