@@ -23,6 +23,7 @@ from . import detector, interference, mapio, retrieval, zhf
 from .config import ExperimentConfig
 from .errors import ConfigError, DataFormatError, DegenerateMap, HomspecError
 from .interference import CoincidenceMap, MapKind
+from .spectra import JointSpectralAmplitude
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -39,10 +40,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _theory_map(cfg: ExperimentConfig) -> CoincidenceMap:
-    cmap = interference.coincidence_probability_cosine(
-        cfg.jsa(), cfg.dispersion_model(), cfg.visibility
-    )
+def _theory_map(cfg: ExperimentConfig, jsa: JointSpectralAmplitude) -> CoincidenceMap:
+    cmap = interference.coincidence_probability_cosine(jsa, cfg.dispersion_model(), cfg.visibility)
     return interference.pixel_average(cmap, cfg.kernel_width)
 
 
@@ -50,7 +49,7 @@ def cmd_theory(args) -> int:
     cfg = _effective_config(args)
     model = cfg.dispersion_model()
     grid = cfg.grid()
-    cmap = _theory_map(cfg)
+    cmap = _theory_map(cfg, cfg.jsa())
     dphi = interference.phase_difference(model, grid.centers)
     profile = retrieval.phase_profile_mod_2pi(model.od, model.tau, model.lambda0, grid)
     out = _out_dir(args)
@@ -82,7 +81,7 @@ def cmd_simulate(args) -> int:
     if args.uncorrelated:
         run = detector.simulate_uncorrelated_chunks(jsa.grid, marginals, params, args.frames)
     else:
-        run = detector.simulate_chunks(_theory_map(cfg), marginals, params, args.frames)
+        run = detector.simulate_chunks(_theory_map(cfg, jsa), marginals, params, args.frames)
     path = _out_dir(args) / "frames.zhf"
     n_events = zhf.write_frames(run, path)
     mean_photons = n_events / args.frames if args.frames else 0.0

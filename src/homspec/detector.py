@@ -180,7 +180,12 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _event_codes(frames: np.ndarray, region: int | np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Codes frame << 17 | region << 16 | bin, which sort in canonical order."""
-    return (frames.astype(np.int64) << 1 | region) << 16 | bins
+    code = frames.astype(np.int64)  # the one copy: the rest is done in place
+    code <<= 1
+    code |= region
+    code <<= 16
+    code |= bins
+    return code
 
 
 def _bernoulli_slots(rng: np.random.Generator, p: float, n_slots: int) -> np.ndarray:

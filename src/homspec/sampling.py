@@ -1,8 +1,8 @@
 """Alias-method sampling from discrete distributions.
 
-Vose's construction: O(K) setup, O(1) per draw.  Used by the frame
-simulator, where every experiment repetition samples a spectral bin pair
-from a large discrete distribution.
+Vose's table, O(K) setup and O(1) per draw, built in closed form from
+two cumulative sums with no loop over the outcomes.  The frame simulator
+draws the spectral bins of its detected photons from these tables.
 """
 
 import numpy as np
@@ -13,40 +13,36 @@ class AliasTable:
 
     def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=float).ravel()
-        if w.size == 0:
-            raise ValueError("weights must be non-empty")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and non-negative")
-        total = w.sum()
-        if total <= 0.0:
-            raise ValueError("weights must have positive total")
-
         k = w.size
-        # Vose's loop runs on Python lists: indexing numpy scalars one at a
-        # time costs more than the arithmetic.
-        scaled = w * (k / total)
-        small = np.flatnonzero(scaled < 1.0).tolist()
-        large = np.flatnonzero(scaled >= 1.0).tolist()
-        scaled = scaled.tolist()
-        prob = [1.0] * k
-        alias = list(range(k))
-        while small and large:
-            lo = small.pop()
-            hi = large.pop()
-            prob[lo] = scaled[lo]
-            alias[lo] = hi
-            scaled[hi] -= 1.0 - scaled[lo]
-            if scaled[hi] < 1.0:
-                small.append(hi)
-            else:
-                large.append(hi)
-        # Leftovers are 1.0 up to roundoff.
-        for i in small + large:
-            prob[i] = 1.0
+        with np.errstate(all="ignore"):
+            scale = k / w.sum()
+        if not 0.0 < scale < np.inf:
+            raise ValueError("weights must have a positive total, with total and K / total finite")
+
+        prob = w * scale
+        # Vose's loop pairs small (prob < 1) and large outcomes in descending order: a large
+        # one takes small ones' deficits until it turns small; the next one takes its own.
+        small = np.flatnonzero(prob < 1.0)[::-1]
+        large = np.flatnonzero(prob >= 1.0)[::-1]
+        deficit = np.cumsum(1.0 - prob[small])
+        excess = np.cumsum(prob[large] - 1.0)
+        alias = np.arange(k)
+        # A small outcome goes to the first large one whose excess covers the deficits before it.
+        j = np.searchsorted(excess, deficit - (1.0 - prob[small]), "left")
+        alias[small[j < large.size]] = large[j[j < large.size]]
+        # A large outcome turns small at the first deficit sum above its excess sum.
+        turn = np.searchsorted(deficit, excess[:-1], "right")
+        turned = turn < small.size
+        prob[large[:-1][turned]] = 1.0 - (deficit[turn[turned]] - excess[:-1][turned])
+        alias[large[:-1][turned]] = large[1:][turned]
+        # Clip roundoff; the leftovers are their own aliases, so any prob in [0, 1] serves.
+        np.clip(prob, 0.0, 1.0, out=prob)
 
         self.n_outcomes = k
-        self._prob = np.array(prob)
-        self._alias = np.array(alias)
+        self._prob = prob
+        self._alias = alias
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` outcome indices; consumes exactly two RNG vectors."""

@@ -1,7 +1,104 @@
+import contextlib
+import io
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from homspec import cli, detector
+from homspec.config import load_config
 from homspec.sampling import AliasTable
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
+
+
+def vose_loop(weights):
+    """Vose's sequential construction: the reference for the closed form."""
+    w = np.asarray(weights, dtype=float).ravel()
+    k = w.size
+    scaled = w * (k / w.sum())
+    small = np.flatnonzero(scaled < 1.0).tolist()
+    large = np.flatnonzero(scaled >= 1.0).tolist()
+    scaled = scaled.tolist()
+    prob = [1.0] * k
+    alias = list(range(k))
+    while small and large:
+        lo = small.pop()
+        hi = large.pop()
+        prob[lo] = scaled[lo]
+        alias[lo] = hi
+        scaled[hi] -= 1.0 - scaled[lo]
+        if scaled[hi] < 1.0:
+            small.append(hi)
+        else:
+            large.append(hi)
+    return np.array(prob), np.array(alias)
+
+
+def simulate_tables(tmp_path, monkeypatch, *args):
+    """The weights of every table ``simulate`` builds for a zero-frame run."""
+    built = []
+
+    def record(weights):
+        built.append(np.array(weights, dtype=float))
+        return AliasTable(weights)
+
+    monkeypatch.setattr(detector, "AliasTable", record)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", *args, "--frames", "0", "--out", str(tmp_path)]) == 0
+    return built
+
+
+def edge_weights():
+    rng = np.random.default_rng(7)
+    yield "all-equal", np.full(1000, 0.1)
+    # Outcome 3 comes down to exactly 1.0 and stays large for one more pairing.
+    yield "scaled-tie", np.array([0.5, 0.5, 1.5, 1.5])
+    yield "one-heavy", np.r_[1e6, rng.random(300)]
+    yield "single-nonzero", np.r_[0.0, 0.0, 2.5, 0.0]
+    yield "zero-ends", np.r_[0.0, rng.random(60), 0.0]
+    for i in range(12):
+        k = int(rng.integers(2, 30_000))
+        w = rng.random(k) ** rng.integers(1, 6)
+        w[rng.random(k) < 0.1] = 0.0
+        yield f"random-{i}", w
+
+
+@pytest.mark.parametrize("args", [[], ["--uncorrelated"]], ids=["joint", "uncorrelated"])
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_closed_form_matches_the_loop_on_simulate_tables(tmp_path, monkeypatch, config, args):
+    tables = simulate_tables(tmp_path, monkeypatch, "--config", str(config), *args)
+    # the joint table, its row and column sums and the two residual spectra
+    assert len(tables) == 5
+    for weights in tables:
+        prob, alias = vose_loop(weights)
+        table = AliasTable(weights)
+        assert np.array_equal(table._alias, alias)
+        assert np.max(np.abs(table._prob - prob)) < 1e-9
+
+
+@pytest.mark.parametrize("weights", [pytest.param(w, id=name) for name, w in edge_weights()])
+def test_closed_form_matches_the_loop(weights):
+    prob, alias = vose_loop(weights)
+    table = AliasTable(weights)
+    assert np.array_equal(table._alias, alias)
+    assert np.max(np.abs(table._prob - prob)) < 1e-9
+
+
+def test_joint_table_build_memory():
+    # Vose's loop over Python lists peaked at 119 bytes per outcome.
+    cfg = load_config(CONFIG_DIR / "t1_188C.cfg")
+    weights = cli._theory_map(cfg, cfg.jsa()).values
+    tracemalloc.start()
+    try:
+        AliasTable(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / weights.size < 96
 
 
 def test_matches_distribution_within_five_sigma():
@@ -78,7 +175,11 @@ def test_single_outcome():
     assert np.all(table.draw(np.random.default_rng(0), 100) == 0)
 
 
-@pytest.mark.parametrize("bad", [[], [-1.0, 2.0], [0.0, 0.0], [np.nan, 1.0]])
+@pytest.mark.parametrize(
+    "bad", [[], [-1.0, 2.0], [0.0, 0.0], [np.nan, 1.0], [1.7e308, 1e308], [5e-324, 0.0]]
+)
 def test_invalid_weights(bad):
-    with pytest.raises(ValueError):
-        AliasTable(np.array(bad, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            AliasTable(np.array(bad, dtype=float))
