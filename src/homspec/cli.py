@@ -14,9 +14,12 @@ Exit codes: 0 success, 2 configuration error, 3 data-format error,
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from . import config as config_mod
 from . import detector, interference, mapio, retrieval, zhf
@@ -24,6 +27,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, DataFormatError, DegenerateMap, HomspecError
 from .interference import CoincidenceMap, MapKind
 from .spectra import JointSpectralAmplitude
+from .vapor import spectral_phase
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -51,7 +55,7 @@ def cmd_theory(args) -> int:
     grid = cfg.grid()
     cmap = _theory_map(cfg, cfg.jsa())
     dphi = interference.phase_difference(model, grid.centers)
-    profile = retrieval.phase_profile_mod_2pi(model.od, model.tau, model.lambda0, grid)
+    profile = np.mod(spectral_phase(model, grid.centers), 2.0 * math.pi)
     out = _out_dir(args)
 
     mapio.write_map_csv(cmap.values, grid, out / "pc_map.csv")
@@ -124,7 +128,7 @@ def cmd_fit(args) -> int:
             else:
                 fh.write(f"{key} = {val!r}\n")
 
-    print(f"od_hat = {result.od_hat:.6g} +- {result.param_sigma.get('od', float('nan')):.3g}")
+    print(f"od_hat = {result.od_hat:.6g} +- {result.param_sigma['od']:.3g}")
     print(f"visibility_hat = {result.visibility_hat:.4f}, delay = {result.delay_fs:.3f} fs")
     print(f"cost = {result.cost:.6g}, converged = {result.converged}")
     print(f"wrote {out / 'fit_report.json'}")

@@ -53,7 +53,6 @@ class ExperimentConfig:
     seed: int = 12345
     fit_od_min: float = 0.0
     fit_od_max: float = 1e6
-    fit_delay: bool = True
     fit_delay_min_s: float = -100e-15
     fit_delay_max_s: float = 100e-15
     mask_radius: int = 2
@@ -110,6 +109,10 @@ class ExperimentConfig:
         _check_range("fit_delay_min", "fit_delay_max", self.fit_delay_min_s, self.fit_delay_max_s,
                      nonnegative=False)
         _require(self.mask_radius >= 0, "mask_radius must be >= 0", self.mask_radius)
+        try:
+            self.fit_config()
+        except ValueError as exc:  # delay bounds that overflow or coincide in fs
+            raise ConfigError(f"fit_delay_min and fit_delay_max in fs: {exc}") from None
 
     def grid(self) -> WavelengthGrid:
         return WavelengthGrid.from_edges(self.grid_start_m, self.grid_stop_m, self.grid_bins)
@@ -153,7 +156,6 @@ class ExperimentConfig:
             tau=doppler_lifetime(self.temperature_k),
             od_bounds=(self.fit_od_min, self.fit_od_max),
             delay_bounds_fs=(self.fit_delay_min_s / 1e-15, self.fit_delay_max_s / 1e-15),
-            fit_delay=self.fit_delay,
             mask_radius=self.mask_radius,
             kernel_width=self.kernel_width,
         )
@@ -178,9 +180,6 @@ _FREQUENCY_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 _TEMPERATURE_UNITS = {"K": 1.0, "C": 1.0}  # C also adds CELSIUS_OFFSET
 # The other kinds are named by what a value must be.
 _NUMBER, _INTEGER, _NUMBER_OR_AUTO = "a number", "an integer", "a number or 'auto'"
-_BOOLEAN = "true/false (or yes/no, on/off, 1/0)"
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
 
 # key: (field, kind).  A quantity's kind is its units, each with its SI
 # scale and the canonical unit first; a bare number is in that unit.
@@ -204,7 +203,6 @@ _KEYS = {
     "seed": ("seed", _INTEGER),
     "fit_od_min": ("fit_od_min", _NUMBER),
     "fit_od_max": ("fit_od_max", _NUMBER),
-    "fit_delay": ("fit_delay", _BOOLEAN),
     "fit_delay_min": ("fit_delay_min_s", _TIME_UNITS),
     "fit_delay_max": ("fit_delay_max_s", _TIME_UNITS),
     "mask_radius": ("mask_radius", _INTEGER),
@@ -215,8 +213,6 @@ def _parse(key: str, raw: str, where: str):
     """The value of ``key`` that ``raw`` spells; a malformed one is an error naming the key."""
     kind = _KEYS[key][1]
     try:
-        if kind == _BOOLEAN:
-            return _BOOLS[raw]
         if kind == _INTEGER:
             return int(raw)
         if kind == _NUMBER_OR_AUTO and raw == "auto":
@@ -228,7 +224,7 @@ def _parse(key: str, raw: str, where: str):
         if len(parts) in (1, 2) and unit in kind:
             value = float(parts[0]) * kind[unit]
             return value + CELSIUS_OFFSET if unit == "C" else value
-    except (KeyError, ValueError):
+    except ValueError:
         pass
     expected = f"'<number> [{'/'.join(kind)}]'" if isinstance(kind, dict) else kind
     raise ConfigError(f"{where}: {key} must be {expected}, got {raw!r}")
@@ -242,6 +238,8 @@ _REMOVED_KEYS = {
     "fit_visibility_max": "the fit bounds visibility to its physical range [0, 1]",
     "fit_max_iterations": "the fit caps its refine at 400 function evaluations",
     "fit_tol": "the fit's solver tolerances are fixed at 1e-12",
+    "fit_delay": "the fit always frees the residual delay; narrow fit_delay_min and "
+                 "fit_delay_max to hold it",
 }
 
 
@@ -312,8 +310,6 @@ def format_config(config: ExperimentConfig) -> str:
         value = getattr(config, field)
         if isinstance(kind, dict):
             rendered = f"{value!r} {next(iter(kind))}"
-        elif kind == _BOOLEAN:
-            rendered = "true" if value else "false"
         else:
             rendered = "auto" if value is None else repr(value)
         lines.append(f"{key} = {rendered}")

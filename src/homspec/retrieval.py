@@ -67,7 +67,6 @@ class FitConfig:
     tau: float
     od_bounds: tuple[float, float] = (0.0, 1e6)
     delay_bounds_fs: tuple[float, float] = (-100.0, 100.0)
-    fit_delay: bool = True
     mask_radius: int = 2
     kernel_width: int = 1
 
@@ -80,7 +79,7 @@ class FitConfig:
             raise ValueError(f"kernel_width must be odd and >= 1, got {self.kernel_width}")
         for low, high in (self.od_bounds, self.delay_bounds_fs):
             if not -math.inf < low < high < math.inf:
-                raise ValueError("bounds must be finite and satisfy low < high")
+                raise ValueError(f"bounds must be finite and satisfy low < high, got {(low, high)}")
 
 
 @dataclass(frozen=True)
@@ -106,14 +105,6 @@ def resonance_mask(grid: WavelengthGrid, lambda0: float, mask_radius: int) -> np
     """Boolean matrix, True where a bin is excluded by the resonance cross."""
     near = np.abs(np.arange(grid.n_bins) - grid.nearest_bin(lambda0)) <= mask_radius
     return near[:, None] | near[None, :]
-
-
-def phase_profile_mod_2pi(
-    od: float, tau: float, lambda0: float, grid: WavelengthGrid
-) -> np.ndarray:
-    """Spectral phase wrapped to [0, 2*pi) on the grid's bin centers."""
-    model = DispersionModel(od=od, tau=tau, lambda0=lambda0)
-    return np.mod(spectral_phase(model, grid.centers), 2.0 * math.pi)
 
 
 class _FringeModel:
@@ -160,17 +151,16 @@ class _FringeModel:
         return (self.box @ arr @ self.box.T)[..., self.keep]
 
     def evaluate(self, x: np.ndarray, visibility: float | None = None):
-        """theta, the weighted residuals and their Jacobian at x = [od(, delay_fs)].
+        """theta, the weighted residuals and their Jacobian at x = [od, delay_fs].
 
         The model is (1 - V)*smooth(J) + V*smooth(S) at unit sum, V as given or
         else the best V at x: with u, v the unit-sum smooth(J), smooth(S), the
         model is (1 - t)*u + t*v, t = V*sum(S) / ((1 - V)*sum(J) + V*sum(S)), so
         the best t in [0, 1] is a clipped linear solve, and V follows from it.
         """
-        rates = self.bin_phase[:x.size]
-        half = 0.5 * (x @ rates)
+        half = 0.5 * (x @ self.bin_phase)
         (s_a, s_b), (c_a, c_b), (rate_a, rate_b) = (
-            [v[..., i] for i in self.pairs] for v in (np.sin(half), np.cos(half), rates))
+            [v[..., i] for i in self.pairs] for v in (np.sin(half), np.cos(half), self.bin_phase))
         d = s_a * c_b - c_a * s_b
         s = self.smooth(2.0 * d * d * self.jsi)
         slope = 2.0 * d * (c_a * c_b + s_a * s_b) * self.jsi
@@ -236,10 +226,10 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
     """The weighted least-squares objective at a given visibility, for diagnostics.
 
     This is the fixed-V view of the evaluation fit refines with.  Returns
-    (residual_fn, jacobian_fn, cost_fn, gradient_fn, n_params); the
-    parameter vector is [od, visibility, delay_fs] (delay omitted when not
-    fitted).  Raises ConfigError, as fit does, when the map's grid is not
-    the amplitude's, and DegenerateMap when the map carries no usable signal.
+    (residual_fn, jacobian_fn, cost_fn, gradient_fn), each a function of
+    the parameter vector [od, visibility, delay_fs].  Raises ConfigError, as
+    fit does, when the map's grid is not the amplitude's, and DegenerateMap
+    when the map carries no usable signal.
     """
     model = _weighted_problem(cmap, jsa, config)
 
@@ -255,7 +245,7 @@ def prepare_objective(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config:
         r, jac = weighted(theta)
         return 2.0 * jac.T @ r
 
-    return lambda t: weighted(t)[0], lambda t: weighted(t)[1], cost, gradient, 2 + config.fit_delay
+    return lambda t: weighted(t)[0], lambda t: weighted(t)[1], cost, gradient
 
 
 def _hologram(model: _FringeModel) -> np.ndarray:
@@ -324,7 +314,7 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
     if not lo < hi:
         lo, hi = config.od_bounds
     d_lo, d_hi = config.delay_bounds_fs
-    n_delays = math.ceil((d_hi - d_lo) / delay_step) + 1 if config.fit_delay else 1
+    n_delays = math.ceil((d_hi - d_lo) / delay_step) + 1
     n_bins = model.keep.shape[0]
     ods = [lo]
     while ods[-1] < hi:
@@ -334,8 +324,7 @@ def _scan_grid(model: _FringeModel, config: FitConfig) -> tuple[np.ndarray, np.n
                 f"the start scan needs over {_MAX_SCAN:.0e} evaluations; "
                 f"narrow fit_od_min/fit_od_max or fit_delay_min/fit_delay_max")
     ods[-1] = hi
-    delays = np.linspace(d_lo, d_hi, n_delays) if config.fit_delay else np.zeros(1)
-    return np.array(ods, dtype=float), delays
+    return np.array(ods, dtype=float), np.linspace(d_lo, d_hi, n_delays)
 
 
 def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) -> FitResult:
@@ -354,10 +343,9 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     scores = _coherent_scores(model, ods, delays)
     i, k = np.unravel_index(np.argmax(scores), scores.shape)
 
-    lower, upper = np.array(
-        [config.od_bounds, _VISIBILITY_BOUNDS, config.delay_bounds_fs][:2 + config.fit_delay]).T
+    lower, upper = np.array([config.od_bounds, _VISIBILITY_BOUNDS, config.delay_bounds_fs]).T
 
-    def reduced(x):  # theta with the best V at x = [od(, delay_fs)], its r, J, reduced J
+    def reduced(x):  # theta with the best V at x = [od, delay_fs], its r, J, reduced J
         # Kaufman's variable-projection Jacobian: the od and delay columns less
         # their part along the visibility column, unless V sits on a bound.
         theta, r, jac = model.evaluate(x)
@@ -371,7 +359,7 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     # any absolute tolerance long before od settles, so only the step (xtol)
     # and the relative cost decrease of an accepted step (ftol) stop it.
     x_lo, x_hi = np.delete(lower, 1), np.delete(upper, 1)
-    x = np.array([ods[i], delays[k]][:1 + config.fit_delay])
+    x = np.array([ods[i], delays[k]])
     theta, r, jac, rest = reduced(x)
     nfev, damping, converged = 1, 1e-3, False
     while not converged and nfev < _MAX_NFEV:
@@ -401,15 +389,14 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
         sigmas = np.full(jac.shape[1], math.nan)
         corr = math.nan
 
-    param_sigma = {"od": float(sigmas[0]), "visibility": float(sigmas[1])}
-    param_sigma["delay_fs"] = float(sigmas[2]) if config.fit_delay else 0.0
     return FitResult(
         od_hat=float(theta[0]),
         visibility_hat=float(theta[1]) + 0.0,  # + 0.0 turns a -0.0 from the profile into 0.0
-        delay_fs=float(theta[2]) if config.fit_delay else 0.0,
+        delay_fs=float(theta[2]),
         cost=cost,
         iterations=int(scores.size + nfev),
         converged=converged,
-        param_sigma=param_sigma,
+        param_sigma={"od": float(sigmas[0]), "visibility": float(sigmas[1]),
+                     "delay_fs": float(sigmas[2])},
         od_visibility_correlation=corr,
     )

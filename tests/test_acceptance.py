@@ -185,7 +185,7 @@ def test_criterion_08_three_temperature_maps():
 def test_criterion_09_gradient_check():
     t0 = time.perf_counter()
     data = fringe_map(300.0, 0.85, 5e-15, JSA, tau=doppler_lifetime(359.15))
-    _, _, cost, gradient, _ = prepare_objective(
+    _, _, cost, gradient = prepare_objective(
         data, JSA, FitConfig(tau=doppler_lifetime(359.15))
     )
     rng = np.random.default_rng(42)

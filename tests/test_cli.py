@@ -69,6 +69,8 @@ class TestTheory:
         profile = (tmp_path / "phase_profile.csv").read_text().splitlines()
         assert profile[0] == "lambda_nm,phase_mod_2pi"
         assert len(profile) == 141
+        phase = np.array([float(line.split(",")[1]) for line in profile[1:]])
+        assert np.all((0.0 <= phase) & (phase < 2.0 * math.pi))
 
     def test_od_override_zero_gives_empty_map(self, tmp_path):
         rc = main(["theory", "--override", "od = 0", "--out", str(tmp_path)])
@@ -719,7 +721,6 @@ dark_rate = 0.0
 seed = 12345
 fit_od_min = 0.0
 fit_od_max = 1000000.0
-fit_delay = true
 fit_delay_min = -1e-13 s
 fit_delay_max = 1e-13 s
 mask_radius = 2
@@ -747,6 +748,7 @@ mask_radius = 2
         "od = inf", "jsa_fwhm = 1 m", "filter_center = nan", "grid_bins = 65536",
         "dark_rate = inf", "kernel_width = 141",
         "grid_start = 8.029999999999999e-07 m",  # one ulp below grid_stop: equal bin centers
+        "fit_delay_min = -1e295 s",  # finite in s, -inf in fs
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, option):
         # Config keys go in through --override; "--frames -5" is passed as is.
@@ -756,12 +758,33 @@ mask_radius = 2
         assert err.startswith("config error: " + option.split()[0])
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["write-config", "simulate", "fit"])
+    @pytest.mark.parametrize("bounds", [
+        ["fit_delay_min = -1e295 s"],
+        ["fit_delay_min = 7e-15 s", "fit_delay_max = 7.000000000000001e-15 s"],
+    ], ids=["overflow", "collapse"])
+    def test_delay_bounds_unusable_in_fs_exit_2(self, tmp_path, capsys, command, bounds):
+        # Valid in s, but the fit's bounds in fs overflow or coincide.
+        assert main(["theory", "--out", str(tmp_path), *FAST]) == 0
+        capsys.readouterr()
+        out = tmp_path / "D"
+        argv = {
+            "write-config": ["write-config", "--out", str(out / "effective.cfg")],
+            "simulate": ["simulate", "--frames", "10", "--out", str(out)],
+            "fit": ["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
+                    "--out", str(out)],
+        }[command]
+        overrides = [arg for option in bounds for arg in ("--override", option)]
+        assert main([*argv, *FAST, *overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: fit_delay_min") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         *((key, "warm") for key in _KEYS),
         *((key, "5 parsec") for key, (_, kind) in _KEYS.items() if isinstance(kind, dict)),
         *((key, "1.5") for key, (field, _) in _KEYS.items()
           if type(getattr(ExperimentConfig(), field)) is int),
-        ("fit_delay", "maybe"),
     ])
     def test_malformed_value_exits_2_naming_key(self, capsys, key, value):
         assert main(["write-config", "--override", f"{key} = {value}"]) == 2

@@ -7,6 +7,7 @@ import pytest
 
 from homspec.config import (
     _KEYS,
+    _REMOVED_KEYS,
     ExperimentConfig,
     apply_overrides,
     format_config,
@@ -69,7 +70,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", [
         "fit_init_od", "fit_init_visibility", "fit_visibility_min", "fit_visibility_max",
-        "fit_max_iterations", "fit_tol",
+        "fit_max_iterations", "fit_tol", "fit_delay",
     ])
     def test_removed_key_rejected_with_reason(self, key):
         with pytest.raises(ConfigError, match=rf"config:2: key '{key}' was removed \(the fit"):
@@ -99,12 +100,6 @@ class TestParsing:
         cfg = parse_config("od = 0\n")
         assert cfg.dispersion_model().od == 0.0
 
-    def test_bool_values(self):
-        assert parse_config("fit_delay = false\n").fit_delay is False
-        assert parse_config("fit_delay = true\n").fit_delay is True
-        with pytest.raises(ConfigError):
-            parse_config("fit_delay = maybe\n")
-
 
 DEFAULT_TEXT = """\
 # effective settings, canonical SI units
@@ -127,7 +122,6 @@ dark_rate = 0.0
 seed = 12345
 fit_od_min = 0.0
 fit_od_max = 1000000.0
-fit_delay = true
 fit_delay_min = -1e-13 s
 fit_delay_max = 1e-13 s
 mask_radius = 2
@@ -149,7 +143,7 @@ class TestRoundTrip:
     def test_modified_config_round_trips(self):
         cfg = parse_config(
             "temperature = 86 C\nchi = 3.21e-4\nseed = 99\njsa_correlation = -0.7\n"
-            "od = 17.5\nfit_delay = false\n"
+            "od = 17.5\n"
         )
         assert parse_config(format_config(cfg)) == cfg
 
@@ -186,12 +180,16 @@ class TestOverrides:
 
 
 class TestReadmeKeyTable:
-    ROWS = re.findall(r"^\| `(\w+)` \| ([^|]+) \| `([^`]+)` \|",
-                      (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8"),
-                      re.MULTILINE)
+    README = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    ROWS = re.findall(r"^\| `(\w+)` \| ([^|]+) \| `([^`]+)` \|", README, re.MULTILINE)
 
     def test_names_every_key_once(self):
         assert [key for key, _, _ in self.ROWS] == list(_KEYS)
+
+    def test_names_every_removed_key_once(self):
+        paragraph = re.search(r"^Configs saved by older versions.*?\n\n", self.README,
+                              re.MULTILINE | re.DOTALL).group()
+        assert re.findall(r"`(\w+)`", paragraph) == list(_REMOVED_KEYS)
 
     def test_units_and_defaults(self):
         defaults = ExperimentConfig()

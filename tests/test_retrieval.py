@@ -24,7 +24,6 @@ from homspec.retrieval import (
     _scan_grid,
     _weighted_problem,
     fit,
-    phase_profile_mod_2pi,
     prepare_objective,
     resonance_mask,
 )
@@ -91,12 +90,6 @@ class TestNoiselessRoundTrip:
         assert result.delay_fs == pytest.approx(10.0, rel=1e-2)
         assert result.converged
 
-    def test_fixed_delay_variant(self):
-        data = fringe_map(20.0, 0.8, 0.0, JSA64, tau=TAU_86)
-        result = fit(data, JSA64, FitConfig(tau=TAU_86, fit_delay=False))
-        assert result.delay_fs == 0.0
-        assert result.od_hat == pytest.approx(20.0, rel=1e-2)
-
     def test_fringe_free_map(self):
         # V = 0 leaves od and delay no effect, so their Jacobian columns vanish:
         # neither can be identified, and neither has a finite error.
@@ -118,20 +111,19 @@ class TestNoiselessRoundTrip:
 
 
 class TestObjective:
-    @pytest.mark.parametrize("kernel_width,fit_delay", [(1, True), (3, True), (1, False)])
-    def test_gradient_matches_central_differences(self, kernel_width, fit_delay):
+    @pytest.mark.parametrize("kernel_width", [1, 3])
+    def test_gradient_matches_central_differences(self, kernel_width):
         data = fringe_map(300.0, 0.85, 5e-15, JSA, tau=TAU_86, kernel_width=kernel_width)
-        config = FitConfig(tau=TAU_86, kernel_width=kernel_width, fit_delay=fit_delay)
-        _, _, cost, gradient, n_params = prepare_objective(data, JSA, config)
-        assert n_params == 2 + fit_delay
+        config = FitConfig(tau=TAU_86, kernel_width=kernel_width)
+        _, _, cost, gradient = prepare_objective(data, JSA, config)
         rng = np.random.default_rng(42)
         for _ in range(5):
             theta = np.array(
                 [rng.uniform(10.0, 2e3), rng.uniform(0.3, 0.99), rng.uniform(-20.0, 20.0)]
-            )[:n_params]
+            )
             analytic = gradient(theta)
-            numeric = np.zeros(n_params)
-            for k in range(n_params):
+            numeric = np.zeros(3)
+            for k in range(3):
                 h = 1e-6 * max(abs(theta[k]), 1.0)
                 up, down = theta.copy(), theta.copy()
                 up[k] += h
@@ -147,7 +139,7 @@ class TestObjective:
         noise = 0.05 * data.values.max() * np.random.default_rng(3).standard_normal((64, 64))
         noisy = CoincidenceMap(GRID64, data.values + noise, MapKind.COVARIANCE)
         config = FitConfig(tau=TAU_86, kernel_width=kernel_width)
-        _, _, cost, _, _ = prepare_objective(noisy, JSA64, config)
+        _, _, cost, _ = prepare_objective(noisy, JSA64, config)
         model = _weighted_problem(noisy, JSA64, config)
         for od in (20.0, 150.0, 900.0):
             for delay in (-40.0, 5.0):
@@ -164,7 +156,7 @@ class TestObjective:
         # The fit's fringe model at the true parameters reproduces the map the
         # theory command writes, to roundoff.
         data = fringe_map(od, visibility, delay, JSA64, tau=TAU_86, kernel_width=kernel_width)
-        residuals, _, _, _, _ = prepare_objective(
+        residuals, _, _, _ = prepare_objective(
             data, JSA64, FitConfig(tau=TAU_86, kernel_width=kernel_width))
         fringe = np.max(np.abs(residuals(np.array([od, 0.0, delay / 1e-15]))))
         mismatch = np.max(np.abs(residuals(np.array([od, visibility, delay / 1e-15]))))
@@ -327,7 +319,7 @@ class TestNoisyFits:
     def test_fit_is_stationary_point_of_objective(self, simulated_covariance):
         config = FitConfig(tau=TAU_174)
         result = fit(simulated_covariance, JSA64, config)
-        residuals, jacobian, _, gradient, _ = prepare_objective(
+        residuals, jacobian, _, gradient = prepare_objective(
             simulated_covariance, JSA64, config
         )
         theta = np.array([result.od_hat, result.visibility_hat, result.delay_fs])
@@ -344,7 +336,7 @@ class TestNoisyFits:
     def test_cost_is_objective_at_reported_parameters(self, simulated_covariance):
         config = FitConfig(tau=TAU_174)
         result = fit(simulated_covariance, JSA64, config)
-        _, _, cost, _, _ = prepare_objective(simulated_covariance, JSA64, config)
+        _, _, cost, _ = prepare_objective(simulated_covariance, JSA64, config)
         theta = np.array([result.od_hat, result.visibility_hat, result.delay_fs])
         assert result.cost == cost(theta)
 
@@ -385,11 +377,6 @@ class TestPhaseMaps:
         dense = WavelengthGrid.from_edges(794.9e-9, 795.1e-9, 3001)
         dphi = phase_difference(DispersionModel(20.0, TAU_86, 795e-9), dense.centers)
         assert np.max(np.abs(dphi)) == pytest.approx(20.0, rel=0.05)
-
-    def test_profile_wrapped_to_two_pi(self):
-        profile = phase_profile_mod_2pi(4.6e3, doppler_lifetime(461.15), 795e-9, GRID)
-        assert np.all(profile >= 0.0)
-        assert np.all(profile < 2.0 * math.pi)
 
 
 class TestFitConfigValidation:
