@@ -170,18 +170,30 @@ class _FringeModel:
                 b = self.sqrt_w * (s / s_sum - self.u)
                 t = np.clip(-(self.a @ b) / (b @ b), 0.0, 1.0)
                 visibility = float(t * self.j_sum / ((1.0 - t) * s_sum + t * self.j_sum))
+            del b
         theta = np.insert(x, 1, visibility)
         model = 0.5 * ((1.0 - visibility) * self.j + visibility * s)
         total = float(np.sum(model))
         if total <= 0.0:
             return theta, -self.sqrt_w * self.data, np.zeros((model.size, theta.size))
-        m = model / total
+        model /= total
+        # The rest is formed in place, the Jacobian in one (3, m) array of rows od, V, delay.
+        jac = np.empty((3, model.size))
+        np.subtract(s, self.j, out=jac[1])
+        jac[1] *= 0.5
+        del s
         # dS/dx = slope*(rate_a - rate_b), by products: no bin-pair phase is formed.
-        rate_cols = [0.5 * visibility * self.smooth(slope * ra - slope * rb)
-                     for ra, rb in zip(rate_a, rate_b)]
-        cols = np.stack([rate_cols[0], 0.5 * (s - self.j), *rate_cols[1:]])
-        jac = (cols - np.sum(cols, axis=1, keepdims=True) * m) / total
-        return theta, self.sqrt_w * (m - self.data), (self.sqrt_w * jac).T
+        for row, ra, rb in zip((0, 2), rate_a, rate_b):
+            np.multiply(slope, ra, out=d)
+            d -= slope * rb
+            np.multiply(self.smooth(d), 0.5 * visibility, out=jac[row])
+        for row, row_sum in zip(jac, np.sum(jac, axis=1)):
+            row -= row_sum * model
+        jac /= total
+        jac *= self.sqrt_w
+        model -= self.data
+        model *= self.sqrt_w  # the residual, written over the model
+        return theta, model, jac.T
 
 
 def _estimate_weights(data: np.ndarray, kind: MapKind) -> np.ndarray:
@@ -332,11 +344,11 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
 
     The grid point whose phase best matches the map's hologram starts
     bounded Levenberg-Marquardt steps on the smoothed model's visibility
-    profile, and their last accepted evaluation gives the cost and the
-    covariance.  ``iterations`` counts grid points and refine evaluations;
-    a parameter with no effect there (od and delay at V = 0) has sigma inf.
-    ``converged`` reports whether the refine met its tolerance; it is never
-    an exception.
+    profile, which keep each evaluation only as normal-equation products;
+    the last accepted step's give the cost and the covariance.  ``iterations``
+    counts grid points and refine evaluations; a parameter with no effect
+    there (od and delay at V = 0) has sigma inf.  ``converged`` reports
+    whether the refine met its tolerance; it is never an exception.
     """
     model = _weighted_problem(cmap, jsa, config)
     ods, delays = _scan_grid(model, config)
@@ -345,14 +357,14 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
 
     lower, upper = np.array([config.od_bounds, _VISIBILITY_BOUNDS, config.delay_bounds_fs]).T
 
-    def reduced(x):  # theta with the best V at x = [od, delay_fs], its r, J, reduced J
-        # Kaufman's variable-projection Jacobian: the od and delay columns less
-        # their part along the visibility column, unless V sits on a bound.
+    def reduced(x):  # theta at x = [od, delay_fs] with the best V; r'r, R'R, -R'r, J'J, idle cols
+        # R, Kaufman's variable-projection Jacobian, is J's od and delay columns
+        # less their part along the visibility column, unless V sits on a bound.
         theta, r, jac = model.evaluate(x)
         rest = np.delete(jac, 1, axis=1)
         if lower[1] < theta[1] < upper[1]:
             rest -= np.outer(jac[:, 1], jac[:, 1] @ rest / (jac[:, 1] @ jac[:, 1]))
-        return theta, r, jac, rest
+        return theta, float(r @ r), rest.T @ rest, -rest.T @ r, jac.T @ jac, ~np.any(jac, axis=0)
 
     # Levenberg-Marquardt (More, LNM 630 (1978)) with Marquardt's diag(J'J)
     # scaling.  Noiseless low-od maps leave a ridge whose gradient falls below
@@ -360,33 +372,31 @@ def fit(cmap: CoincidenceMap, jsa: JointSpectralAmplitude, config: FitConfig) ->
     # and the relative cost decrease of an accepted step (ftol) stop it.
     x_lo, x_hi = np.delete(lower, 1), np.delete(upper, 1)
     x = np.array([ods[i], delays[k]])
-    theta, r, jac, rest = reduced(x)
+    theta, cost, jtj, descent, full_jtj, idle = reduced(x)
     nfev, damping, converged = 1, 1e-3, False
     while not converged and nfev < _MAX_NFEV:
-        jtj = rest.T @ rest
         # At V = 0 od and delay have no effect: their zero columns take unit scale.
         damped = jtj + damping * np.diag(np.where(np.diag(jtj) > 0.0, np.diag(jtj), 1.0))
-        step = np.clip(x + np.linalg.solve(damped, -rest.T @ r), x_lo, x_hi) - x
+        step = np.clip(x + np.linalg.solve(damped, descent), x_lo, x_hi) - x
         converged = bool(np.linalg.norm(step) <= _TOL * (_TOL + np.linalg.norm(x)))
         if not converged:
             trial = reduced(x + step)
             nfev += 1
-            gain = r @ r - trial[1] @ trial[1]
+            gain = cost - trial[1]
             if gain > 0.0:
-                converged = bool(gain <= _TOL * (r @ r))
-                x, (theta, r, jac, rest), damping = x + step, trial, 0.1 * damping
+                converged = bool(gain <= _TOL * cost)
+                x, damping = x + step, 0.1 * damping
+                theta, cost, jtj, descent, full_jtj, idle = trial
             else:
                 damping *= 10.0
-    cost = float(r @ r)
     try:
-        cov = np.linalg.pinv(jac.T @ jac) * (cost / max(jac.shape[0] - jac.shape[1], 1))
-        idle = ~np.any(jac, axis=0)  # a parameter that moves nothing has no finite error
-        cov[idle, idle] = math.inf
+        cov = np.linalg.pinv(full_jtj) * (cost / max(model.data.size - theta.size, 1))
+        cov[idle, idle] = math.inf  # a parameter that moves nothing has no finite error
         sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         finite = 0.0 < sigmas[0] < math.inf and 0.0 < sigmas[1] < math.inf
         corr = float(cov[0, 1] / (sigmas[0] * sigmas[1])) if finite else math.nan
     except np.linalg.LinAlgError:
-        sigmas = np.full(jac.shape[1], math.nan)
+        sigmas = np.full(theta.size, math.nan)
         corr = math.nan
 
     return FitResult(

@@ -104,6 +104,8 @@ def doppler_lifetime(temperature: float) -> float:
     width = (2.0 * RB87.omega0 / CODATA.c) * math.sqrt(
         2.0 * CODATA.k_b * temperature / RB87.mass
     )
+    if width == 0.0:
+        raise ValueError(f"temperature {temperature!r} K is so small that the Doppler width is 0")
     return 1.0 / width
 
 

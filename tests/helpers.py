@@ -1,5 +1,7 @@
 """Shared analysis helpers for map-level assertions."""
 
+import tracemalloc
+
 import numpy as np
 
 from homspec import detector
@@ -153,6 +155,16 @@ def brute_force_frames(
     clicks = np.unique(np.stack([np.concatenate(photon_frames), np.concatenate(regions),
                                  np.concatenate(photon_bins)], axis=1).astype(np.int64), axis=0)
     return FrameBatch(n_frames, pc_map.grid, *clicks.T)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc traced while it ran [bytes]."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def chunk_length(monkeypatch, start):

@@ -7,7 +7,6 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chunk_length
+from helpers import chunk_length, traced_peak
 from homspec import detector, retrieval, zhf
 from homspec.cli import main
 from homspec.config import _KEYS, _REMOVED_KEYS, ExperimentConfig, format_config, parse_config
@@ -43,6 +42,26 @@ def chunk_frames(monkeypatch, tmp_path, *args):
         patch.setattr(zhf, "write_frames", lambda run, path: 0)
         return chunk_length(monkeypatch, lambda: main(
             ["simulate", "--frames", "0", "--out", str(tmp_path), *args]))
+
+
+def config_error_of(tmp_path, capsys, command, overrides):
+    """The one stderr line of ``command`` refused with exit 2, which leaves no output directory.
+
+    ``command`` is write-config, simulate or fit (of a theory map written first).
+    """
+    assert main(["theory", "--out", str(tmp_path), *FAST]) == 0
+    capsys.readouterr()
+    out = tmp_path / "D"
+    argv = {
+        "write-config": ["write-config", "--out", str(out / "effective.cfg")],
+        "simulate": ["simulate", "--frames", "10", "--out", str(out)],
+        "fit": ["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability", "--out", str(out)],
+    }[command]
+    assert main([*argv, *FAST, *(arg for item in overrides for arg in ("--override", item))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert not out.exists()
+    return err
 
 
 def write_cfg(tmp_path, text):
@@ -192,21 +211,17 @@ class TestSimulate:
         args = [*FAST, "--override", "chi = 2e-3"]
         chunk = chunk_frames(monkeypatch, tmp_path, *args)
 
-        def traced_peak(n_chunks):
+        def simulate_peak(n_chunks):
             out = tmp_path / str(n_chunks)
-            tracemalloc.start()
-            try:
-                assert main(["simulate", "--frames", str(n_chunks * chunk),
-                             "--out", str(out), *args]) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            rc, peak = traced_peak(main, ["simulate", "--frames", str(n_chunks * chunk),
+                                          "--out", str(out), *args])
+            assert rc == 0
             with open(out / "frames.zhf", "rb") as fh:
                 n_events = int.from_bytes(fh.read(58)[50:], "little")
             assert n_events > 1.8 * n_chunks * chunk
             return peak
 
-        assert traced_peak(16) <= 1.5 * traced_peak(4)
+        assert simulate_peak(16) <= 1.5 * simulate_peak(4)
 
     def test_wide_kernel_exits_0(self, tmp_path):
         # The port spectra take the map's boxcar, so no bin of the smoothed
@@ -292,18 +307,14 @@ class TestEstimate:
         assert quarter.n_events > 3.5 * zhf._BLOCK
         assert whole.n_events > 15.5 * zhf._BLOCK
 
-        def traced_peak(batch, name):
+        def estimate_peak(batch, name):
             path = tmp_path / f"{name}.zhf"
             zhf.write_frames([batch], path)
-            tracemalloc.start()
-            try:
-                assert main(["estimate", str(path), "--out", str(tmp_path / name)]) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            rc, peak = traced_peak(main, ["estimate", str(path), "--out", str(tmp_path / name)])
+            assert rc == 0
             return peak - 3 * np.zeros((grid.n_bins, grid.n_bins)).nbytes
 
-        assert traced_peak(whole, "whole") <= 1.5 * traced_peak(quarter, "quarter")
+        assert estimate_peak(whole, "whole") <= 1.5 * estimate_peak(quarter, "quarter")
 
     def test_empty_file_gives_zero_maps(self, tmp_path):
         assert main(["simulate", "--frames", "100", "--out", str(tmp_path), *FAST,
@@ -765,20 +776,17 @@ mask_radius = 2
     ], ids=["overflow", "collapse"])
     def test_delay_bounds_unusable_in_fs_exit_2(self, tmp_path, capsys, command, bounds):
         # Valid in s, but the fit's bounds in fs overflow or coincide.
-        assert main(["theory", "--out", str(tmp_path), *FAST]) == 0
-        capsys.readouterr()
-        out = tmp_path / "D"
-        argv = {
-            "write-config": ["write-config", "--out", str(out / "effective.cfg")],
-            "simulate": ["simulate", "--frames", "10", "--out", str(out)],
-            "fit": ["fit", str(tmp_path / "pc_map.csv"), "--kind", "probability",
-                    "--out", str(out)],
-        }[command]
-        overrides = [arg for option in bounds for arg in ("--override", option)]
-        assert main([*argv, *FAST, *overrides]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: fit_delay_min") and err.count("\n") == 1
-        assert not out.exists()
+        err = config_error_of(tmp_path, capsys, command, bounds)
+        assert err.startswith("config error: fit_delay_min")
+
+    @pytest.mark.parametrize("command", ["write-config", "simulate", "fit"])
+    @pytest.mark.parametrize("temperature", ["5e-324 K", "1e-320 K"])
+    def test_temperature_with_no_doppler_width_exit_2(self, tmp_path, capsys, command,
+                                                       temperature):
+        # With od set the vapor-pressure range is not checked, and the
+        # Doppler width of these temperatures underflows to 0.
+        err = config_error_of(tmp_path, capsys, command, ["od = 1", f"temperature = {temperature}"])
+        assert err.startswith("config error: temperature")
 
     @pytest.mark.parametrize("key, value", [
         *((key, "warm") for key in _KEYS),

@@ -1,12 +1,12 @@
 import contextlib
 import io
-import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from homspec import cli, detector
 from homspec.config import load_config
 from homspec.sampling import AliasTable
@@ -92,12 +92,7 @@ def test_joint_table_build_memory():
     # Vose's loop over Python lists peaked at 119 bytes per outcome.
     cfg = load_config(CONFIG_DIR / "t1_188C.cfg")
     weights = cli._theory_map(cfg, cfg.jsa()).values
-    tracemalloc.start()
-    try:
-        AliasTable(weights)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(AliasTable, weights)
     assert peak / weights.size < 96
 
 

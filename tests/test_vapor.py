@@ -60,6 +60,11 @@ class TestDopplerLifetime:
         with pytest.raises(ValueError):
             doppler_lifetime(0.0)
 
+    @pytest.mark.parametrize("temperature", [5e-324, 1e-320])
+    def test_rejects_temperature_whose_width_underflows(self, temperature):
+        with pytest.raises(ValueError, match="Doppler width is 0"):
+            doppler_lifetime(temperature)
+
 
 class TestOpticalDepth:
     def test_hot_cell_value(self):
